@@ -2,13 +2,32 @@
 
 Matrices are sequences of rows of ints. All routines copy their input and
 reduce mod p as they go; nothing here mutates caller data.
+
+`PackedRows` evaluates many linear combinations of one fixed set of rows by
+Kronecker substitution: each row of length n is packed into one Python int
+with n fixed-width little-endian slots (residue j at byte offset j * slot),
+so a combination sum(c_i * row_i) is `dim` native big-int multiply-adds
+followed by one unpack and a reduction mod p. Slots never carry into each
+other because the width is chosen from the largest value a slot can reach:
+with residues in [0, p) and room for one extra packed term, that is
+(dim + 1) * (p - 1)**2. Slots of 4 or 8 bytes are read back with
+`memoryview.cast`; wider slots, needed only once p approaches
+2**32 / sqrt(dim + 1), are read with `int.from_bytes` on fixed-width slices.
 """
 
 from __future__ import annotations
 
+import struct
+import sys
+from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 Matrix = Sequence[Sequence[int]]
+
+# Slot widths that memoryview.cast reads directly: native unsigned formats,
+# usable only where native order matches the little-endian slot layout.
+_CAST_FORMATS = {struct.calcsize(f): f for f in "IQ"} if sys.byteorder == "little" else {}
 
 
 def _copy(rows: Matrix, p: int) -> list[list[int]]:
@@ -113,3 +132,50 @@ def row_space_equal(a: Matrix, b: Matrix, p: int) -> bool:
     if ra != rb:
         return False
     return rank(list(a) + list(b), p) == ra
+
+
+@dataclass(frozen=True)
+class PackedRows:
+    """Rows of length n over F_p packed into ints of n fixed-width slots each."""
+
+    p: int
+    n: int
+    slot: int  # bytes per slot
+    rows: tuple[int, ...]
+
+    @classmethod
+    def of(cls, rows: Matrix, p: int) -> PackedRows:
+        """Pack a non-empty matrix, with slots wide enough for one extra packed term."""
+        bound = (len(rows) + 1) * (p - 1) ** 2
+        slot = next((b for b in (4, 8) if bound < 1 << (8 * b)), (bound.bit_length() + 7) // 8)
+        n = len(rows[0])
+        if any(len(row) != n for row in rows):
+            raise ValueError("rows have different lengths")
+        return cls(p, n, slot, tuple(_pack(row, p, slot) for row in rows))
+
+    def pack(self, row: Sequence[int]) -> int:
+        """One row of length n as a packed int, entries reduced to [0, p)."""
+        if len(row) != self.n:
+            raise ValueError(f"row has length {len(row)}, expected {self.n}")
+        return _pack(row, self.p, self.slot)
+
+    def combine(self, coeffs: Sequence[int], extra: int = 0) -> tuple[int, ...]:
+        """sum(coeffs[i] * rows[i]) + extra, reduced mod p, as a tuple of n residues.
+
+        `extra` is 0 or one packed row (from `pack`) times a residue in [0, p).
+        """
+        if len(coeffs) != len(self.rows):
+            raise ValueError(f"{len(coeffs)} coefficients for {len(self.rows)} rows")
+        p, n, slot = self.p, self.n, self.slot
+        acc = sum(map(mul, [c % p for c in coeffs], self.rows), extra)
+        raw = acc.to_bytes(n * slot, "little")
+        fmt = _CAST_FORMATS.get(slot)
+        if fmt is not None:
+            return tuple([v % p for v in memoryview(raw).cast(fmt)])
+        return tuple(
+            [int.from_bytes(raw[i : i + slot], "little") % p for i in range(0, n * slot, slot)]
+        )
+
+
+def _pack(row: Sequence[int], p: int, slot: int) -> int:
+    return int.from_bytes(b"".join((v % p).to_bytes(slot, "little") for v in row), "little")

@@ -18,6 +18,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter, mul
 from typing import Sequence
 
 from . import linalg
@@ -170,6 +172,31 @@ class SchemeInstance:
     @cached_property
     def decode_rows(self) -> tuple[tuple[int, ...], ...]:
         return self.info_rows + self.noise_rows
+
+    # Packed forms of the rows the protocol combines (see linalg.PackedRows);
+    # filled on first use, so building and verifying an instance never pays for them.
+
+    @cached_property
+    def packed_priv(self) -> linalg.PackedRows:
+        return linalg.PackedRows.of(self.priv_code.rows, self.p)
+
+    @cached_property
+    def packed_info(self) -> tuple[int, ...]:
+        """The information rows, packed as extra terms of `packed_priv`."""
+        return tuple(map(self.packed_priv.pack, self.info_rows))
+
+    @cached_property
+    def packed_sec(self) -> tuple[linalg.PackedRows, ...]:
+        return tuple(linalg.PackedRows.of(code.rows, self.p) for code in self.sec_codes)
+
+    @cached_property
+    def packed_ones(self) -> int:
+        """The all-ones row, packed as an extra term of every `packed_sec` entry."""
+        return self.packed_sec[0].pack((1,) * self.n)
+
+    @cached_property
+    def packed_decode(self) -> linalg.PackedRows:
+        return linalg.PackedRows.of(self.decode_rows, self.p)
 
     def noise_divisor(self) -> Divisor:
         """Upper bound on every noise-product divisor."""
@@ -328,20 +355,13 @@ def store(inst: SchemeInstance, db: Database, rng: random.Random) -> Table:
         raise ShapeMismatch(f"database is over F_{db.p}, scheme over F_{inst.p}")
     if any(len(f) != inst.l for f in db.files):
         raise ShapeMismatch(f"every file must have exactly L = {inst.l} fragments")
-    p = inst.p
+    p, ones = inst.p, inst.packed_ones
     shares = []
-    for ell in range(inst.l):
-        sec_rows = inst.sec_codes[ell].rows
+    for ell, sec in enumerate(inst.packed_sec):
         per_file = []
         for file in db.files:
             coeffs = [rng.randrange(p) for _ in range(inst.sec_dim)]
-            enc = file[ell]
-            per_file.append(
-                tuple(
-                    (enc + sum(c * row[n] for c, row in zip(coeffs, sec_rows))) % p
-                    for n in range(inst.n)
-                )
-            )
+            per_file.append(sec.combine(coeffs, file[ell] * ones))
         shares.append(tuple(per_file))
     return tuple(shares)
 
@@ -352,39 +372,30 @@ def make_queries(
     """Queries for file theta (1-based), masked with privacy noise."""
     if not 1 <= theta <= num_files:
         raise BadTheta(f"theta must be in 1..{num_files}, got {theta}")
-    p = inst.p
-    priv_rows = inst.priv_code.rows
+    p, priv = inst.p, inst.packed_priv
     queries = []
-    for ell in range(inst.l):
-        base = inst.info_rows[ell]
+    for base in inst.packed_info:
         per_file = []
         for m in range(num_files):
             coeffs = [rng.randrange(p) for _ in range(inst.priv_dim)]
-            wanted = 1 if m == theta - 1 else 0
-            per_file.append(
-                tuple(
-                    (wanted * base[n] + sum(c * row[n] for c, row in zip(coeffs, priv_rows))) % p
-                    for n in range(inst.n)
-                )
-            )
+            per_file.append(priv.combine(coeffs, base if m == theta - 1 else 0))
         queries.append(tuple(per_file))
     return tuple(queries)
 
 
 def server_view(table: Table, server: int) -> tuple[tuple[int, ...], ...]:
     """One server's column of a share or query table, indexed [fragment][file]."""
-    return tuple(tuple(per_file[server] for per_file in row) for row in table)
+    get = itemgetter(server)
+    return tuple([tuple(map(get, row)) for row in table])
 
 
 def server_respond(
     shares_n: Sequence[Sequence[int]], queries_n: Sequence[Sequence[int]], p: int
 ) -> int:
     """The single response symbol: sum of share * query over all table cells."""
-    if len(shares_n) != len(queries_n) or any(
-        len(s) != len(q) for s, q in zip(shares_n, queries_n)
-    ):
+    if list(map(len, shares_n)) != list(map(len, queries_n)):
         raise ShapeMismatch("share and query views have different shapes")
-    return sum(s * q for srow, qrow in zip(shares_n, queries_n) for s, q in zip(srow, qrow)) % p
+    return sum(map(mul, chain.from_iterable(shares_n), chain.from_iterable(queries_n))) % p
 
 
 def decode(inst: SchemeInstance, responses: Sequence[int]) -> tuple[int, ...]:
@@ -394,9 +405,9 @@ def decode(inst: SchemeInstance, responses: Sequence[int]) -> tuple[int, ...]:
     p = inst.p
     picked = [responses[c] % p for c in inst.decode_cols]
     coeffs = linalg.mat_vec(inst.decode_inv, picked, p)
-    rows = inst.decode_rows
-    for n in range(inst.n):
-        if sum(c * rows[i][n] for i, c in enumerate(coeffs)) % p != responses[n] % p:
+    expected = inst.packed_decode.combine(coeffs)
+    for n, (want, got) in enumerate(zip(expected, responses)):
+        if want != got % p:
             raise InconsistentSystem(f"response symbol {n} is outside the decode row space")
     return tuple(coeffs[: inst.l])
 

@@ -1,7 +1,17 @@
+import ast
+import random
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agpir
 from agpir import linalg
+
+# One prime per slot-width regime of PackedRows: 4-byte slots at 5 and 257,
+# 8-byte slots at 2**31 - 1 with one row, wide slots beyond that and at 2**61 - 1.
+KERNEL_PRIMES = (5, 257, 2**31 - 1, 2**61 - 1)
 
 
 def matrices(p=13, max_dim=6):
@@ -52,8 +62,6 @@ def test_invert_round_trip():
 
 
 def test_invert_rejects_singular():
-    import pytest
-
     with pytest.raises(ValueError):
         linalg.invert([[1, 2], [2, 4]], 5)
 
@@ -62,3 +70,81 @@ def test_row_space_equal():
     assert linalg.row_space_equal([[1, 1, 0]], [[2, 2, 0]], 5)
     assert not linalg.row_space_equal([[1, 0, 0]], [[0, 1, 0]], 5)
     assert linalg.row_space_equal([[1, 0], [0, 1]], [[1, 1], [1, 2]], 5)
+
+
+def naive_combination(coeffs, rows, p, scale=0, extra_row=None):
+    n = len(rows[0])
+    extra = extra_row or [0] * n
+    return tuple(
+        (sum(c * row[j] for c, row in zip(coeffs, rows)) + scale * extra[j]) % p for j in range(n)
+    )
+
+
+@pytest.mark.parametrize(
+    "p, dim, slot",
+    [(5, 41, 4), (257, 41, 4), (257, 168, 4), (65537, 41, 8), (2**31 - 1, 1, 8),
+     (2**31 - 1, 4, 9), (2**61 - 1, 3, 16)],
+)
+def test_packed_slot_width(p, dim, slot):
+    packed = linalg.PackedRows.of([[0, 1]] * dim, p)
+    assert packed.slot == slot
+    assert (dim + 1) * (p - 1) ** 2 < 1 << (8 * slot)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@pytest.mark.parametrize("dim, n", [(1, 1), (4, 1), (1, 9), (4, 17), (41, 168)])
+def test_packed_combine_matches_naive(p, dim, n):
+    rng = random.Random(f"{p}:{dim}:{n}")
+    # Rows are deliberately non-canonical: packing reduces them mod p.
+    rows = [[rng.randrange(-2 * p, 3 * p) for _ in range(n)] for _ in range(dim)]
+    extra_row = [rng.randrange(-p, 2 * p) for _ in range(n)]
+    packed = linalg.PackedRows.of(rows, p)
+    assert packed.n == n and len(packed.rows) == dim
+    extra = packed.pack(extra_row)
+    for coeffs in ([0] * dim, [p - 1] * dim, [rng.randrange(p) for _ in range(dim)]):
+        for scale in (0, 1, p - 1, rng.randrange(p)):
+            got = packed.combine(coeffs, scale * extra)
+            assert got == naive_combination(coeffs, rows, p, scale, extra_row)
+        assert packed.combine(coeffs) == naive_combination(coeffs, rows, p)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_packed_combine_at_the_slot_bound(p):
+    # Every product and the extra term at their largest: each slot reaches (dim+1)(p-1)^2.
+    dim, n = 5, 7
+    packed = linalg.PackedRows.of([[p - 1] * n] * dim, p)
+    extra = (p - 1) * packed.pack([-1] * n)
+    assert packed.combine([p - 1] * dim, extra) == ((dim + 1) * (p - 1) ** 2 % p,) * n
+
+
+def test_packed_combine_reduces_coefficients():
+    p = 257
+    packed = linalg.PackedRows.of([[1, 2, 3], [4, 5, 6]], p)
+    # Unreduced, these would carry across slots and make the packed sum negative.
+    assert packed.combine([1 + p**4, -1]) == packed.combine([1, p - 1]) == (p - 3,) * 3
+
+
+def test_packed_rows_reject_bad_shapes():
+    packed = linalg.PackedRows.of([[1, 2, 3], [4, 5, 6]], 13)
+    with pytest.raises(ValueError):
+        packed.combine([1])
+    with pytest.raises(ValueError):
+        packed.pack([1, 2])
+    with pytest.raises(ValueError):
+        linalg.PackedRows.of([[1, 2, 3], [4, 5]], 13)
+
+
+def test_int_byte_conversions_pass_length_and_byteorder():
+    """int.to_bytes/from_bytes calls must not rely on the defaults added in Python 3.11."""
+    calls = []
+    for path in Path(agpir.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in ("to_bytes", "from_bytes"):
+                    calls.append((path.name, node.lineno, node))
+    assert any(name == "linalg.py" for name, _, _ in calls)
+    for name, line, node in calls:
+        keywords = {k.arg for k in node.keywords}
+        explicit = len(node.args) >= 2 or (len(node.args) == 1 and "byteorder" in keywords)
+        explicit = explicit or {"length", "byteorder"} <= keywords
+        assert explicit, f"{name}:{line} omits the length or byteorder argument"

@@ -33,6 +33,9 @@ G0_Q43 = SchemeParams(p=43, genus=0, x=16, t=16, l=5)
 G1_Q43 = SchemeParams(p=43, genus=1, x=16, t=16, l=7, curve=(0, 9))
 G0_TINY = SchemeParams(p=13, genus=0, x=2, t=2, l=3)
 G1_TINY = SchemeParams(p=13, genus=1, x=1, t=1, l=1)
+# Large primes put the packed kernel on its 8-byte and wide slots.
+G0_P31 = SchemeParams(p=2**31 - 1, genus=0, x=3, t=3, l=4)
+G0_P61 = SchemeParams(p=2**61 - 1, genus=0, x=3, t=3, l=4)
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +56,57 @@ def g0_tiny():
 @pytest.fixture(scope="module")
 def g1_tiny():
     return build_scheme(G1_TINY)
+
+
+@pytest.fixture(scope="module")
+def g0_p31():
+    return build_scheme(G0_P31)
+
+
+@pytest.fixture(scope="module")
+def g0_p61():
+    return build_scheme(G0_P61)
+
+
+def reference_store(inst, db, rng):
+    """Per-symbol share formula: fragment plus security noise, one sum per server."""
+    p = inst.p
+    shares = []
+    for ell in range(inst.l):
+        sec_rows = inst.sec_codes[ell].rows
+        per_file = []
+        for file in db.files:
+            coeffs = [rng.randrange(p) for _ in range(inst.sec_dim)]
+            enc = file[ell]
+            per_file.append(
+                tuple(
+                    (enc + sum(c * row[n] for c, row in zip(coeffs, sec_rows))) % p
+                    for n in range(inst.n)
+                )
+            )
+        shares.append(tuple(per_file))
+    return tuple(shares)
+
+
+def reference_make_queries(inst, theta, num_files, rng):
+    """Per-symbol query formula: fragment basis row for file theta plus privacy noise."""
+    p = inst.p
+    priv_rows = inst.priv_code.rows
+    queries = []
+    for ell in range(inst.l):
+        base = inst.info_rows[ell]
+        per_file = []
+        for m in range(num_files):
+            coeffs = [rng.randrange(p) for _ in range(inst.priv_dim)]
+            wanted = 1 if m == theta - 1 else 0
+            per_file.append(
+                tuple(
+                    (wanted * base[n] + sum(c * row[n] for c, row in zip(coeffs, priv_rows))) % p
+                    for n in range(inst.n)
+                )
+            )
+        queries.append(tuple(per_file))
+    return tuple(queries)
 
 
 def run_round(inst, db, theta, seed):
@@ -251,17 +305,41 @@ def test_response_matches_symbolic_function(g0_tiny):
     assert decoded == db.files[theta - 1]
 
 
+@pytest.mark.parametrize("name", ["g0_tiny", "g1_tiny", "g0_q43", "g1_q43", "g0_p31", "g0_p61"])
+def test_store_and_queries_match_reference_formulas(name, request):
+    inst = request.getfixturevalue(name)
+    for seed in range(3):
+        db = Database.random(inst.p, 3, inst.l, random.Random(seed))
+        theta = 1 + seed
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        shares = store(inst, db, rng)
+        assert shares == reference_store(inst, db, ref_rng)
+        queries = make_queries(inst, theta, len(db), rng)
+        assert queries == reference_make_queries(inst, theta, len(db), ref_rng)
+        responses = [
+            server_respond(server_view(shares, n), server_view(queries, n), inst.p)
+            for n in range(inst.n)
+        ]
+        assert decode(inst, responses) == db.files[theta - 1]
+
+
 def test_corrupted_response_detected_or_wrong(g1_tiny, g0_tiny):
     for inst in (g1_tiny, g0_tiny):
         db = Database.random(13, 2, inst.l, random.Random(0))
         *_, responses, _ = run_round(inst, db, 1, 0)
         bad = list(responses)
         bad[0] = (bad[0] + 1) % 13
-        try:
-            decoded = decode(inst, bad)
-        except InconsistentSystem:
+        if inst.genus == 0:
+            # Square decode matrix: no spare symbol, so the error goes undetected.
+            assert decode(inst, bad) != db.files[0]
             continue
-        assert decoded != db.files[0]
+        # The one spare symbol's parity check covers every server of this instance.
+        for n in range(inst.n):
+            for delta in range(1, 13):
+                bad = list(responses)
+                bad[n] = (bad[n] + delta) % 13
+                with pytest.raises(InconsistentSystem, match="outside the decode row space"):
+                    decode(inst, bad)
 
 
 def test_decode_rejects_wrong_length(g0_tiny):
