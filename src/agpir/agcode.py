@@ -44,8 +44,6 @@ class LinearCode:
     p: int
     n: int
     rows: tuple[tuple[int, ...], ...]
-    basis: tuple[RationalFunction, ...] | None = None
-    points: tuple[CurvePoint, ...] | None = None
 
     def __post_init__(self):
         if any(len(r) != self.n for r in self.rows):
@@ -87,7 +85,27 @@ def evaluation_code(
     elif p is None:
         raise ValueError("an empty basis needs an explicit modulus p")
     rows = tuple(tuple(f.eval_at(pt) for pt in pts) for f in basis)
-    return LinearCode(p, len(pts), rows, basis=tuple(basis), points=pts)
+    return LinearCode(p, len(pts), rows)
+
+
+def divide_columns(code: LinearCode, values: Sequence[int]) -> LinearCode:
+    """The code with column n divided by values[n].
+
+    With `code` the evaluation code of a basis and `values` the values of a
+    unit h at the same points, this is the evaluation code of h^-1 times that
+    basis, at one inverse per point instead of one evaluation per entry. The
+    scaling is by units, so every column subset keeps its rank. A zero value
+    is a pole of h^-1 at that point.
+    """
+    if len(values) != code.n:
+        raise LengthMismatch(f"{len(values)} column scales for a length-{code.n} code")
+    p = code.p
+    for n, v in enumerate(values):
+        if v % p == 0:
+            raise PoleAtEvaluationPoint(f"column {n} has scale 0: the inverse has a pole there")
+    inv = [pow(v, -1, p) for v in values]
+    rows = tuple(tuple([a * b % p for a, b in zip(row, inv)]) for row in code.rows)
+    return LinearCode(p, code.n, rows)
 
 
 def dual(code: LinearCode) -> LinearCode:

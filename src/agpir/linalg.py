@@ -103,16 +103,34 @@ def nullspace(rows: Matrix, ncols: int, p: int) -> list[list[int]]:
     return basis
 
 
+def pivot_inverse(rows: Matrix, p: int) -> tuple[tuple[int, ...], list[list[int]]] | None:
+    """Leftmost pivot columns of a k x n matrix and the inverse of its k x k block there.
+
+    One elimination of [rows | I_k]: when the rows are independent all k
+    pivots fall among the first n columns, and the row operations that turn
+    those columns into I_k turn I_k into their inverse. Returns None when the
+    rank is below k.
+    """
+    k = len(rows)
+    if not k:
+        return (), []
+    n = len(rows[0])
+    aug = [[v % p for v in row] + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    reduced, pivots = rref(aug, p)
+    if len(pivots) < k or pivots[-1] >= n:
+        return None
+    return pivots, [row[n:] for row in reduced]
+
+
 def invert(rows: Matrix, p: int) -> list[list[int]]:
     """Inverse of a square nonsingular matrix."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    aug = [[v % p for v in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    reduced, pivots = rref(aug, p)
-    if list(pivots[:n]) != list(range(n)) or len(pivots) < n:
+    solved = pivot_inverse(rows, p)
+    if solved is None:
         raise ValueError("matrix is singular")
-    return [row[n:] for row in reduced[:n]]
+    return solved[1]
 
 
 def mat_vec(rows: Matrix, vec: Sequence[int], p: int) -> list[int]:

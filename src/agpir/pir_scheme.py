@@ -20,12 +20,13 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter, mul
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from . import linalg
 from .agcode import (
     LinearCode,
     SubsetRankReport,
+    divide_columns,
     evaluation_code,
     information_set,
     subset_rank_check,
@@ -47,6 +48,7 @@ from .errors import (
     CurveTooSmall,
     Infeasible,
     InconsistentSystem,
+    PoleAtEvaluationPoint,
     ShapeMismatch,
 )
 from .field import PrimeField
@@ -115,7 +117,14 @@ class Database:
 
 @dataclass(frozen=True)
 class SchemeInstance:
-    """A fully materialized scheme: points, bases, codes, and the decode solver."""
+    """A fully materialized scheme: points, bases, codes, and the decode solver.
+
+    Security space l is h_l^-1 * L(D) for the fragment basis function h_l and
+    one Riemann-Roch space L(D), so the instance keeps the basis of L(D) and
+    its evaluation code once; `sec_bases` and `sec_codes` derive fragment l's
+    basis and code from them on first use, the code by dividing column n by
+    h_l at evaluation point n (`info_rows[l][n]`).
+    """
 
     params: SchemeParams
     curve: Curve
@@ -125,11 +134,11 @@ class SchemeInstance:
     info_basis: tuple[RationalFunction, ...]
     noise_basis: tuple[RationalFunction, ...]
     priv_basis: tuple[RationalFunction, ...]
-    sec_bases: tuple[tuple[RationalFunction, ...], ...]
+    sec_basis: tuple[RationalFunction, ...]
     info_rows: tuple[tuple[int, ...], ...]
     noise_rows: tuple[tuple[int, ...], ...]
     priv_code: LinearCode
-    sec_codes: tuple[LinearCode, ...]
+    sec_code: LinearCode
     decode_cols: tuple[int, ...]
     decode_inv: tuple[tuple[int, ...], ...]
 
@@ -163,7 +172,7 @@ class SchemeInstance:
 
     @property
     def sec_dim(self) -> int:
-        return len(self.sec_bases[0])
+        return len(self.sec_basis)
 
     @property
     def priv_dim(self) -> int:
@@ -172,6 +181,14 @@ class SchemeInstance:
     @cached_property
     def decode_rows(self) -> tuple[tuple[int, ...], ...]:
         return self.info_rows + self.noise_rows
+
+    @cached_property
+    def sec_bases(self) -> tuple[tuple[RationalFunction, ...], ...]:
+        return tuple(tuple(h.inverse() * w for w in self.sec_basis) for h in self.info_basis)
+
+    @cached_property
+    def sec_codes(self) -> tuple[LinearCode, ...]:
+        return tuple(divide_columns(self.sec_code, row) for row in self.info_rows)
 
     # Packed forms of the rows the protocol combines (see linalg.PackedRows);
     # filled on first use, so building and verifying an instance never pays for them.
@@ -234,9 +251,7 @@ def _build_genus0(params: SchemeParams, field: PrimeField) -> SchemeInstance:
     info = interp_basis_g0(line, range(big_l))
     noise = basis_poles_at_infinity(line, x + t - 1)
     priv = basis_poles_at_infinity(line, t - 1)
-    sec = tuple(
-        tuple(h.inverse() * w for w in basis_poles_at_infinity(line, x - 1)) for h in info
-    )
+    sec = basis_poles_at_infinity(line, x - 1)
     return _finish(params, line, n, fragment, eval_points, info, noise, priv, sec)
 
 
@@ -276,9 +291,7 @@ def _build_genus1(params: SchemeParams, field: PrimeField) -> SchemeInstance:
     info = interp_basis_g1(curve, pairs)
     noise = noise_basis_g1(curve, x + t + 4)
     priv = basis_poles_at_infinity(curve, t + 1)
-    sec = tuple(
-        tuple(h.inverse() * w for w in basis_poles_at_infinity(curve, x + 1)) for h in info
-    )
+    sec = basis_poles_at_infinity(curve, x + 1)
     # Reduce the L+X+T+9 candidates to N = L+X+T+8 by keeping an information
     # set of the decode rows and filling with the leftmost remaining points.
     cand_rows = _eval_rows(info + noise, candidates)
@@ -305,28 +318,29 @@ def _eval_rows(
 
 
 def _finish(params, curve, n, fragment, eval_points, info, noise, priv, sec) -> SchemeInstance:
+    """Evaluate the bases, check the decode system and solve it on an information set.
+
+    `sec` is the basis of the space that every fragment's security basis is a
+    unit multiple of; the per-fragment codes are derived from its code.
+    """
     p = params.p
     info_rows = _eval_rows(info, eval_points)
+    for h, row in zip(info, info_rows):
+        if 0 in row:
+            # h^-1 times the constant 1 is a security basis function.
+            pole = eval_points[row.index(0)]
+            raise PoleAtEvaluationPoint(f"{h.inverse()!r} has a pole at {pole!r}")
     noise_rows = _eval_rows(noise, eval_points)
     decode_rows = info_rows + noise_rows
-    info_rank = linalg.rank(info_rows, p)
-    noise_rank = linalg.rank(noise_rows, p)
-    combined = linalg.rank(decode_rows, p)
-    if info_rank != params.l:
-        raise RuntimeError(f"fragment basis rank {info_rank} != L = {params.l}")
-    if noise_rank != len(noise):
-        raise RuntimeError(f"noise spanning set is dependent: rank {noise_rank} of {len(noise)}")
-    if combined != info_rank + noise_rank:
-        raise RuntimeError("information and noise row spaces intersect")
-    if params.genus == 0 and (len(decode_rows) != n or combined != n):
+    if params.genus == 0 and len(decode_rows) != n:
         raise RuntimeError("genus-0 decode matrix must be square and invertible")
-    cols, achieved = information_set(decode_rows, p, want=len(decode_rows))
-    if achieved != len(decode_rows):
-        raise RuntimeError("decode matrix lost rank on the selected points")
-    sub = linalg.columns(decode_rows, cols)
-    inv = linalg.invert(linalg.transpose(sub), p)
-    priv_code = evaluation_code(priv, eval_points)
-    sec_codes = tuple(evaluation_code(basis, eval_points) for basis in sec)
+    # Independent decode rows imply the information rank, the noise rank and
+    # the direct sum, so one elimination checks them all and yields the
+    # information set with the inverse of the decode matrix on it.
+    solved = linalg.pivot_inverse(decode_rows, p)
+    if solved is None:
+        _raise_rank_defect(params, info_rows, noise_rows, p)
+    cols, sub_inv = solved
     return SchemeInstance(
         params=params,
         curve=curve,
@@ -336,14 +350,30 @@ def _finish(params, curve, n, fragment, eval_points, info, noise, priv, sec) -> 
         info_basis=tuple(info),
         noise_basis=tuple(noise),
         priv_basis=tuple(priv),
-        sec_bases=tuple(tuple(b) for b in sec),
+        sec_basis=tuple(sec),
         info_rows=info_rows,
         noise_rows=noise_rows,
-        priv_code=priv_code,
-        sec_codes=sec_codes,
-        decode_cols=tuple(cols),
-        decode_inv=tuple(tuple(row) for row in inv),
+        priv_code=evaluation_code(priv, eval_points),
+        sec_code=evaluation_code(sec, eval_points),
+        decode_cols=cols,
+        decode_inv=tuple(map(tuple, zip(*sub_inv))),
     )
+
+
+def _raise_rank_defect(params, info_rows, noise_rows, p) -> NoReturn:
+    """Name the first build condition that dependent decode rows break."""
+    info_rank = linalg.rank(info_rows, p)
+    noise_rank = linalg.rank(noise_rows, p)
+    combined = linalg.rank(info_rows + noise_rows, p)
+    if info_rank != params.l:
+        raise RuntimeError(f"fragment basis rank {info_rank} != L = {params.l}")
+    if noise_rank != len(noise_rows):
+        raise RuntimeError(
+            f"noise spanning set is dependent: rank {noise_rank} of {len(noise_rows)}"
+        )
+    if combined != info_rank + noise_rank:
+        raise RuntimeError("information and noise row spaces intersect")
+    raise RuntimeError("decode matrix lost rank on the selected points")
 
 
 # -- protocol ------------------------------------------------------------------------
@@ -476,20 +506,30 @@ def verify_scheme(
     sample_count: int = 300,
     sample_seed: int = 0,
 ) -> SchemeReport:
-    """Re-check the build conditions and the subset-rank collusion criteria."""
+    """Re-check the build conditions and the subset-rank collusion criteria.
+
+    Every security code is the shared security code with its columns divided
+    by a fragment basis function's values. Those values are units exactly
+    when `units_ok` holds, and scaling columns by units keeps the rank of
+    every column subset, so the shared code's subset check is each security
+    code's check.
+    """
     p = inst.p
-    info_rank = linalg.rank(inst.info_rows, p)
-    noise_rank = linalg.rank(inst.noise_rows, p)
     combined = linalg.rank(inst.decode_rows, p)
+    if combined == len(inst.decode_rows):
+        # Independent decode rows: both blocks have full rank and meet only in 0.
+        info_rank, noise_rank = len(inst.info_rows), len(inst.noise_rows)
+    else:
+        info_rank = linalg.rank(inst.info_rows, p)
+        noise_rank = linalg.rank(inst.noise_rows, p)
     privacy = subset_rank_check(
         inst.priv_code, inst.t, mode=subsets, sample_count=sample_count, seed=sample_seed
     )
-    security = tuple(
-        subset_rank_check(code, inst.x, mode=subsets, sample_count=sample_count, seed=sample_seed)
-        for code in inst.sec_codes
+    security = subset_rank_check(
+        inst.sec_code, inst.x, mode=subsets, sample_count=sample_count, seed=sample_seed
     )
     return SchemeReport(
-        units_ok=all(f.scalar % p != 0 for f in inst.info_basis),
+        units_ok=all(v % p for row in inst.info_rows for v in row),
         info_rank=info_rank,
         noise_rank=noise_rank,
         combined_rank=combined,
@@ -497,7 +537,7 @@ def verify_scheme(
         direct_sum_ok=combined == info_rank + noise_rank,
         injective_ok=combined == len(inst.decode_rows),
         privacy=privacy,
-        security=security,
+        security=(security,) * inst.l,
     )
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from agpir import linalg
 from agpir.agcode import (
     LinearCode,
+    divide_columns,
     dual,
     evaluation_code,
     find_independent_columns,
@@ -197,3 +198,20 @@ def test_genus1_scheme_codes_structure():
     for code in inst.sec_codes:
         assert code.k == inst.x + 1
         assert find_independent_columns(code, inst.x + 1) is not None
+
+
+def test_divide_columns_scales_each_column_by_an_inverse():
+    code = LinearCode(7, 3, ((1, 2, 3), (0, 4, 6)))
+    scaled = divide_columns(code, (1, 2, 3))
+    assert scaled.rows == ((1, 1, 1), (0, 2, 2))
+    assert (scaled.p, scaled.n) == (7, 3)
+
+
+def test_divide_columns_rejects_a_zero_scale():
+    code = LinearCode(7, 3, ((1, 2, 3),))
+    with pytest.raises(PoleAtEvaluationPoint, match="column 1"):
+        divide_columns(code, (1, 0, 3))
+    with pytest.raises(PoleAtEvaluationPoint, match="column 2"):
+        divide_columns(code, (1, 2, 14))  # 14 = 0 mod 7
+    with pytest.raises(LengthMismatch):
+        divide_columns(code, (1, 2))

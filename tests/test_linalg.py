@@ -148,3 +148,27 @@ def test_int_byte_conversions_pass_length_and_byteorder():
         explicit = len(node.args) >= 2 or (len(node.args) == 1 and "byteorder" in keywords)
         explicit = explicit or {"length", "byteorder"} <= keywords
         assert explicit, f"{name}:{line} omits the length or byteorder argument"
+
+
+@settings(max_examples=150)
+@given(matrices(max_dim=5))
+def test_pivot_inverse_is_information_set_and_inverse(rows):
+    p = 13
+    solved = linalg.pivot_inverse(rows, p)
+    if linalg.rank(rows, p) < len(rows):
+        assert solved is None
+        return
+    cols, inv = solved
+    assert cols == linalg.rref(rows, p)[1]
+    sub = linalg.columns(rows, cols)
+    k = len(rows)
+    prod = [[sum(inv[i][m] * sub[m][j] for m in range(k)) % p for j in range(k)] for i in range(k)]
+    assert prod == [[int(i == j) for j in range(k)] for i in range(k)]
+
+
+def test_pivot_inverse_edge_cases():
+    assert linalg.pivot_inverse([], 7) == ((), [])
+    # Rank 1 of 2 rows: the second pivot would fall in the identity block.
+    assert linalg.pivot_inverse([[1, 2, 3], [2, 4, 6]], 7) is None
+    cols, inv = linalg.pivot_inverse([[0, 1, 0], [0, 0, 1]], 7)
+    assert cols == (1, 2) and inv == [[1, 0], [0, 1]]

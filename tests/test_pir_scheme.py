@@ -1,8 +1,12 @@
+import dataclasses
+import hashlib
 import json
 import random
 
 import pytest
 
+from agpir import linalg, pir_scheme
+from agpir.agcode import LinearCode, evaluation_code, information_set, subset_rank_check
 from agpir.curve import PointAtInfinity
 from agpir.errors import (
     BadL,
@@ -10,9 +14,10 @@ from agpir.errors import (
     CurveTooSmall,
     Infeasible,
     InconsistentSystem,
+    PoleAtEvaluationPoint,
     ShapeMismatch,
 )
-from agpir.function_space import RationalFunction
+from agpir.function_space import RationalFunction, interp_basis_g0
 from agpir.pir_scheme import (
     Database,
     SchemeParams,
@@ -36,6 +41,22 @@ G1_TINY = SchemeParams(p=13, genus=1, x=1, t=1, l=1)
 # Large primes put the packed kernel on its 8-byte and wide slots.
 G0_P31 = SchemeParams(p=2**31 - 1, genus=0, x=3, t=3, l=4)
 G0_P61 = SchemeParams(p=2**61 - 1, genus=0, x=3, t=3, l=4)
+# The genus-1 crossover instance at q = 127 (curve y^2 = x^3 + x + 33).
+G1_Q127 = SchemeParams(p=127, genus=1, x=30, t=30, l=33, curve=(1, 33))
+
+# Instances on which the derived security codes and the single decode
+# elimination are checked against the direct per-fragment computations.
+ORACLE_INSTANCES = ["g0_tiny", "g1_tiny", "g0_q43", "g1_q43", "g1_q127"]
+
+# sha256 of json.dumps(scheme_descriptor(inst)), recorded from builds that
+# evaluated every fragment's security basis function by function.
+DESCRIPTOR_SHA256 = {
+    "g0_tiny": "00091bb11c578a5007aeea184255bba6cbb9c466ce61b844c9ad7135bdf0ddbb",
+    "g1_tiny": "88ff1d1c03ffc99ec1030e580da63cc27b65bc36ef8a19b4c9d77902daba6196",
+    "g0_q43": "744c4ba746892080d6eb68ed48a26584d559fe5b3c7686d3def6cc92e443c963",
+    "g1_q43": "9c5be40b40cb02a35a141cd0eb523869cab82e689e3c7b77de623399978c4a9c",
+    "g1_q127": "35636d5f01eeec47fbf8976710511ec6fa9ec75779d4a876b00f7b863e3ead24",
+}
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +87,11 @@ def g0_p31():
 @pytest.fixture(scope="module")
 def g0_p61():
     return build_scheme(G0_P61)
+
+
+@pytest.fixture(scope="module")
+def g1_q127():
+    return build_scheme(G1_Q127)
 
 
 def reference_store(inst, db, rng):
@@ -367,3 +393,97 @@ def test_descriptor_round_trip(g1_q43, g0_q43):
 def test_database_validates_residues():
     with pytest.raises(ValueError):
         Database(13, ((13, 0),))
+
+
+@pytest.mark.parametrize("name", ORACLE_INSTANCES)
+def test_derived_security_codes_match_symbolic_evaluation(name, request):
+    inst = request.getfixturevalue(name)
+    assert len(inst.sec_codes) == len(inst.sec_bases) == inst.l
+    for basis, code in zip(inst.sec_bases, inst.sec_codes):
+        assert code.rows == evaluation_code(basis, inst.eval_points).rows
+
+
+@pytest.mark.parametrize("name", ORACLE_INSTANCES)
+def test_single_elimination_matches_information_set_and_inverse(name, request):
+    inst = request.getfixturevalue(name)
+    p, rows = inst.p, inst.decode_rows
+    cols, achieved = information_set(rows, p, want=len(rows))
+    assert achieved == len(rows)
+    sub_t = linalg.transpose(linalg.columns(rows, cols))
+    assert inst.decode_cols == cols
+    assert inst.decode_inv == tuple(map(tuple, linalg.invert(sub_t, p)))
+    k = len(rows)
+    product = [
+        [sum(a * b for a, b in zip(inst.decode_inv[i], col)) % p for col in zip(*sub_t)]
+        for i in range(k)
+    ]
+    assert product == [[int(i == j) for j in range(k)] for i in range(k)]
+
+
+@pytest.mark.parametrize("mode", ["all", "sample"])
+@pytest.mark.parametrize("name", ORACLE_INSTANCES)
+def test_verify_security_equals_per_code_checks(name, mode, request):
+    inst = request.getfixturevalue(name)
+    # "all" falls back to sampling where C(N, X) exceeds the subset cap.
+    report = verify_scheme(inst, subsets=mode, sample_count=10, sample_seed=7)
+    assert len(report.security) == inst.l
+    for rep, code in zip(report.security, inst.sec_codes):
+        assert rep == subset_rank_check(code, inst.x, mode=mode, sample_count=10, seed=7)
+
+
+def test_verify_security_failures_carry_over_to_every_fragment(g0_tiny):
+    # Repeat column 0 in column 1: the pair is dependent in every scaled copy too.
+    rows = tuple((row[0], row[0]) + row[2:] for row in g0_tiny.sec_code.rows)
+    broken = dataclasses.replace(g0_tiny, sec_code=LinearCode(13, g0_tiny.n, rows))
+    report = verify_scheme(broken, subsets="all")
+    assert not report.passed and report.security[0].failures == ((0, 1),)
+    for rep, code in zip(report.security, broken.sec_codes):
+        assert rep == subset_rank_check(code, broken.x, mode="all")
+
+
+@pytest.mark.parametrize("name", ORACLE_INSTANCES)
+def test_descriptor_bytes_unchanged(name, request):
+    blob = json.dumps(scheme_descriptor(request.getfixturevalue(name))).encode()
+    assert hashlib.sha256(blob).hexdigest() == DESCRIPTOR_SHA256[name]
+
+
+def test_units_ok_flags_a_zero_fragment_value(g0_tiny):
+    assert verify_scheme(g0_tiny).units_ok
+    rows = [list(row) for row in g0_tiny.info_rows]
+    rows[1][2] = 0
+    broken = dataclasses.replace(g0_tiny, info_rows=tuple(map(tuple, rows)))
+    report = verify_scheme(broken)
+    assert not report.units_ok and not report.passed
+    assert report.lines()[0] == "FAIL  fragment basis functions are units"
+
+
+def test_fragment_function_vanishing_at_an_evaluation_point_is_rejected(monkeypatch):
+    # G0_TINY evaluates at x = 3..9; (x - 5) / (x - 1) vanishes at x = 5.
+    def vanishing_basis(line, alphas):
+        basis = list(interp_basis_g0(line, alphas))
+        basis[1] = basis[1] * RationalFunction.x_minus(line, 5)
+        return tuple(basis)
+
+    monkeypatch.setattr(pir_scheme, "interp_basis_g0", vanishing_basis)
+    with pytest.raises(PoleAtEvaluationPoint, match=r"has a pole at \(5\)$"):
+        build_scheme(G0_TINY)
+
+
+@pytest.mark.parametrize(
+    "replace, message",
+    [
+        (lambda line, basis: (basis[0], basis[0], basis[2]), "fragment basis rank 2 != L = 3"),
+        (
+            lambda line, basis: (RationalFunction.one(line),) + basis[1:],
+            "information and noise row spaces intersect",
+        ),
+    ],
+)
+def test_dependent_decode_rows_name_the_broken_condition(monkeypatch, replace, message):
+    monkeypatch.setattr(
+        pir_scheme,
+        "interp_basis_g0",
+        lambda line, alphas: replace(line, interp_basis_g0(line, alphas)),
+    )
+    with pytest.raises(RuntimeError, match=message):
+        build_scheme(G0_TINY)
