@@ -19,6 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 from . import linalg
 from .curve import CurvePoint, PointAtInfinity
 from .errors import (
+    BadEnvironment,
     DuplicatePoint,
     InfinityUnsupported,
     LengthMismatch,
@@ -34,7 +35,12 @@ DEFAULT_SAMPLE_COUNT = 300
 
 def bruteforce_cap(default: int) -> int:
     env = os.environ.get("PIR_AG_MAX_BRUTEFORCE")
-    return int(env) if env else default
+    if not env:
+        return default
+    try:
+        return int(env)
+    except ValueError:
+        raise BadEnvironment(f"PIR_AG_MAX_BRUTEFORCE must be an integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)

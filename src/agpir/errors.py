@@ -72,6 +72,10 @@ class TooLarge(RuntimeError):
     """Requested brute-force enumeration exceeds the configured cap."""
 
 
+class BadEnvironment(ValueError):
+    """An environment variable the package reads holds an unusable value."""
+
+
 class LengthMismatch(ValueError):
     """Sequence lengths do not match the code length."""
 

@@ -34,8 +34,13 @@ def _copy(rows: Matrix, p: int) -> list[list[int]]:
     return [[v % p for v in row] for row in rows]
 
 
-def rref(rows: Matrix, p: int) -> tuple[list[list[int]], tuple[int, ...]]:
-    """Reduced row echelon form with leftmost pivoting; returns (R, pivot columns)."""
+def _eliminate(rows: Matrix, p: int, full: bool) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Gaussian elimination with leftmost pivoting; returns (matrix, pivot columns).
+
+    Each pivot row is normalised and its column cleared below it, and also
+    above it when `full` is set, which gives the reduced row echelon form.
+    Without it the result is only an echelon form, enough to count pivots.
+    """
     m = _copy(rows, p)
     nrows = len(m)
     ncols = len(m[0]) if m else 0
@@ -51,7 +56,7 @@ def rref(rows: Matrix, p: int) -> tuple[list[list[int]], tuple[int, ...]]:
         inv = pow(m[r][c], -1, p)
         m[r] = [v * inv % p for v in m[r]]
         lead = m[r]
-        for i in range(nrows):
+        for i in range(0 if full else r + 1, nrows):
             f = m[i][c]
             if i != r and f:
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], lead)]
@@ -60,32 +65,14 @@ def rref(rows: Matrix, p: int) -> tuple[list[list[int]], tuple[int, ...]]:
     return m, tuple(pivots)
 
 
+def rref(rows: Matrix, p: int) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Reduced row echelon form with leftmost pivoting; returns (R, pivot columns)."""
+    return _eliminate(rows, p, full=True)
+
+
 def rank(rows: Matrix, p: int) -> int:
-    return len(rref(rows, p)[1])
-
-
-def rank_column_pivot(rows: Matrix, p: int) -> int:
-    """Rank by elimination scanning columns right-to-left (independent check)."""
-    m = _copy(rows, p)
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    r = 0
-    for c in range(ncols - 1, -1, -1):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [v * inv % p for v in m[r]]
-        lead = m[r]
-        for i in range(r + 1, nrows):
-            f = m[i][c]
-            if f:
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], lead)]
-        r += 1
-    return r
+    """Number of pivots, by forward elimination only."""
+    return len(_eliminate(rows, p, full=False)[1])
 
 
 def nullspace(rows: Matrix, ncols: int, p: int) -> list[list[int]]:

@@ -28,7 +28,6 @@ from .agcode import (
     SubsetRankReport,
     divide_columns,
     evaluation_code,
-    information_set,
     subset_rank_check,
 )
 from .curve import (
@@ -252,7 +251,21 @@ def _build_genus0(params: SchemeParams, field: PrimeField) -> SchemeInstance:
     noise = basis_poles_at_infinity(line, x + t - 1)
     priv = basis_poles_at_infinity(line, t - 1)
     sec = basis_poles_at_infinity(line, x - 1)
-    return _finish(params, line, n, fragment, eval_points, info, noise, priv, sec)
+    info_rows = _eval_rows(info, eval_points)
+    _check_units(info, info_rows, eval_points)
+    noise_rows = _eval_rows(noise, eval_points)
+    decode_rows = info_rows + noise_rows
+    if len(decode_rows) != n:
+        raise RuntimeError("genus-0 decode matrix must be square and invertible")
+    # Independent decode rows imply the information rank, the noise rank and
+    # the direct sum, so one elimination checks them all and yields the
+    # information set with the inverse of the decode matrix on it.
+    solved = linalg.pivot_inverse(decode_rows, q)
+    if solved is None:
+        _raise_rank_defect(params, info_rows, noise_rows, q)
+    return _finish(
+        params, line, fragment, eval_points, info, noise, priv, sec, decode_rows, solved
+    )
 
 
 def _build_genus1(params: SchemeParams, field: PrimeField) -> SchemeInstance:
@@ -294,21 +307,32 @@ def _build_genus1(params: SchemeParams, field: PrimeField) -> SchemeInstance:
     sec = basis_poles_at_infinity(curve, x + 1)
     # Reduce the L+X+T+9 candidates to N = L+X+T+8 by keeping an information
     # set of the decode rows and filling with the leftmost remaining points.
+    # Dropping columns that are not leftmost pivots keeps the other pivots
+    # and the block on them, so one elimination on the candidates also
+    # solves the decode system on the kept points.
     cand_rows = _eval_rows(info + noise, candidates)
     n = big_l + x + t + 8
-    cols, achieved = information_set(cand_rows, q, want=len(cand_rows))
-    if achieved != len(cand_rows):
+    solved = linalg.pivot_inverse(cand_rows, q)
+    if solved is None:
         raise RuntimeError(
-            f"decode rows have rank {achieved}, expected {len(cand_rows)}; "
+            f"decode rows have rank {linalg.rank(cand_rows, q)}, expected {len(cand_rows)}; "
             "candidate points do not separate the spaces"
         )
+    cols, sub_inv = solved
     chosen = set(cols)
     for idx in range(len(candidates)):
         if len(chosen) == n:
             break
         chosen.add(idx)
-    eval_points = tuple(candidates[idx] for idx in sorted(chosen))
-    return _finish(params, curve, n, fragment, eval_points, info, noise, priv, sec)
+    keep = sorted(chosen)
+    eval_points = tuple(candidates[idx] for idx in keep)
+    decode_rows = tuple(tuple([row[idx] for idx in keep]) for row in cand_rows)
+    _check_units(info, decode_rows[:big_l], eval_points)
+    position = {idx: k for k, idx in enumerate(keep)}
+    solved = tuple(position[c] for c in cols), sub_inv
+    return _finish(
+        params, curve, fragment, eval_points, info, noise, priv, sec, decode_rows, solved
+    )
 
 
 def _eval_rows(
@@ -317,42 +341,38 @@ def _eval_rows(
     return tuple(tuple(f.eval_at(pt) for pt in points) for f in basis)
 
 
-def _finish(params, curve, n, fragment, eval_points, info, noise, priv, sec) -> SchemeInstance:
-    """Evaluate the bases, check the decode system and solve it on an information set.
-
-    `sec` is the basis of the space that every fragment's security basis is a
-    unit multiple of; the per-fragment codes are derived from its code.
-    """
-    p = params.p
-    info_rows = _eval_rows(info, eval_points)
+def _check_units(info, info_rows, eval_points) -> None:
+    """Every fragment basis function h must be nonzero at every evaluation point."""
     for h, row in zip(info, info_rows):
         if 0 in row:
             # h^-1 times the constant 1 is a security basis function.
             pole = eval_points[row.index(0)]
             raise PoleAtEvaluationPoint(f"{h.inverse()!r} has a pole at {pole!r}")
-    noise_rows = _eval_rows(noise, eval_points)
-    decode_rows = info_rows + noise_rows
-    if params.genus == 0 and len(decode_rows) != n:
-        raise RuntimeError("genus-0 decode matrix must be square and invertible")
-    # Independent decode rows imply the information rank, the noise rank and
-    # the direct sum, so one elimination checks them all and yields the
-    # information set with the inverse of the decode matrix on it.
-    solved = linalg.pivot_inverse(decode_rows, p)
-    if solved is None:
-        _raise_rank_defect(params, info_rows, noise_rows, p)
+
+
+def _finish(
+    params, curve, fragment, eval_points, info, noise, priv, sec, decode_rows, solved
+) -> SchemeInstance:
+    """Assemble the instance from its bases, decode rows and solved decode system.
+
+    `sec` is the basis of the space that every fragment's security basis is a
+    unit multiple of; the per-fragment codes are derived from its code.
+    `solved` is the information set of `decode_rows` with the inverse of
+    their block on it, as `linalg.pivot_inverse` returns them.
+    """
     cols, sub_inv = solved
     return SchemeInstance(
         params=params,
         curve=curve,
-        n=n,
+        n=len(eval_points),
         fragment_points=tuple(fragment),
         eval_points=tuple(eval_points),
         info_basis=tuple(info),
         noise_basis=tuple(noise),
         priv_basis=tuple(priv),
         sec_basis=tuple(sec),
-        info_rows=info_rows,
-        noise_rows=noise_rows,
+        info_rows=decode_rows[: params.l],
+        noise_rows=decode_rows[params.l :],
         priv_code=evaluation_code(priv, eval_points),
         sec_code=evaluation_code(sec, eval_points),
         decode_cols=cols,
@@ -541,25 +561,63 @@ def verify_scheme(
     )
 
 
+def _noise_terms(info, priv, sec, enc):
+    """(label, factor, factor) for every cross-term product, in report order.
+
+    The factors are given per basis: `info[l]`, `priv[j]`, `sec[l][i]`, and
+    `enc` pairs with each privacy factor in the encoding terms.
+    """
+    for ell, h in enumerate(info):
+        for i, s in enumerate(sec[ell]):
+            yield f"sec[{ell}][{i}] * query[{ell}]", s, h
+        for j, v in enumerate(priv):
+            for i, s in enumerate(sec[ell]):
+                yield f"sec[{ell}][{i}] * priv[{j}]", s, v
+    for j, v in enumerate(priv):
+        yield f"enc * priv[{j}]", enc, v
+
+
 def noise_products(inst: SchemeInstance) -> list[tuple[str, RationalFunction]]:
     """Every cross-term product that must stay inside the noise space."""
-    out: list[tuple[str, RationalFunction]] = []
-    for ell, h in enumerate(inst.info_basis):
-        for i, s in enumerate(inst.sec_bases[ell]):
-            out.append((f"sec[{ell}][{i}] * query[{ell}]", s * h))
-        for j, v in enumerate(inst.priv_basis):
-            for i, s in enumerate(inst.sec_bases[ell]):
-                out.append((f"sec[{ell}][{i}] * priv[{j}]", s * v))
-    for j, v in enumerate(inst.priv_basis):
-        out.append((f"enc * priv[{j}]", v))
-    return out
+    one = RationalFunction.one(inst.curve)
+    return [
+        (label, a * b)
+        for label, a, b in _noise_terms(inst.info_basis, inst.priv_basis, inst.sec_bases, one)
+    ]
 
 
 def check_noise_containment(inst: SchemeInstance) -> list[tuple[str, bool]]:
-    """Whether each noise product's divisor clears the noise bound."""
+    """Whether each noise product's divisor clears the noise bound.
+
+    The divisor of a product is the sum of its factors' divisors, exactly as
+    `RationalFunction.divisor` computes them: a product merges the factors'
+    exponents and the divisor is linear in them. So each basis function's
+    divisor is taken once, the noise bound is added to each security
+    factor's, and a product lies inside the bound when no place has a
+    negative coefficient in the sum of its two factors' divisors.
+    """
     bound = inst.noise_divisor()
-    zero = Divisor.zero(inst.curve)
-    return [(label, zero <= f.divisor() + bound) for label, f in noise_products(inst)]
+    info = [_coeffs(h.divisor()) for h in inst.info_basis]
+    priv = [_coeffs(v.divisor()) for v in inst.priv_basis]
+    sec = [[_coeffs(s.divisor() + bound) for s in basis] for basis in inst.sec_bases]
+    terms = _noise_terms(info, priv, sec, _coeffs(bound))
+    return [(label, _sum_is_effective(a, b)) for label, a, b in terms]
+
+
+def _coeffs(d: Divisor) -> tuple[dict, list]:
+    """A divisor as a place -> coefficient map, with its negative terms listed."""
+    return d.as_dict(), [(pl, n) for pl, n in d.items if n < 0]
+
+
+def _sum_is_effective(a: tuple[dict, list], b: tuple[dict, list]) -> bool:
+    """Whether the sum of two `_coeffs` divisors has no negative coefficient.
+
+    A coefficient of the sum can be negative only where one of the two is.
+    """
+    (a_all, a_neg), (b_all, b_neg) = a, b
+    return all(n + b_all.get(pl, 0) >= 0 for pl, n in a_neg) and all(
+        n + a_all.get(pl, 0) >= 0 for pl, n in b_neg
+    )
 
 
 # -- serialization ----------------------------------------------------------------------

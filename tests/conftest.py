@@ -36,3 +36,31 @@ class ZeroRng:
 
     def randrange(self, _n):
         return 0
+
+
+def rank_column_pivot(rows, p):
+    """Rank over F_p by elimination scanning columns right to left.
+
+    An independent oracle for `linalg.rank`, which scans left to right: the
+    two pivot orders agree only on the number of pivots.
+    """
+    m = [[v % p for v in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    r = 0
+    for c in range(ncols - 1, -1, -1):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [v * inv % p for v in m[r]]
+        lead = m[r]
+        for i in range(r + 1, nrows):
+            f = m[i][c]
+            if f:
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], lead)]
+        r += 1
+    return r

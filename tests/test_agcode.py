@@ -16,6 +16,7 @@ from agpir.agcode import (
 )
 from agpir.curve import INFINITY, AffinePoint
 from agpir.errors import (
+    BadEnvironment,
     DuplicatePoint,
     InfinityUnsupported,
     LengthMismatch,
@@ -23,6 +24,7 @@ from agpir.errors import (
     TooLarge,
 )
 from agpir.function_space import RationalFunction, basis_poles_at_infinity
+from conftest import rank_column_pivot
 
 
 def line_points(rng):
@@ -107,6 +109,23 @@ def test_min_distance_cap(line43):
         min_distance(code, cap=100)
 
 
+@pytest.mark.parametrize("value", ["1e6", "lots", "10.5"])
+def test_non_integer_bruteforce_cap_raises_a_typed_error(line43, monkeypatch, value):
+    monkeypatch.setenv("PIR_AG_MAX_BRUTEFORCE", value)
+    code = evaluation_code(basis_poles_at_infinity(line43, 1), line_points(range(6)))
+    with pytest.raises(BadEnvironment, match=rf"PIR_AG_MAX_BRUTEFORCE .*'{value}'"):
+        min_distance(code)
+    with pytest.raises(BadEnvironment, match="PIR_AG_MAX_BRUTEFORCE"):
+        subset_rank_check(code, 2)
+
+
+def test_integer_bruteforce_cap_from_the_environment(line43, monkeypatch):
+    monkeypatch.setenv("PIR_AG_MAX_BRUTEFORCE", "100")
+    code = evaluation_code(basis_poles_at_infinity(line43, 5), line_points(range(12)))
+    with pytest.raises(TooLarge, match="cap 100"):
+        min_distance(code)
+
+
 def test_singleton_bound_on_genus0_codes(line43):
     for k in (1, 2, 3):
         code = evaluation_code(basis_poles_at_infinity(line43, k - 1), line_points(range(9)))
@@ -176,7 +195,7 @@ def test_removing_column_breaks_non_mds():
 )
 def test_rank_agreement_on_code_rows(rows):
     code = LinearCode(13, 5, tuple(tuple(r) for r in rows))
-    assert code.k == linalg.rank_column_pivot(rows, 13)
+    assert code.k == rank_column_pivot(rows, 13)
     d = dual(code)
     assert d.k == 5 - code.k
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import agpir
 from agpir import linalg
+from conftest import rank_column_pivot
 
 # One prime per slot-width regime of PackedRows: 4-byte slots at 5 and 257,
 # 8-byte slots at 2**31 - 1 with one row, wide slots beyond that and at 2**61 - 1.
@@ -36,10 +37,42 @@ def test_rank_simple():
     assert linalg.rank([[1, 2], [3, 4]], 7) == 2
 
 
-@settings(max_examples=150)
-@given(matrices())
-def test_two_eliminations_agree(rows):
-    assert linalg.rank(rows, 13) == linalg.rank_column_pivot(rows, 13)
+def products(p=13, max_dim=7):
+    """k x n matrices A @ B with A k x r and B r x n, so rank <= r; any dimension may be 0."""
+
+    def rows(count, length):
+        row = st.lists(st.integers(0, p - 1), min_size=length, max_size=length)
+        return st.lists(row, min_size=count, max_size=count)
+
+    def multiply(ab, n):
+        a, b = ab
+        return [[sum(x * y[j] for x, y in zip(ai, b)) % p for j in range(n)] for ai in a]
+
+    dims = st.tuples(*[st.integers(0, max_dim)] * 3)
+    return dims.flatmap(
+        lambda d: st.tuples(rows(d[0], d[1]), rows(d[1], d[2])).map(
+            lambda ab: (multiply(ab, d[2]), d[1])
+        )
+    )
+
+
+@settings(max_examples=300)
+@given(st.one_of(matrices().map(lambda rows: (rows, len(rows))), products()))
+def test_two_eliminations_agree(case):
+    """Forward-elimination rank against the reduced form and a right-to-left oracle.
+
+    Covers wide, tall, square, empty and rank-deficient (inner dimension r
+    below both sides) matrices.
+    """
+    rows, inner = case
+    r = linalg.rank(rows, 13)
+    assert r == len(linalg.rref(rows, 13)[1]) == rank_column_pivot(rows, 13)
+    assert r <= min(inner, len(rows), len(rows[0]) if rows else 0)
+
+
+def test_rank_of_empty_matrices():
+    for rows in ([], [[]], [[], []]):
+        assert linalg.rank(rows, 7) == 0 == len(linalg.rref(rows, 7)[1])
 
 
 @settings(max_examples=100)

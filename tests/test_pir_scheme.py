@@ -17,7 +17,7 @@ from agpir.errors import (
     PoleAtEvaluationPoint,
     ShapeMismatch,
 )
-from agpir.function_space import RationalFunction, interp_basis_g0
+from agpir.function_space import Divisor, RationalFunction, interp_basis_g0
 from agpir.pir_scheme import (
     Database,
     SchemeParams,
@@ -25,6 +25,7 @@ from agpir.pir_scheme import (
     check_noise_containment,
     decode,
     make_queries,
+    noise_products,
     scheme_descriptor,
     scheme_from_descriptor,
     server_respond,
@@ -487,3 +488,96 @@ def test_dependent_decode_rows_name_the_broken_condition(monkeypatch, replace, m
     )
     with pytest.raises(RuntimeError, match=message):
         build_scheme(G0_TINY)
+
+
+def reference_containment(inst):
+    """The symbolic check: build every noise product and take its divisor."""
+    bound = inst.noise_divisor()
+    zero = Divisor.zero(inst.curve)
+    return [(label, zero <= f.divisor() + bound) for label, f in noise_products(inst)]
+
+
+@pytest.mark.parametrize("name", ORACLE_INSTANCES)
+def test_containment_by_divisor_sums_matches_symbolic_products(name, request):
+    inst = request.getfixturevalue(name)
+    assert check_noise_containment(inst) == reference_containment(inst)
+
+
+@pytest.mark.parametrize("name", ["g0_tiny", "g1_tiny", "g0_q43", "g1_q43"])
+def test_containment_flags_a_privacy_function_with_too_many_poles(name, request):
+    inst = request.getfixturevalue(name)
+    # Pole order X + T + 3 (genus 0) or 2(X + T + 3) (genus 1) at infinity
+    # exceeds the noise bound's X + T - 1 or X + T + 4 on its own.
+    extra = RationalFunction.x_power(inst.curve, inst.x + inst.t + 3)
+    broken = dataclasses.replace(inst, priv_basis=inst.priv_basis + (extra,))
+    got = check_noise_containment(broken)
+    assert got == reference_containment(broken)
+    flagged = [label for label, ok in got if not ok]
+    assert f"enc * priv[{inst.priv_dim}]" in flagged
+    assert all(label.endswith(f"priv[{inst.priv_dim}]") for label in flagged)
+
+
+def genus1_candidates(inst):
+    """The L+X+T+9 points the genus-1 build picks its evaluation points from."""
+    fragment_x = {pt.x for pt in inst.fragment_points}
+    return [
+        pt
+        for pt in inst.curve.enumerate_points()
+        if not isinstance(pt, PointAtInfinity) and pt.y != 0 and pt.x not in fragment_x
+    ][: inst.l + inst.x + inst.t + 9]
+
+
+def two_step_genus1_reduction(inst):
+    """The genus-1 point reduction as first built: an information set of the
+    decode rows on the candidates, then a second evaluation and elimination
+    on the kept points."""
+    p, n = inst.p, inst.n
+    candidates = genus1_candidates(inst)
+    basis = inst.info_basis + inst.noise_basis
+    cols, achieved = information_set(pir_scheme._eval_rows(basis, candidates), p, len(basis))
+    assert achieved == len(basis)
+    chosen = set(cols)
+    for idx in range(len(candidates)):
+        if len(chosen) == n:
+            break
+        chosen.add(idx)
+    eval_points = tuple(candidates[idx] for idx in sorted(chosen))
+    rows = pir_scheme._eval_rows(basis, eval_points)
+    decode_cols, sub_inv = linalg.pivot_inverse(rows, p)
+    return eval_points, rows, decode_cols, tuple(map(tuple, zip(*sub_inv)))
+
+
+def assert_matches_two_step_reduction(inst):
+    eval_points, rows, decode_cols, decode_inv = two_step_genus1_reduction(inst)
+    assert inst.eval_points == eval_points
+    assert inst.decode_rows == rows
+    assert inst.decode_cols == decode_cols
+    assert inst.decode_inv == decode_inv
+
+
+@pytest.mark.parametrize("name", ["g1_tiny", "g1_q43", "g1_q127"])
+def test_one_elimination_genus1_build_matches_two_step_reduction(name, request):
+    inst = request.getfixturevalue(name)
+    assert_matches_two_step_reduction(inst)
+    blob = json.dumps(scheme_descriptor(inst)).encode()
+    assert hashlib.sha256(blob).hexdigest() == DESCRIPTOR_SHA256[name]
+
+
+def test_one_elimination_genus1_build_reindexes_pivots_past_a_dropped_point(
+    g1_q43, monkeypatch
+):
+    # Candidates 1 and 2 evaluate as copies of candidate 0, so neither is a
+    # pivot: candidate 1 fills the last place and candidate 2 is dropped,
+    # which moves every later pivot one place left among the kept points.
+    candidates = genus1_candidates(g1_q43)
+    alias = {candidates[1]: candidates[0], candidates[2]: candidates[0]}
+    real = pir_scheme._eval_rows
+    monkeypatch.setattr(
+        pir_scheme,
+        "_eval_rows",
+        lambda basis, points: real(basis, [alias.get(pt, pt) for pt in points]),
+    )
+    inst = build_scheme(G1_Q43)
+    assert candidates[2] not in inst.eval_points
+    assert inst.decode_cols[-1] == inst.n - 1
+    assert_matches_two_step_reduction(inst)
