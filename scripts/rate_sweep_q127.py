@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Rate comparison sweep at q = 127 across X = T, written to sweep_q127.csv.
 
-The genus-1 side uses the pinned curve y^2 = x^3 + x + 33 (150 points, Z = 1).
+The genus-1 side uses the first maximal curve, y^2 = x^3 + x + 33 (150 points, Z = 1).
 Prints the crossover point and the feasibility tails of both genera.
 """
 

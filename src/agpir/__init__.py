@@ -26,9 +26,8 @@ from .curve import (
     attained_traces,
     find_curve,
     hasse_window,
-    rational_zeros_of_y,
 )
-from .field import FieldElement, Polynomial, PrimeField
+from .field import Polynomial, PrimeField
 from .function_space import (
     Divisor,
     QuadraticPlace,
@@ -71,7 +70,6 @@ __all__ = [
     "Database",
     "Divisor",
     "EllipticCurve",
-    "FieldElement",
     "INFINITY",
     "LinearCode",
     "Polynomial",
@@ -107,7 +105,6 @@ __all__ = [
     "max_rate_g1",
     "min_distance",
     "noise_basis_g1",
-    "rational_zeros_of_y",
     "rows_to_csv",
     "rr_dim",
     "run_retrieval",

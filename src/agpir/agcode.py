@@ -24,6 +24,7 @@ from .errors import (
     InfinityUnsupported,
     LengthMismatch,
     PoleAtEvaluationPoint,
+    PoleAtPoint,
     TooLarge,
 )
 from .function_space import RationalFunction
@@ -82,15 +83,14 @@ def evaluation_code(
     for pt in pts:
         if isinstance(pt, PointAtInfinity):
             raise InfinityUnsupported("cannot evaluate at the point at infinity")
-    for f in basis:
-        for pt in pts:
-            if f.valuation(pt) < 0:
-                raise PoleAtEvaluationPoint(f"{f!r} has a pole at {pt!r}")
     if basis:
         p = basis[0].curve.field.p
     elif p is None:
         raise ValueError("an empty basis needs an explicit modulus p")
-    rows = tuple(tuple(f.eval_at(pt) for pt in pts) for f in basis)
+    try:
+        rows = tuple(tuple(f.eval_at(pt) for pt in pts) for f in basis)
+    except PoleAtPoint as exc:
+        raise PoleAtEvaluationPoint(str(exc)) from exc
     return LinearCode(p, len(pts), rows)
 
 
@@ -192,6 +192,8 @@ def subset_rank_check(
         subsets: Iterable[tuple[int, ...]] = combinations(range(code.n), t)
         checked = total
     elif mode == "sample":
+        if sample_count < 1:
+            raise ValueError(f"sampled checking needs sample_count >= 1, got {sample_count}")
         rng = random.Random(seed)
         subsets = (tuple(sorted(rng.sample(range(code.n), t))) for _ in range(sample_count))
         checked = sample_count

@@ -5,12 +5,15 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from itertools import combinations
 from math import comb
 from pathlib import Path
 
-from .curve import EllipticCurve, find_curve
+from . import errors
+from .agcode import DEFAULT_SAMPLE_COUNT
+from .curve import EllipticCurve, find_curve, resolve_curve
 from .errors import TooLarge
 from .field import PrimeField
 from .pir_scheme import (
@@ -22,7 +25,7 @@ from .pir_scheme import (
     scheme_from_descriptor,
     verify_scheme,
 )
-from .rates import max_rate_g0, max_rate_g1, resolve_curve, rows_to_csv, sweep
+from .rates import max_rate_g0, max_rate_g1, rows_to_csv, sweep
 from .sim_harness import (
     exhaustive_privacy_oracle,
     exhaustive_security_oracle,
@@ -31,6 +34,11 @@ from .sim_harness import (
 
 # Exhaustively enumerated subsets per oracle run in `verify --exhaustive-oracle`.
 ORACLE_SUBSET_LIMIT = 2000
+
+# Every exception type the package defines; `main` reports these as one-line errors.
+PACKAGE_ERRORS = tuple(
+    v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception)
+)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -107,13 +115,15 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_subsets(spec: str) -> tuple[str, int, int]:
+    """`all` or `sample:COUNT:SEED` as (mode, sample count, seed), with COUNT >= 1."""
     if spec == "all":
-        return "all", 0, 0
-    if spec.startswith("sample:"):
-        parts = spec.split(":")
-        if len(parts) == 3:
-            return "sample", int(parts[1]), int(parts[2])
-    raise argparse.ArgumentTypeError(f"expected 'all' or 'sample:COUNT:SEED', got {spec!r}")
+        return "all", DEFAULT_SAMPLE_COUNT, 0
+    match = re.fullmatch(r"sample:(\d+):(-?\d+)", spec)
+    if match and int(match[1]) >= 1:
+        return "sample", int(match[1]), int(match[2])
+    raise argparse.ArgumentTypeError(
+        f"expected 'all' or 'sample:COUNT:SEED' with COUNT >= 1, got {spec!r}"
+    )
 
 
 def _oracle_lines(inst) -> list[str]:
@@ -152,8 +162,8 @@ def _oracle_lines(inst) -> list[str]:
 
 def cmd_verify(args) -> int:
     inst = scheme_from_descriptor(json.loads(Path(args.scheme).read_text()))
-    mode, count, seed = _parse_subsets(args.subsets)
-    report = verify_scheme(inst, subsets=mode, sample_count=count or 300, sample_seed=seed)
+    mode, count, seed = args.subsets
+    report = verify_scheme(inst, subsets=mode, sample_count=count, sample_seed=seed)
     lines = report.lines()
     containment = check_noise_containment(inst)
     bad = [label for label, ok in containment if not ok]
@@ -221,7 +231,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     vf = sub.add_parser("verify", help="check decodability and collusion criteria")
     vf.add_argument("--scheme", required=True)
-    vf.add_argument("--subsets", default="all")
+    vf.add_argument("--subsets", type=_parse_subsets, default="all")
     vf.add_argument("--exhaustive-oracle", action="store_true")
     vf.set_defaults(func=cmd_verify)
 
@@ -236,7 +246,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except PACKAGE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from functools import cached_property, lru_cache
 from math import isqrt
 from typing import Union
 
-from .errors import FieldTooLarge, NoSuchCurve, SingularCurve, WrongCurveKind
+from .errors import FieldTooLarge, NoSuchCurve, SingularCurve
 from .field import Polynomial, PrimeField
 
 
@@ -128,12 +128,6 @@ class EllipticCurve:
 Curve = Union[ProjectiveLine, EllipticCurve]
 
 
-def rational_zeros_of_y(curve: Curve) -> tuple[AffinePoint, ...]:
-    if not isinstance(curve, EllipticCurve):
-        raise WrongCurveKind("y has a zero divisor only on an elliptic curve")
-    return curve.zeros_of_y()
-
-
 def hasse_window(q: int) -> tuple[int, int]:
     """Closed interval of admissible elliptic point counts over F_q."""
     PrimeField(q)  # validates q prime, >= 5
@@ -195,6 +189,17 @@ def find_curve(field: PrimeField | int, min_points: int) -> EllipticCurve:
             if count >= min_points:
                 return EllipticCurve(field, a, b)
     raise NoSuchCurve(f"no curve over F_{q} has {min_points} rational points")
+
+
+def resolve_curve(
+    field: PrimeField, curve: EllipticCurve | tuple[int, int] | None
+) -> EllipticCurve:
+    """The curve given (or the one with the given coefficients), else the first maximal one."""
+    if isinstance(curve, EllipticCurve):
+        return curve
+    if curve is not None:
+        return EllipticCurve(field, *curve)
+    return find_curve(field, hasse_window(field.p)[1])
 
 
 @lru_cache(maxsize=None)

@@ -92,9 +92,6 @@ class BadL(Infeasible):
     """Fragment count L is invalid (genus 1 requires odd L)."""
 
 
-# The odd-L requirement surfaces as BadL at scheme level; both names apply.
-EvenL = BadL
-
 
 class ShapeMismatch(ValueError):
     """Table shapes disagree with the scheme dimensions."""

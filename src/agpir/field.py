@@ -1,8 +1,7 @@
 """Exact arithmetic in prime fields F_p (p >= 5) and univariate polynomials.
 
-Field elements are plain ints kept in canonical form (0 <= v < p); the
-FieldElement wrapper adds operator sugar on top of PrimeField's int-level
-methods. Everything here is pure, exact, and deterministic.
+Field elements are plain ints kept in canonical form (0 <= v < p).
+Everything here is pure, exact, and deterministic.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ SQRT_TABLE_LIMIT = 1 << 16
 class PrimeField:
     """The prime field F_p for a prime p >= 5.
 
-    Int-level methods (add, mul, inv, ...) take and return canonical
-    residues. Calling the field coerces an int into a FieldElement.
+    Its methods (inv, pow_, legendre, sqrt) take ints and return canonical
+    residues.
     """
 
     __slots__ = ("p", "_sqrt_table")
@@ -70,36 +69,12 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"F_{self.p}"
 
-    def __call__(self, value: int) -> "FieldElement":
-        return FieldElement(self, value % self.p)
-
-    def elements(self) -> range:
-        return range(self.p)
-
     # -- int-level arithmetic -------------------------------------------------
-
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of zero in {self!r}")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow_(self, a: int, e: int) -> int:
         if e < 0:
@@ -168,68 +143,6 @@ class PrimeField:
 
 
 @dataclass(frozen=True)
-class FieldElement:
-    """A canonical residue in [0, p) with operator overloads."""
-
-    field: PrimeField
-    value: int
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.p:
-            raise ValueError(f"{self.value} is not canonical mod {self.field.p}")
-
-    def _val(self, other: "FieldElement | int") -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("mixed fields")
-            return other.value
-        return other % self.field.p
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.value, self._val(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.value, self._val(other)))
-
-    def __rsub__(self, other):
-        return FieldElement(self.field, self.field.sub(self._val(other), self.value))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.value, self._val(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.value, self._val(other)))
-
-    def __rtruediv__(self, other):
-        return FieldElement(self.field, self.field.div(self._val(other), self.value))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow_(self.value, e))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def sqrt(self) -> tuple["FieldElement", ...]:
-        return tuple(FieldElement(self.field, r) for r in self.field.sqrt(self.value))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.p})"
-
-
-@dataclass(frozen=True)
 class Polynomial:
     """Univariate polynomial over F_p, coefficients lowest degree first.
 
@@ -260,10 +173,6 @@ class Polynomial:
     @classmethod
     def constant(cls, field: PrimeField, c: int) -> "Polynomial":
         return cls(field, (c,))
-
-    @classmethod
-    def x(cls, field: PrimeField) -> "Polynomial":
-        return cls(field, (0, 1))
 
     @classmethod
     def from_roots(cls, field: PrimeField, roots: Iterable[int]) -> "Polynomial":
@@ -399,10 +308,3 @@ class Polynomial:
                 terms.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
         return " + ".join(terms)
 
-
-def poly_eval(f: Polynomial, x: int) -> int:
-    return f(x)
-
-
-def poly_roots(f: Polynomial) -> tuple[int, ...]:
-    return f.roots()

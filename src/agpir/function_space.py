@@ -5,16 +5,16 @@ Every function handled here is a unit of the shape
     scalar * y^k * prod (x - alpha_i)^e_i
 
 so valuations and divisors come straight from per-atom rules instead of
-general local-uniformizer machinery. The expanded form (u + y*v) / den is
-derived once per function and used for evaluation; the curve relation
-y^2 = x^3 + ax + b folds even powers of y into polynomials in x.
+general local-uniformizer machinery. The reduced form num / den * y^parity
+(num and den coprime polynomials in x) is derived once per function and
+used for evaluation; the curve relation y^2 = x^3 + ax + b folds even
+powers of y into polynomials in x.
 
 The zero locus of y is tracked as one symbolic degree-3 place regardless of
 how the cubic splits, matching how the schemes use it (an aggregate pole
 bound). Divisors therefore put the mass of y-atoms on that symbolic place,
-while point valuations (used to validate evaluation) are the true local
-orders; the two views only differ at rational two-torsion points, which the
-schemes never evaluate at.
+while point valuations are the true local orders; the two views only
+differ at rational two-torsion points, which the schemes never evaluate at.
 """
 
 from __future__ import annotations
@@ -132,10 +132,6 @@ class Divisor:
     @property
     def is_zero(self) -> bool:
         return not self.items
-
-    @property
-    def is_effective(self) -> bool:
-        return all(n >= 0 for _, n in self.items)
 
     def _merge(self, other: "Divisor", sign: int) -> "Divisor":
         if self.curve != other.curve:
@@ -259,10 +255,6 @@ class RationalFunction:
 
     # -- algebra ---------------------------------------------------------------
 
-    @property
-    def is_one(self) -> bool:
-        return self.scalar == 1 and not self.x_factors and self.y_exp == 0
-
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         if self.curve != other.curve:
             raise ValueError("functions on different curves")
@@ -294,7 +286,7 @@ class RationalFunction:
             self.y_exp * e,
         )
 
-    # -- expanded form ---------------------------------------------------------
+    # -- reduced form ----------------------------------------------------------
 
     @cached_property
     def _reduced(self) -> tuple[Polynomial, Polynomial, int]:
@@ -321,12 +313,6 @@ class RationalFunction:
             den = den // g
         lead_inv = field.inv(den.leading)
         return num.scale(self.scalar * lead_inv), den.monic(), parity
-
-    def expanded(self) -> tuple[Polynomial, Polynomial, Polynomial]:
-        """The function as (u + y*v) / den with u, v, den polynomials in x."""
-        num, den, parity = self._reduced
-        zero = Polynomial.zero(self.curve.field)
-        return (zero, num, den) if parity else (num, zero, den)
 
     # -- valuations, divisor, evaluation ----------------------------------------
 
@@ -386,22 +372,26 @@ class RationalFunction:
         return Divisor.of(self.curve, coeffs)
 
     def eval_at(self, point: CurvePoint) -> int:
-        """Exact value at an affine rational point that is not a pole."""
+        """Exact value at an affine rational point that is not a pole.
+
+        The reduced denominator vanishes at the point exactly when the point
+        is a pole. Away from two-torsion the cubic is nonzero, so den(x0) = 0
+        means a negative exponent of x - x0. At a two-torsion point (r, 0)
+        the valuation is 2E + parity, with E the exponent of x - r left after
+        num and den are made coprime, so it is negative exactly when E is.
+        """
         if isinstance(point, PointAtInfinity):
             raise InfinityUnsupported("evaluation at infinity is not supported")
-        val = self.valuation(point)
-        if val < 0:
-            raise PoleAtPoint(f"{self!r} has a pole at {point!r}")
-        if val > 0:
-            return 0
+        if not self.curve.contains(point):
+            raise ValueError(f"{point!r} is not on {self.curve!r}")
         field = self.curve.field
         num, den, parity = self._reduced
         d = den(point.x)
-        if d == 0:  # cannot happen once valuation == 0; guard for safety
-            raise PoleAtPoint(f"unreduced pole of {self!r} at {point!r}")
-        value = field.div(num(point.x), d)
+        if d == 0:
+            raise PoleAtPoint(f"{self!r} has a pole at {point!r}")
+        value = num(point.x) * field.inv(d) % field.p
         if parity:
-            value = field.mul(value, point.y)
+            value = value * point.y % field.p
         return value
 
     def __repr__(self) -> str:

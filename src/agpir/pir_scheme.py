@@ -35,11 +35,9 @@ from .curve import (
     AffinePoint,
     Curve,
     CurvePoint,
-    EllipticCurve,
     PointAtInfinity,
     ProjectiveLine,
-    find_curve,
-    hasse_window,
+    resolve_curve,
 )
 from .errors import (
     BadL,
@@ -270,10 +268,7 @@ def _build_genus0(params: SchemeParams, field: PrimeField) -> SchemeInstance:
 
 def _build_genus1(params: SchemeParams, field: PrimeField) -> SchemeInstance:
     q, big_l, x, t = params.p, params.l, params.x, params.t
-    if params.curve is not None:
-        curve = EllipticCurve(field, *params.curve)
-    else:
-        curve = find_curve(field, hasse_window(q)[1])
+    curve = resolve_curve(field, params.curve)
     points = curve.enumerate_points()
     z = len(curve.zeros_of_y())
     need = 2 * big_l + x + t + 11 + z

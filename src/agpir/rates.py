@@ -5,12 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curve import EllipticCurve, find_curve, hasse_window
+from .curve import EllipticCurve, resolve_curve
 from .field import PrimeField
-
-# Pinned comparison curve for q = 127 so sweep output is reproducible
-# even though several curves attain the maximal point count.
-CURVE_PRESETS: dict[int, tuple[int, int]] = {127: (1, 33)}
 
 
 @dataclass(frozen=True)
@@ -29,20 +25,6 @@ class SweepRow:
     curve_b: int | None = None
     points: int | None = None
     z: int | None = None
-
-
-def resolve_curve(
-    field: PrimeField, curve: EllipticCurve | tuple[int, int] | None
-) -> EllipticCurve:
-    """Explicit coefficients win, then the per-q preset, then a maximal-curve search."""
-    if isinstance(curve, EllipticCurve):
-        return curve
-    if curve is not None:
-        return EllipticCurve(field, *curve)
-    preset = CURVE_PRESETS.get(field.p)
-    if preset is not None:
-        return EllipticCurve(field, *preset)
-    return find_curve(field, hasse_window(field.p)[1])
 
 
 def max_rate_g0(q: int, x: int, t: int) -> SweepRow:

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import json
 import random
-import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
@@ -43,10 +42,9 @@ class Transcript:
     queries: Table
     responses: tuple[int, ...]
     decoded: tuple[int, ...]
-    timings: dict[str, float] = field(default_factory=dict, compare=False)
 
     def to_json(self) -> str:
-        """Byte-stable JSON; timings are runtime metadata and stay out of it."""
+        """Byte-stable JSON."""
         payload = {
             "scheme": self.scheme,
             "theta": self.theta,
@@ -70,23 +68,14 @@ class CollusionView:
 
 def run_retrieval(inst: SchemeInstance, db: Database, theta: int, seed: int) -> Transcript:
     """Store, query, collect responses, decode; asserts the round decodes correctly."""
-    timings: dict[str, float] = {}
     rng = random.Random(seed)
-    t0 = time.perf_counter()
     shares = store(inst, db, rng)
-    timings["store"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
     queries = make_queries(inst, theta, len(db), rng)
-    timings["query"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
     responses = tuple(
         server_respond(server_view(shares, n), server_view(queries, n), inst.p)
         for n in range(inst.n)
     )
-    timings["respond"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
     decoded = decode(inst, responses)
-    timings["decode"] = time.perf_counter() - t0
     if decoded != db.files[theta - 1]:
         raise DecodeMismatch(
             f"decoded {decoded} but file {theta} is {db.files[theta - 1]}"
@@ -99,7 +88,6 @@ def run_retrieval(inst: SchemeInstance, db: Database, theta: int, seed: int) -> 
         queries=queries,
         responses=responses,
         decoded=decoded,
-        timings=timings,
     )
 
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,7 +101,7 @@ def test_evaluation_code_rejects_bad_points(line43):
     with pytest.raises(InfinityUnsupported):
         evaluation_code(one, [INFINITY, AffinePoint(1)])
     pole = [RationalFunction.x_minus(line43, 1, -1)]
-    with pytest.raises(PoleAtEvaluationPoint):
+    with pytest.raises(PoleAtEvaluationPoint, match=re.escape("(x-1)^-1 has a pole at (1)")):
         evaluation_code(pole, [AffinePoint(1)])
 
 
@@ -152,6 +154,15 @@ def test_subset_rank_check_sample_fallback(line43):
     report = subset_rank_check(code, 10, mode="all", cap=1000, sample_count=50, seed=7)
     assert report.mode == "sample" and report.requested_mode == "all"
     assert report.checked == 50 and report.passed
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_subset_rank_check_rejects_an_empty_sample(line43, count):
+    code = evaluation_code(basis_poles_at_infinity(line43, 2), line_points(range(8)))
+    with pytest.raises(ValueError, match="sample_count >= 1"):
+        subset_rank_check(code, 3, mode="sample", sample_count=count)
+    with pytest.raises(ValueError, match="sample_count >= 1"):  # exhaustive mode over its cap
+        subset_rank_check(code, 3, mode="all", cap=1, sample_count=count)
 
 
 def test_subset_rank_check_rejects_t_above_k(line43):

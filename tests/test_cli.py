@@ -138,3 +138,33 @@ def test_simulate_is_deterministic(tmp_path, capsys):
             "--seed", "9", "--out", str(out),
         )
     assert t1.read_bytes() == t2.read_bytes()
+
+
+@pytest.mark.parametrize("spec", ["sample:x:0", "bogus", "sample:-5:0", "sample:0:3"])
+def test_verify_rejects_a_bad_subsets_spec(tmp_path, capsys, spec):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--scheme", str(tmp_path / "scheme.json"), "--subsets", spec])
+    assert exc.value.code == 2
+    assert "COUNT >= 1" in capsys.readouterr().err
+
+
+def test_package_error_is_a_one_line_message(capsys):
+    code, out, err = run_cli(
+        capsys, "build", "--p", "44", "--genus", "0", "--x", "2", "--t", "2", "--l", "3"
+    )
+    assert (code, out, err) == (2, "", "error: 44 is not a prime modulus\n")
+
+
+def test_verify_reports_a_descriptor_that_cannot_be_rebuilt(tmp_path, capsys):
+    scheme = tmp_path / "scheme.json"
+    run_cli(
+        capsys,
+        "build", "--p", "13", "--genus", "0", "--x", "2", "--t", "2", "--l", "3",
+        "--out", str(scheme),
+    )
+    payload = json.loads(scheme.read_text())
+    payload["x"] = 6  # 2L + X + T + 1 = 15 > q + 1 = 14
+    scheme.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "verify", "--scheme", str(scheme))
+    assert code == 2 and out == ""
+    assert err.startswith("error: genus 0 needs q + 1 >= 2L + X + T + 1") and err.count("\n") == 1

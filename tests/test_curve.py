@@ -11,9 +11,8 @@ from agpir.curve import (
     find_curve,
     hasse_window,
     point_key,
-    rational_zeros_of_y,
 )
-from agpir.errors import FieldTooLarge, NoSuchCurve, SingularCurve, WrongCurveKind
+from agpir.errors import FieldTooLarge, NoSuchCurve, SingularCurve
 from agpir.field import PrimeField
 
 
@@ -43,11 +42,6 @@ def test_zeros_of_y(curve43, curve127):
     assert len(curve127.zeros_of_y()) == 1
     f5 = PrimeField(5)
     assert EllipticCurve(f5, 0, 1).zeros_of_y() == (AffinePoint(4, 0),)  # 4^3 + 1 = 65 = 0 mod 5
-
-
-def test_rational_zeros_of_y_rejects_line(f43):
-    with pytest.raises(WrongCurveKind):
-        rational_zeros_of_y(ProjectiveLine(f43))
 
 
 def test_singular_curve_rejected(f43):

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agpir.errors import CharTooSmall, NotPrime, ZeroPolynomial
-from agpir.field import FieldElement, Polynomial, PrimeField, is_prime
+from agpir.field import Polynomial, PrimeField, is_prime
 
 PRIMES = [5, 7, 11, 13, 43, 127]
 
@@ -30,32 +30,8 @@ def test_is_prime_small_values():
 
 def test_arith_examples(f43):
     assert f43.inv(1) == 1
-    assert f43.mul(6, 8) == 5  # 48 mod 43
     with pytest.raises(ZeroDivisionError):
         f43.inv(0)
-
-
-def test_field_element_operators(f43):
-    a, b = f43(6), f43(8)
-    assert int(a * b) == 5
-    assert int(a + b) == 14
-    assert int(a - b) == 41
-    assert int(-a) == 37
-    assert int(a / a) == 1
-    assert int(a ** (-1) * a) == 1
-    assert int(b**43) == int(b)  # Fermat
-    with pytest.raises(ZeroDivisionError):
-        f43(1) / f43(0)
-
-
-def test_field_element_rejects_mixed_fields(f43, f127):
-    with pytest.raises(ValueError):
-        f43(1) + f127(1)
-
-
-def test_field_element_must_be_canonical(f43):
-    with pytest.raises(ValueError):
-        FieldElement(f43, 43)
 
 
 @settings(max_examples=200)
@@ -67,7 +43,7 @@ def test_inverse_property(p, raw):
         with pytest.raises(ZeroDivisionError):
             field.inv(a)
     else:
-        assert field.mul(a, field.inv(a)) == 1
+        assert a * field.inv(a) % p == 1
 
 
 def test_sqrt_examples(f43):
@@ -133,7 +109,7 @@ def test_zero_polynomial_has_no_roots(f43):
 
 
 def test_poly_arithmetic(f43):
-    x = Polynomial.x(f43)
+    x = Polynomial(f43, (0, 1))
     f = Polynomial.from_roots(f43, [1, 2])
     assert f == (x - Polynomial.constant(f43, 1)) * (x - Polynomial.constant(f43, 2))
     assert f(1) == 0 and f(2) == 0 and f(3) != 0

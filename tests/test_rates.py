@@ -2,15 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from agpir.curve import resolve_curve
 from agpir.pir_scheme import SchemeParams, build_scheme, verify_scheme
-from agpir.rates import (
-    CSV_HEADER,
-    max_rate_g0,
-    max_rate_g1,
-    resolve_curve,
-    rows_to_csv,
-    sweep,
-)
+from agpir.rates import CSV_HEADER, max_rate_g0, max_rate_g1, rows_to_csv, sweep
 
 
 def test_max_rate_g0_example_q43():
@@ -47,9 +41,9 @@ def test_l_best_is_maximal():
 
 
 def test_resolve_curve_precedence(f127, f43):
-    assert (resolve_curve(f127, None).a, resolve_curve(f127, None).b) == (1, 33)  # preset
+    assert (resolve_curve(f127, None).a, resolve_curve(f127, None).b) == (1, 33)  # first maximal
     assert (resolve_curve(f127, (2, 5)).a, resolve_curve(f127, (2, 5)).b) == (2, 5)
-    found = resolve_curve(f43, None)  # no preset: maximal-curve search
+    found = resolve_curve(f43, None)  # maximal-curve search
     assert found.point_count() == 57
 
 

@@ -34,7 +34,6 @@ def test_run_retrieval_tiny(g0_q7):
     for theta in (1, 2):
         transcript = run_retrieval(g0_q7, db, theta, seed=11)
         assert transcript.decoded == db.files[theta - 1]
-        assert set(transcript.timings) == {"store", "query", "respond", "decode"}
 
 
 def test_run_retrieval_q43_instance():
