@@ -9,9 +9,7 @@ servers for feasibility at smaller field sizes.
 
 from .agcode import (
     LinearCode,
-    dual,
     evaluation_code,
-    find_independent_columns,
     information_set,
     is_grs,
     min_distance,
@@ -89,12 +87,10 @@ __all__ = [
     "check_noise_containment",
     "collusion_view",
     "decode",
-    "dual",
     "evaluation_code",
     "exhaustive_privacy_oracle",
     "exhaustive_security_oracle",
     "find_curve",
-    "find_independent_columns",
     "hasse_window",
     "information_set",
     "interp_basis_g0",

@@ -1,4 +1,4 @@
-"""Evaluation codes over F_p: generators, duals, distances, subset-rank checks.
+"""Evaluation codes over F_p: generators, distances, subset-rank checks.
 
 A LinearCode keeps the raw spanning rows it was built from (for evaluation
 codes, one row per basis function); the dimension is the rank of those
@@ -114,12 +114,6 @@ def divide_columns(code: LinearCode, values: Sequence[int]) -> LinearCode:
     return LinearCode(p, code.n, rows)
 
 
-def dual(code: LinearCode) -> LinearCode:
-    """The dual code, as the nullspace of the generator rows."""
-    null = linalg.nullspace(code.rows, code.n, code.p)
-    return LinearCode(code.p, code.n, tuple(tuple(v) for v in null))
-
-
 def min_distance(code: LinearCode, cap: int | None = None) -> int:
     """Minimum Hamming weight over all nonzero codewords, by brute force."""
     if code.k == 0:
@@ -214,12 +208,6 @@ def subset_rank_check(
         failures=tuple(failures),
         seed=seed if mode == "sample" else None,
     )
-
-
-def find_independent_columns(code: LinearCode, size: int) -> tuple[int, ...] | None:
-    """Leftmost set of `size` linearly independent columns, or None if rank < size."""
-    cols, achieved = information_set(code.rows, code.p, size)
-    return cols if achieved == size else None
 
 
 class InformationSet(NamedTuple):

@@ -14,10 +14,11 @@ from pathlib import Path
 from . import errors
 from .agcode import DEFAULT_SAMPLE_COUNT
 from .curve import EllipticCurve, find_curve, resolve_curve
-from .errors import TooLarge
+from .errors import DescriptorMismatch, TooLarge
 from .field import PrimeField
 from .pir_scheme import (
     Database,
+    SchemeInstance,
     SchemeParams,
     build_scheme,
     check_noise_containment,
@@ -103,8 +104,17 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _load_scheme(path: str) -> SchemeInstance:
+    """The scheme a descriptor file describes, rebuilt and checked against the file."""
+    try:
+        descriptor = json.loads(Path(path).read_text())
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise DescriptorMismatch(f"{path} is not a JSON scheme descriptor: {exc}") from None
+    return scheme_from_descriptor(descriptor)
+
+
 def cmd_simulate(args) -> int:
-    inst = scheme_from_descriptor(json.loads(Path(args.scheme).read_text()))
+    inst = _load_scheme(args.scheme)
     # The database is drawn first from its own generator seeded identically;
     # the protocol stream (store, then queries) restarts from the same seed.
     db = Database.random(inst.p, args.files, inst.l, random.Random(args.seed))
@@ -161,7 +171,7 @@ def _oracle_lines(inst) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    inst = scheme_from_descriptor(json.loads(Path(args.scheme).read_text()))
+    inst = _load_scheme(args.scheme)
     mode, count, seed = args.subsets
     report = verify_scheme(inst, subsets=mode, sample_count=count, sample_seed=seed)
     lines = report.lines()
@@ -248,7 +258,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PACKAGE_ERRORS as exc:
+    except (*PACKAGE_ERRORS, OSError) as exc:  # OSError: a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 from math import isqrt
-from typing import Union
+from typing import Iterable, Iterator, Union
 
 from .errors import FieldTooLarge, NoSuchCurve, SingularCurve
 from .field import Polynomial, PrimeField
@@ -119,10 +120,8 @@ class EllipticCurve:
         return tuple(AffinePoint(r, 0) for r in self.cubic.roots())
 
     def point_count(self) -> int:
-        chi = _chi_table(self.field.p)
-        cubes = _cube_table(self.field.p)
-        p, a, b = self.field.p, self.a, self.b
-        return p + 1 + sum(chi[(cubes[x] + a * x + b) % p] for x in range(p))
+        ((_, _, count),) = _point_counts(self.field.p, [(self.a, self.b)])
+        return count
 
 
 Curve = Union[ProjectiveLine, EllipticCurve]
@@ -157,17 +156,7 @@ def attained_traces(q: int) -> set[int]:
     if q > ENUMERATION_FIELD_CAP:
         raise FieldTooLarge(f"refusing to enumerate all curves over F_{q} (cap {ENUMERATION_FIELD_CAP})")
     PrimeField(q)
-    chi = _chi_table(q)
-    cubes = _cube_table(q)
-    traces = set()
-    for a in range(q):
-        a3 = 4 * a * a * a % q
-        for b in range(q):
-            if (a3 + 27 * b * b) % q == 0:
-                continue
-            count = q + 1 + sum(chi[(cubes[x] + a * x + b) % q] for x in range(q))
-            traces.add(q + 1 - count)
-    return traces
+    return {q + 1 - count for _, _, count in _point_counts(q, product(range(q), repeat=2))}
 
 
 def find_curve(field: PrimeField | int, min_points: int) -> EllipticCurve:
@@ -178,16 +167,9 @@ def find_curve(field: PrimeField | int, min_points: int) -> EllipticCurve:
     lo, hi = hasse_window(q)
     if min_points > hi:
         raise NoSuchCurve(f"{min_points} points exceeds the Hasse bound {hi} for q = {q}")
-    chi = _chi_table(q)
-    cubes = _cube_table(q)
-    for a in range(q):
-        a3 = 4 * a * a * a % q
-        for b in range(q):
-            if (a3 + 27 * b * b) % q == 0:
-                continue
-            count = q + 1 + sum(chi[(cubes[x] + a * x + b) % q] for x in range(q))
-            if count >= min_points:
-                return EllipticCurve(field, a, b)
+    for a, b, count in _point_counts(q, product(range(q), repeat=2)):
+        if count >= min_points:
+            return EllipticCurve(field, a, b)
     raise NoSuchCurve(f"no curve over F_{q} has {min_points} rational points")
 
 
@@ -200,6 +182,20 @@ def resolve_curve(
     if curve is not None:
         return EllipticCurve(field, *curve)
     return find_curve(field, hasse_window(field.p)[1])
+
+
+def _point_counts(
+    q: int, coefficients: Iterable[tuple[int, int]]
+) -> Iterator[tuple[int, int, int]]:
+    """(a, b, #E(a, b)) for each smooth curve among the (a, b), in the order given.
+
+    #E = q + 1 + sum over x of chi(x^3 + a x + b), with chi the Legendre symbol;
+    (a, b) with 4a^3 + 27b^2 = 0 are singular and skipped.
+    """
+    chi, cubes = _chi_table(q), _cube_table(q)
+    for a, b in coefficients:
+        if (4 * a**3 + 27 * b * b) % q:
+            yield a, b, q + 1 + sum(chi[(cubes[x] + a * x + b) % q] for x in range(q))
 
 
 @lru_cache(maxsize=None)

@@ -92,6 +92,9 @@ class BadL(Infeasible):
     """Fragment count L is invalid (genus 1 requires odd L)."""
 
 
+class DescriptorMismatch(ValueError):
+    """A scheme descriptor is malformed or does not match its deterministic rebuild."""
+
 
 class ShapeMismatch(ValueError):
     """Table shapes disagree with the scheme dimensions."""

@@ -75,21 +75,6 @@ def rank(rows: Matrix, p: int) -> int:
     return len(_eliminate(rows, p, full=False)[1])
 
 
-def nullspace(rows: Matrix, ncols: int, p: int) -> list[list[int]]:
-    """Basis of the right nullspace {v : rows @ v = 0}, as a list of vectors."""
-    reduced, pivots = rref(rows, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = -reduced[i][f] % p
-        basis.append(v)
-    return basis
-
-
 def pivot_inverse(rows: Matrix, p: int) -> tuple[tuple[int, ...], list[list[int]]] | None:
     """Leftmost pivot columns of a k x n matrix and the inverse of its k x k block there.
 

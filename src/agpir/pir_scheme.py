@@ -22,7 +22,7 @@ from itertools import chain
 from operator import itemgetter, mul
 from typing import NoReturn, Sequence
 
-from . import linalg
+from . import linalg, sizes
 from .agcode import (
     LinearCode,
     SubsetRankReport,
@@ -43,6 +43,7 @@ from .errors import (
     BadL,
     BadTheta,
     CurveTooSmall,
+    DescriptorMismatch,
     Infeasible,
     InconsistentSystem,
     PoleAtEvaluationPoint,
@@ -125,7 +126,6 @@ class SchemeInstance:
 
     params: SchemeParams
     curve: Curve
-    n: int
     fragment_points: tuple[CurvePoint, ...]
     eval_points: tuple[CurvePoint, ...]
     info_basis: tuple[RationalFunction, ...]
@@ -162,6 +162,10 @@ class SchemeInstance:
     @property
     def t(self) -> int:
         return self.params.t
+
+    @property
+    def n(self) -> int:
+        return len(self.eval_points)
 
     @property
     def rate(self) -> Fraction:
@@ -214,9 +218,10 @@ class SchemeInstance:
 
     def noise_divisor(self) -> Divisor:
         """Upper bound on every noise-product divisor."""
-        if self.genus == 0:
-            return Divisor.of(self.curve, {INFINITY: self.x + self.t - 1})
-        return Divisor.of(self.curve, {INFINITY: self.x + self.t + 4, Y_ZEROS: 1})
+        bound = {INFINITY: sizes.noise_poles(self.genus, self.x, self.t)}
+        if self.genus == 1:
+            bound[Y_ZEROS] = 1
+        return Divisor.of(self.curve, bound)
 
     def __repr__(self) -> str:
         return (
@@ -226,52 +231,85 @@ class SchemeInstance:
 
 
 def build_scheme(params: SchemeParams) -> SchemeInstance:
-    """Build and sanity-check a deterministic scheme instance."""
-    field = PrimeField(params.p)
-    if params.genus == 0:
-        return _build_genus0(params, field)
-    return _build_genus1(params, field)
+    """Build and sanity-check a deterministic scheme instance.
+
+    The genus decides only the geometry; the rest is one pipeline. One
+    elimination of the decode rows on the candidate points checks the
+    information rank, the noise rank and their direct sum at once, and
+    yields the leftmost information set with the inverse of the decode
+    matrix on it. The build keeps those pivots and fills up to N with the
+    leftmost other candidates (genus 0 has none to spare). Dropping columns
+    that are not pivots keeps the pivots and the block on them, so the same
+    pivots, re-indexed to the kept points, and the same inverse solve the
+    decode system there.
+    """
+    genus, p, big_l = params.genus, params.p, params.l
+    n = sizes.num_servers(genus, big_l, params.x, params.t)
+    geometry = _line_geometry if genus == 0 else _elliptic_geometry
+    curve, fragment, candidates, info, noise = geometry(params, PrimeField(p), n)
+    rows = evaluation_code(info + noise, candidates).rows
+    solved = linalg.pivot_inverse(rows, p)
+    if solved is None:
+        _raise_rank_defect(big_l, rows[:big_l], rows[big_l:], p)
+    pivots, sub_inv = solved
+    spare = sorted(set(range(len(candidates))) - set(pivots))
+    keep = sorted(pivots + tuple(spare[: n - len(pivots)]))
+    eval_points = tuple(candidates[idx] for idx in keep)
+    decode_rows = tuple(tuple([row[idx] for idx in keep]) for row in rows)
+    _check_units(info, decode_rows[:big_l], eval_points)
+    position = {idx: k for k, idx in enumerate(keep)}
+    priv = basis_poles_at_infinity(curve, sizes.masking_poles(genus, params.t))
+    # The shared security space; each fragment's is a unit multiple of it.
+    sec = basis_poles_at_infinity(curve, sizes.masking_poles(genus, params.x))
+    return SchemeInstance(
+        params=params,
+        curve=curve,
+        fragment_points=fragment,
+        eval_points=eval_points,
+        info_basis=info,
+        noise_basis=noise,
+        priv_basis=priv,
+        sec_basis=sec,
+        info_rows=decode_rows[:big_l],
+        noise_rows=decode_rows[big_l:],
+        priv_code=evaluation_code(priv, eval_points),
+        sec_code=evaluation_code(sec, eval_points),
+        decode_cols=tuple(position[c] for c in pivots),
+        decode_inv=tuple(map(tuple, zip(*sub_inv))),
+    )
 
 
-def _build_genus0(params: SchemeParams, field: PrimeField) -> SchemeInstance:
+def _line_geometry(params: SchemeParams, field: PrimeField, n: int) -> tuple:
+    """(line, fragment points, candidates, info basis, noise basis) at genus 0.
+
+    Fragments sit at x = 0..L-1 and the N candidates right after them.
+    """
     q, big_l, x, t = params.p, params.l, params.x, params.t
-    need = 2 * big_l + x + t + 1
+    need = sizes.points_needed(0, big_l, x, t)
     if q + 1 < need:
         raise Infeasible(
             f"genus 0 needs q + 1 >= 2L + X + T + 1; {q + 1} < {need} for "
             f"(q={q}, L={big_l}, X={x}, T={t})"
         )
     line = ProjectiveLine(field)
-    n = big_l + x + t
     fragment = tuple(AffinePoint(alpha) for alpha in range(big_l))
-    eval_points = tuple(AffinePoint(alpha) for alpha in range(big_l, big_l + n))
-    info = interp_basis_g0(line, range(big_l))
-    noise = basis_poles_at_infinity(line, x + t - 1)
-    priv = basis_poles_at_infinity(line, t - 1)
-    sec = basis_poles_at_infinity(line, x - 1)
-    info_rows = _eval_rows(info, eval_points)
-    _check_units(info, info_rows, eval_points)
-    noise_rows = _eval_rows(noise, eval_points)
-    decode_rows = info_rows + noise_rows
-    if len(decode_rows) != n:
-        raise RuntimeError("genus-0 decode matrix must be square and invertible")
-    # Independent decode rows imply the information rank, the noise rank and
-    # the direct sum, so one elimination checks them all and yields the
-    # information set with the inverse of the decode matrix on it.
-    solved = linalg.pivot_inverse(decode_rows, q)
-    if solved is None:
-        _raise_rank_defect(params, info_rows, noise_rows, q)
-    return _finish(
-        params, line, fragment, eval_points, info, noise, priv, sec, decode_rows, solved
-    )
+    candidates = tuple(AffinePoint(alpha) for alpha in range(big_l, big_l + n))
+    noise = basis_poles_at_infinity(line, sizes.noise_poles(0, x, t))
+    return line, fragment, candidates, interp_basis_g0(line, range(big_l)), noise
 
 
-def _build_genus1(params: SchemeParams, field: PrimeField) -> SchemeInstance:
-    q, big_l, x, t = params.p, params.l, params.x, params.t
+def _elliptic_geometry(params: SchemeParams, field: PrimeField, n: int) -> tuple:
+    """(curve, fragment points, candidates, info basis, noise basis) at genus 1.
+
+    Fragments fill the first (L+1)/2 full fibers. The candidates are the
+    first N + 1 affine points with y != 0 off those fibers; the one spare
+    lets the build skip a point on which the decode rows would be dependent.
+    """
+    big_l, x, t = params.l, params.x, params.t
     curve = resolve_curve(field, params.curve)
     points = curve.enumerate_points()
     z = len(curve.zeros_of_y())
-    need = 2 * big_l + x + t + 11 + z
+    need = sizes.points_needed(1, big_l, x, t, z)
     if len(points) < need:
         raise CurveTooSmall(
             f"curve has {len(points)} rational points but 2L + X + T + 11 + Z = {need} "
@@ -291,49 +329,13 @@ def _build_genus1(params: SchemeParams, field: PrimeField) -> SchemeInstance:
             break
     fragment = tuple(pt for pair in pairs for pt in pair)
     fragment_x = {pt.x for pt in fragment}
-    candidates = [
+    candidates = tuple(
         pt
         for pt in points
         if not isinstance(pt, PointAtInfinity) and pt.y != 0 and pt.x not in fragment_x
-    ][: big_l + x + t + 9]
-    info = interp_basis_g1(curve, pairs)
-    noise = noise_basis_g1(curve, x + t + 4)
-    priv = basis_poles_at_infinity(curve, t + 1)
-    sec = basis_poles_at_infinity(curve, x + 1)
-    # Reduce the L+X+T+9 candidates to N = L+X+T+8 by keeping an information
-    # set of the decode rows and filling with the leftmost remaining points.
-    # Dropping columns that are not leftmost pivots keeps the other pivots
-    # and the block on them, so one elimination on the candidates also
-    # solves the decode system on the kept points.
-    cand_rows = _eval_rows(info + noise, candidates)
-    n = big_l + x + t + 8
-    solved = linalg.pivot_inverse(cand_rows, q)
-    if solved is None:
-        raise RuntimeError(
-            f"decode rows have rank {linalg.rank(cand_rows, q)}, expected {len(cand_rows)}; "
-            "candidate points do not separate the spaces"
-        )
-    cols, sub_inv = solved
-    chosen = set(cols)
-    for idx in range(len(candidates)):
-        if len(chosen) == n:
-            break
-        chosen.add(idx)
-    keep = sorted(chosen)
-    eval_points = tuple(candidates[idx] for idx in keep)
-    decode_rows = tuple(tuple([row[idx] for idx in keep]) for row in cand_rows)
-    _check_units(info, decode_rows[:big_l], eval_points)
-    position = {idx: k for k, idx in enumerate(keep)}
-    solved = tuple(position[c] for c in cols), sub_inv
-    return _finish(
-        params, curve, fragment, eval_points, info, noise, priv, sec, decode_rows, solved
-    )
-
-
-def _eval_rows(
-    basis: Sequence[RationalFunction], points: Sequence[CurvePoint]
-) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(f.eval_at(pt) for pt in points) for f in basis)
+    )[: n + 1]
+    noise = noise_basis_g1(curve, sizes.noise_poles(1, x, t))
+    return curve, fragment, candidates, interp_basis_g1(curve, pairs), noise
 
 
 def _check_units(info, info_rows, eval_points) -> None:
@@ -345,50 +347,29 @@ def _check_units(info, info_rows, eval_points) -> None:
             raise PoleAtEvaluationPoint(f"{h.inverse()!r} has a pole at {pole!r}")
 
 
-def _finish(
-    params, curve, fragment, eval_points, info, noise, priv, sec, decode_rows, solved
-) -> SchemeInstance:
-    """Assemble the instance from its bases, decode rows and solved decode system.
+def _decode_ranks(info_rows, noise_rows, p: int) -> tuple[int, int, int]:
+    """(information rank, noise rank, combined rank) of the decode rows.
 
-    `sec` is the basis of the space that every fragment's security basis is a
-    unit multiple of; the per-fragment codes are derived from its code.
-    `solved` is the information set of `decode_rows` with the inverse of
-    their block on it, as `linalg.pivot_inverse` returns them.
+    Independent decode rows have blocks of full rank that meet only in 0, so
+    one elimination decides all three when it finds full rank.
     """
-    cols, sub_inv = solved
-    return SchemeInstance(
-        params=params,
-        curve=curve,
-        n=len(eval_points),
-        fragment_points=tuple(fragment),
-        eval_points=tuple(eval_points),
-        info_basis=tuple(info),
-        noise_basis=tuple(noise),
-        priv_basis=tuple(priv),
-        sec_basis=tuple(sec),
-        info_rows=decode_rows[: params.l],
-        noise_rows=decode_rows[params.l :],
-        priv_code=evaluation_code(priv, eval_points),
-        sec_code=evaluation_code(sec, eval_points),
-        decode_cols=cols,
-        decode_inv=tuple(map(tuple, zip(*sub_inv))),
-    )
-
-
-def _raise_rank_defect(params, info_rows, noise_rows, p) -> NoReturn:
-    """Name the first build condition that dependent decode rows break."""
-    info_rank = linalg.rank(info_rows, p)
-    noise_rank = linalg.rank(noise_rows, p)
     combined = linalg.rank(info_rows + noise_rows, p)
-    if info_rank != params.l:
-        raise RuntimeError(f"fragment basis rank {info_rank} != L = {params.l}")
+    if combined == len(info_rows) + len(noise_rows):
+        return len(info_rows), len(noise_rows), combined
+    return linalg.rank(info_rows, p), linalg.rank(noise_rows, p), combined
+
+
+def _raise_rank_defect(big_l: int, info_rows, noise_rows, p: int) -> NoReturn:
+    """Name the build condition that dependent decode rows break."""
+    info_rank, noise_rank, _ = _decode_ranks(info_rows, noise_rows, p)
+    if info_rank != big_l:
+        raise RuntimeError(f"fragment basis rank {info_rank} != L = {big_l}")
     if noise_rank != len(noise_rows):
         raise RuntimeError(
             f"noise spanning set is dependent: rank {noise_rank} of {len(noise_rows)}"
         )
-    if combined != info_rank + noise_rank:
-        raise RuntimeError("information and noise row spaces intersect")
-    raise RuntimeError("decode matrix lost rank on the selected points")
+    # Both blocks have full rank, so the dependence lies between them.
+    raise RuntimeError("information and noise row spaces intersect")
 
 
 # -- protocol ------------------------------------------------------------------------
@@ -530,13 +511,7 @@ def verify_scheme(
     code's check.
     """
     p = inst.p
-    combined = linalg.rank(inst.decode_rows, p)
-    if combined == len(inst.decode_rows):
-        # Independent decode rows: both blocks have full rank and meet only in 0.
-        info_rank, noise_rank = len(inst.info_rows), len(inst.noise_rows)
-    else:
-        info_rank = linalg.rank(inst.info_rows, p)
-        noise_rank = linalg.rank(inst.noise_rows, p)
+    info_rank, noise_rank, combined = _decode_ranks(inst.info_rows, inst.noise_rows, p)
     privacy = subset_rank_check(
         inst.priv_code, inst.t, mode=subsets, sample_count=sample_count, seed=sample_seed
     )
@@ -658,17 +633,22 @@ def scheme_descriptor(inst: SchemeInstance) -> dict:
 
 def scheme_from_descriptor(descriptor: dict) -> SchemeInstance:
     """Rebuild the instance and confirm it reproduces the descriptor exactly."""
+    if not isinstance(descriptor, dict):
+        raise DescriptorMismatch("a scheme descriptor is a JSON object")
     curve = descriptor.get("curve")
-    params = SchemeParams(
-        p=descriptor["p"],
-        genus=descriptor["genus"],
-        x=descriptor["x"],
-        t=descriptor["t"],
-        l=descriptor["l"],
-        curve=None if curve is None else (curve["a"], curve["b"]),
-        seed=descriptor.get("seed", 0),
-    )
+    try:
+        params = SchemeParams(
+            p=descriptor["p"],
+            genus=descriptor["genus"],
+            x=descriptor["x"],
+            t=descriptor["t"],
+            l=descriptor["l"],
+            curve=None if curve is None else (curve["a"], curve["b"]),
+            seed=descriptor.get("seed", 0),
+        )
+    except KeyError as exc:
+        raise DescriptorMismatch(f"descriptor has no {exc.args[0]!r} entry") from None
     inst = build_scheme(params)
     if scheme_descriptor(inst) != descriptor:
-        raise ValueError("descriptor does not match the deterministic rebuild")
+        raise DescriptorMismatch("descriptor does not match the deterministic rebuild")
     return inst

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import sizes
 from .curve import EllipticCurve, resolve_curve
 from .field import PrimeField
 
@@ -30,11 +31,7 @@ class SweepRow:
 def max_rate_g0(q: int, x: int, t: int) -> SweepRow:
     """Largest L with q + 1 >= 2L + X + T + 1; N = L + X + T."""
     PrimeField(q)
-    best = (q - x - t) // 2
-    if best < 1:
-        return SweepRow(q=q, genus=0, x=x, t=t, feasible=False)
-    n = best + x + t
-    return SweepRow(q=q, genus=0, x=x, t=t, feasible=True, l=best, n=n, rate=Fraction(best, n))
+    return _best_row(q, 0, x, t, sizes.max_fragments(0, q + 1, x, t))
 
 
 def max_rate_g1(
@@ -45,15 +42,20 @@ def max_rate_g1(
     model = resolve_curve(field, curve)
     points = model.point_count()
     z = len(model.zeros_of_y())
-    best = (points - x - t - 11 - z) // 2
-    if best % 2 == 0:
-        best -= 1
-    info = dict(curve_a=model.a, curve_b=model.b, points=points, z=z)
+    best = sizes.max_fragments(1, points, x, t, z)
+    return _best_row(q, 1, x, t, best, curve_a=model.a, curve_b=model.b, points=points, z=z)
+
+
+def _best_row(q: int, genus: int, x: int, t: int, best: int, **info) -> SweepRow:
+    """The row for the largest feasible fragment count `best` (below 1 when none is).
+
+    `info` holds the curve columns of a genus-1 row.
+    """
     if best < 1:
-        return SweepRow(q=q, genus=1, x=x, t=t, feasible=False, **info)
-    n = best + x + t + 8
+        return SweepRow(q=q, genus=genus, x=x, t=t, feasible=False, **info)
+    n = sizes.num_servers(genus, best, x, t)
     return SweepRow(
-        q=q, genus=1, x=x, t=t, feasible=True, l=best, n=n, rate=Fraction(best, n), **info
+        q=q, genus=genus, x=x, t=t, feasible=True, l=best, n=n, rate=Fraction(best, n), **info
     )
 
 

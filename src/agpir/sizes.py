@@ -1,0 +1,34 @@
+"""The size rules of both constructions, stated once for genus g in {0, 1}.
+
+`rates` reads them to find the best L and `pir_scheme` to build and check
+an instance, so the rate tables and the build cannot disagree. Z is the
+number of rational zeros of y (two-torsion points), counted at genus 1 only.
+"""
+
+from __future__ import annotations
+
+
+def points_needed(genus: int, l: int, x: int, t: int, z: int = 0) -> int:
+    """Rational points the curve needs: 2L + X + T + 1, or 2L + X + T + 11 + Z at genus 1."""
+    return 2 * l + x + t + 1 + genus * (10 + z)
+
+
+def num_servers(genus: int, l: int, x: int, t: int) -> int:
+    """N = L + X + T + 8g evaluation points, one per server."""
+    return l + x + t + 8 * genus
+
+
+def max_fragments(genus: int, points: int, x: int, t: int, z: int = 0) -> int:
+    """Largest L (odd at genus 1) that `points` rational points allow; below 1 if none."""
+    best = (points - points_needed(genus, 0, x, t, z)) // 2
+    return best - 1 if genus == 1 and best % 2 == 0 else best
+
+
+def masking_poles(genus: int, level: int) -> int:
+    """Pole order at infinity of the privacy (T - 1 + 2g) or security (X - 1 + 2g) space."""
+    return level - 1 + 2 * genus
+
+
+def noise_poles(genus: int, x: int, t: int) -> int:
+    """Pole order at infinity of the noise space: X + T - 1 + 5g (plus (y)_0 at genus 1)."""
+    return x + t - 1 + 5 * genus

@@ -4,13 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agpir import linalg
 from agpir.agcode import (
     LinearCode,
     divide_columns,
-    dual,
     evaluation_code,
-    find_independent_columns,
     information_set,
     is_grs,
     min_distance,
@@ -44,25 +41,6 @@ def test_repetition_code(line43):
     assert min_distance(rep) == 6
 
 
-def test_repetition_dual_is_parity(line43):
-    rep = repetition_code(line43, 5)
-    d = dual(rep)
-    assert (d.n, d.k) == (5, 4)
-    # parity code: generated by differences of unit vectors
-    parity = [[1, 42, 0, 0, 0], [0, 1, 42, 0, 0], [0, 0, 1, 42, 0], [0, 0, 0, 1, 42]]
-    assert linalg.row_space_equal(d.rows, parity, 43)
-    # G H^T = 0 exactly
-    for g in rep.rows:
-        for h in d.rows:
-            assert sum(a * b for a, b in zip(g, h)) % 43 == 0
-
-
-def test_dual_is_involution(line43):
-    code = evaluation_code(basis_poles_at_infinity(line43, 2), line_points(range(7)))
-    dd = dual(dual(code))
-    assert linalg.row_space_equal(code.rows, dd.rows, 43)
-
-
 def test_grs_code_from_scaled_monomials(line43):
     # genus-0 evaluation of h * {1, x, x^2} is a GRS code with nu = h(alpha)
     h = RationalFunction.x_minus(line43, 42, -1)
@@ -89,7 +67,6 @@ def test_is_grs_length_mismatch(line43):
 def test_empty_basis_gives_zero_dimensional_code(line43):
     code = evaluation_code([], line_points(range(4)), p=43)
     assert (code.n, code.k) == (4, 0)
-    assert dual(code).k == 4
     with pytest.raises(ValueError):
         evaluation_code([], line_points(range(4)))
 
@@ -173,8 +150,8 @@ def test_subset_rank_check_rejects_t_above_k(line43):
 
 def test_find_independent_columns(line43):
     code = evaluation_code(basis_poles_at_infinity(line43, 2), line_points(range(8)))
-    assert find_independent_columns(code, 3) == (0, 1, 2)
-    assert find_independent_columns(code, 4) is None
+    assert information_set(code.rows, 43, 3) == ((0, 1, 2), 3)
+    assert information_set(code.rows, 43, 4).achieved == 3  # no 4 independent columns
 
 
 def test_information_set_identity():
@@ -207,8 +184,6 @@ def test_removing_column_breaks_non_mds():
 def test_rank_agreement_on_code_rows(rows):
     code = LinearCode(13, 5, tuple(tuple(r) for r in rows))
     assert code.k == rank_column_pivot(rows, 13)
-    d = dual(code)
-    assert d.k == 5 - code.k
 
 
 def test_genus1_scheme_codes_structure():
@@ -217,8 +192,8 @@ def test_genus1_scheme_codes_structure():
     inst = build_scheme(SchemeParams(p=43, genus=1, x=3, t=3, l=7, curve=(0, 9)))
     priv = inst.priv_code
     # privacy code has dimension T + 1, so some T+1 server sets stay private
-    witness = find_independent_columns(priv, inst.t + 1)
-    assert witness is not None and len(witness) == inst.t + 1
+    witness = information_set(priv.rows, inst.p, inst.t + 1)
+    assert witness.achieved == len(witness.columns) == inst.t + 1
     # recorded outcome: with a y-term in the basis this code is not a GRS code
     # for the natural evaluation-point/multiplier candidates
     alphas = [pt.x for pt in inst.eval_points]
@@ -227,7 +202,7 @@ def test_genus1_scheme_codes_structure():
     assert not is_grs(priv, alphas, ys)
     for code in inst.sec_codes:
         assert code.k == inst.x + 1
-        assert find_independent_columns(code, inst.x + 1) is not None
+        assert information_set(code.rows, inst.p, inst.x + 1).achieved == inst.x + 1
 
 
 def test_divide_columns_scales_each_column_by_an_inverse():

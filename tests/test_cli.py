@@ -105,8 +105,33 @@ def test_verify_rejects_tampered_scheme(tmp_path, capsys):
     payload = json.loads(scheme.read_text())
     payload["eval_points"][0] = [0, None]
     scheme.write_text(json.dumps(payload))
-    with pytest.raises(ValueError):
-        run_cli(capsys, "verify", "--scheme", str(scheme))
+    code, out, err = run_cli(capsys, "verify", "--scheme", str(scheme))
+    assert (code, out) == (2, "")
+    assert err == "error: descriptor does not match the deterministic rebuild\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "No such file or directory"),
+        ("{not json", "is not a JSON scheme descriptor"),
+        (b"\xff\xfe", "is not a JSON scheme descriptor"),
+        ("[1, 2]", "a scheme descriptor is a JSON object"),
+        ('{"p": 13, "genus": 0, "x": 2, "t": 2}', "descriptor has no 'l' entry"),
+        ('{"p": 13, "genus": 1, "x": 1, "t": 1, "l": 1, "curve": {"a": 1}}', "has no 'b' entry"),
+    ],
+)
+def test_unusable_descriptor_file_is_a_one_line_error(tmp_path, capsys, command, content, message):
+    scheme = tmp_path / "scheme.json"
+    if isinstance(content, bytes):
+        scheme.write_bytes(content)
+    elif content is not None:
+        scheme.write_text(content)
+    extra = ["--files", "2", "--theta", "1"] if command == "simulate" else []
+    code, out, err = run_cli(capsys, command, "--scheme", str(scheme), *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_sweep_cli(tmp_path, capsys):

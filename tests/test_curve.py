@@ -115,6 +115,24 @@ def test_find_curve_examples(f43, f127):
         find_curve(43, 60)
 
 
+@pytest.mark.parametrize("q", [5, 7, 13])
+def test_find_curve_is_the_first_smooth_curve_by_brute_force(q):
+    # Singular (a, b), such as y^2 = x^3, have about q + 1 points too, so
+    # every threshold in the Hasse window tests that they are skipped.
+    counts = [
+        ((a, b), len(brute_force_points(q, a, b)) + 1)
+        for a in range(q)
+        for b in range(q)
+        if (4 * a**3 + 27 * b**2) % q
+    ]
+    lo, hi = hasse_window(q)
+    for need in range(lo, hi + 1):
+        a, b = next(ab for ab, count in counts if count >= need)
+        curve = find_curve(q, need)
+        assert (curve.a, curve.b) == (a, b)
+        assert EllipticCurve(PrimeField(q), a, b).point_count() == dict(counts)[a, b]
+
+
 def test_fiber_shapes(curve127):
     # one ramified fiber (the single zero of y), the rest split or inert
     zero_x = curve127.zeros_of_y()[0].x

@@ -490,6 +490,35 @@ def test_dependent_decode_rows_name_the_broken_condition(monkeypatch, replace, m
         build_scheme(G0_TINY)
 
 
+@pytest.mark.parametrize(
+    "target, replace, message",
+    [
+        (
+            "interp_basis_g1",
+            lambda curve, basis: basis[:1] + basis[:1] + basis[2:],
+            "fragment basis rank 6 != L = 7",
+        ),
+        (
+            "interp_basis_g1",
+            lambda curve, basis: (RationalFunction.one(curve),) + basis[1:],
+            "information and noise row spaces intersect",
+        ),
+        (
+            "noise_basis_g1",
+            lambda curve, basis: basis[:1] + basis[:1] + basis[2:],
+            "noise spanning set is dependent: rank 12 of 13",
+        ),
+    ],
+)
+def test_genus1_dependent_decode_rows_name_the_broken_condition(
+    monkeypatch, target, replace, message
+):
+    real = getattr(pir_scheme, target)
+    monkeypatch.setattr(pir_scheme, target, lambda curve, arg: replace(curve, real(curve, arg)))
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        build_scheme(SchemeParams(p=43, genus=1, x=3, t=3, l=7, curve=(0, 9)))
+
+
 def reference_containment(inst):
     """The symbolic check: build every noise product and take its divisor."""
     bound = inst.noise_divisor()
@@ -527,14 +556,19 @@ def genus1_candidates(inst):
     ][: inst.l + inst.x + inst.t + 9]
 
 
-def two_step_genus1_reduction(inst):
+def evaluate(basis, points, alias):
+    """Each basis function's values at the points, each point read as its alias if it has one."""
+    return tuple(tuple(f.eval_at(alias.get(pt, pt)) for pt in points) for f in basis)
+
+
+def two_step_genus1_reduction(inst, alias):
     """The genus-1 point reduction as first built: an information set of the
     decode rows on the candidates, then a second evaluation and elimination
     on the kept points."""
     p, n = inst.p, inst.n
     candidates = genus1_candidates(inst)
     basis = inst.info_basis + inst.noise_basis
-    cols, achieved = information_set(pir_scheme._eval_rows(basis, candidates), p, len(basis))
+    cols, achieved = information_set(evaluate(basis, candidates, alias), p, len(basis))
     assert achieved == len(basis)
     chosen = set(cols)
     for idx in range(len(candidates)):
@@ -542,13 +576,13 @@ def two_step_genus1_reduction(inst):
             break
         chosen.add(idx)
     eval_points = tuple(candidates[idx] for idx in sorted(chosen))
-    rows = pir_scheme._eval_rows(basis, eval_points)
+    rows = evaluate(basis, eval_points, alias)
     decode_cols, sub_inv = linalg.pivot_inverse(rows, p)
     return eval_points, rows, decode_cols, tuple(map(tuple, zip(*sub_inv)))
 
 
-def assert_matches_two_step_reduction(inst):
-    eval_points, rows, decode_cols, decode_inv = two_step_genus1_reduction(inst)
+def assert_matches_two_step_reduction(inst, alias):
+    eval_points, rows, decode_cols, decode_inv = two_step_genus1_reduction(inst, alias)
     assert inst.eval_points == eval_points
     assert inst.decode_rows == rows
     assert inst.decode_cols == decode_cols
@@ -558,7 +592,7 @@ def assert_matches_two_step_reduction(inst):
 @pytest.mark.parametrize("name", ["g1_tiny", "g1_q43", "g1_q127"])
 def test_one_elimination_genus1_build_matches_two_step_reduction(name, request):
     inst = request.getfixturevalue(name)
-    assert_matches_two_step_reduction(inst)
+    assert_matches_two_step_reduction(inst, {})
     blob = json.dumps(scheme_descriptor(inst)).encode()
     assert hashlib.sha256(blob).hexdigest() == DESCRIPTOR_SHA256[name]
 
@@ -571,13 +605,12 @@ def test_one_elimination_genus1_build_reindexes_pivots_past_a_dropped_point(
     # which moves every later pivot one place left among the kept points.
     candidates = genus1_candidates(g1_q43)
     alias = {candidates[1]: candidates[0], candidates[2]: candidates[0]}
-    real = pir_scheme._eval_rows
     monkeypatch.setattr(
         pir_scheme,
-        "_eval_rows",
-        lambda basis, points: real(basis, [alias.get(pt, pt) for pt in points]),
+        "evaluation_code",
+        lambda basis, points: LinearCode(43, len(points), evaluate(basis, points, alias)),
     )
     inst = build_scheme(G1_Q43)
     assert candidates[2] not in inst.eval_points
     assert inst.decode_cols[-1] == inst.n - 1
-    assert_matches_two_step_reduction(inst)
+    assert_matches_two_step_reduction(inst, alias)

@@ -1,8 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from agpir.curve import resolve_curve
+from agpir.errors import Infeasible
+from agpir.field import is_prime
 from agpir.pir_scheme import SchemeParams, build_scheme, verify_scheme
 from agpir.rates import CSV_HEADER, max_rate_g0, max_rate_g1, rows_to_csv, sweep
 
@@ -123,3 +126,24 @@ def test_rates_require_prime_q():
 
     with pytest.raises(NotPrime):
         max_rate_g0(44, 1, 1)
+
+
+@pytest.mark.parametrize("genus", [0, 1])
+def test_build_feasibility_matches_max_rate(genus):
+    # One L past the best (two at genus 1, where L is odd) must not build;
+    # below q = 50 the best L itself is built, on the row's N.
+    for q in filter(is_prime, range(5, 200)):
+        for x, t in [(1, 1), (2, 5), (q // 3, q // 3), (q // 2, 1)]:
+            row = max_rate_g0(q, x, t) if genus == 0 else max_rate_g1(q, x, t)
+            curve = None if genus == 0 else (row.curve_a, row.curve_b)
+            params = SchemeParams(p=q, genus=genus, x=x, t=t, l=1, curve=curve)
+            over = row.l + 1 + genus if row.feasible else 1
+            if row.feasible:  # the paper's point bounds, stated here independently
+                points = q + 1 if genus == 0 else row.points
+                z = 0 if genus == 0 else row.z
+                assert 2 * row.l + x + t + 1 + genus * (10 + z) <= points
+                assert 2 * over + x + t + 1 + genus * (10 + z) > points
+            with pytest.raises(Infeasible):
+                build_scheme(dataclasses.replace(params, l=over))
+            if row.feasible and q < 50:
+                assert build_scheme(dataclasses.replace(params, l=row.l)).n == row.n
