@@ -25,7 +25,7 @@ from .curve import (
     find_curve,
     hasse_window,
 )
-from .field import Polynomial, PrimeField
+from .field import PrimeField
 from .function_space import (
     Divisor,
     QuadraticPlace,
@@ -70,7 +70,6 @@ __all__ = [
     "EllipticCurve",
     "INFINITY",
     "LinearCode",
-    "Polynomial",
     "PrimeField",
     "ProjectiveLine",
     "QuadraticPlace",

@@ -14,7 +14,7 @@ from pathlib import Path
 from . import errors
 from .agcode import DEFAULT_SAMPLE_COUNT
 from .curve import EllipticCurve, find_curve, resolve_curve
-from .errors import DescriptorMismatch, TooLarge
+from .errors import DescriptorMismatch, Infeasible, TooLarge
 from .field import PrimeField
 from .pir_scheme import (
     Database,
@@ -89,8 +89,10 @@ def cmd_build(args) -> int:
             args.p, args.x, args.t, curve
         )
         if not row.feasible:
-            print("error: no feasible L for these parameters", file=sys.stderr)
-            return 1
+            raise Infeasible(
+                "no feasible L for these parameters"
+                f" (q={args.p}, genus {args.genus}, X={args.x}, T={args.t})"
+            )
         big_l = row.l
     elif args.genus == 1 and big_l % 2 == 0:
         print(f"warning: genus 1 needs odd L; using L = {big_l - 1}", file=sys.stderr)

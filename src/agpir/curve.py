@@ -8,13 +8,13 @@ selection relies on this order being stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from math import isqrt
 from typing import Iterable, Iterator, Union
 
 from .errors import FieldTooLarge, NoSuchCurve, SingularCurve
-from .field import Polynomial, PrimeField
+from .field import PrimeField
 
 
 class PointAtInfinity:
@@ -89,11 +89,6 @@ class EllipticCurve:
         if (4 * self.a**3 + 27 * self.b**2) % p == 0:
             raise SingularCurve(f"y^2 = x^3 + {self.a}x + {self.b} over F_{p} is singular")
 
-    @cached_property
-    def cubic(self) -> Polynomial:
-        """The right-hand side x^3 + a x + b."""
-        return Polynomial(self.field, (self.b, self.a, 0, 1))
-
     def rhs(self, x: int) -> int:
         p = self.field.p
         return (x * x % p * x + self.a * x + self.b) % p
@@ -101,9 +96,10 @@ class EllipticCurve:
     def contains(self, pt: CurvePoint) -> bool:
         if isinstance(pt, PointAtInfinity):
             return True
-        if pt.y is None:
+        p = self.field.p
+        if pt.y is None or not (0 <= pt.x < p and 0 <= pt.y < p):
             return False
-        return pt.y * pt.y % self.field.p == self.rhs(pt.x)
+        return pt.y * pt.y % p == self.rhs(pt.x)
 
     def fiber(self, x: int) -> tuple[AffinePoint, ...]:
         """Affine points with the given x-coordinate (0, 1 or 2 of them)."""
@@ -117,7 +113,7 @@ class EllipticCurve:
 
     def zeros_of_y(self) -> tuple[AffinePoint, ...]:
         """Rational two-torsion points (r, 0), one per rational root of the cubic."""
-        return tuple(AffinePoint(r, 0) for r in self.cubic.roots())
+        return tuple(AffinePoint(r, 0) for r in range(self.field.p) if self.rhs(r) == 0)
 
     def point_count(self) -> int:
         ((_, _, count),) = _point_counts(self.field.p, [(self.a, self.b)])

@@ -12,10 +12,6 @@ class CharTooSmall(ValueError):
     """Prime is 2 or 3; short-Weierstrass arithmetic needs p >= 5."""
 
 
-class ZeroPolynomial(ValueError):
-    """Operation undefined for the zero polynomial."""
-
-
 class SingularCurve(ValueError):
     """Discriminant 4a^3 + 27b^2 vanishes; the curve is not smooth."""
 
@@ -78,6 +74,10 @@ class BadEnvironment(ValueError):
 
 class LengthMismatch(ValueError):
     """Sequence lengths do not match the code length."""
+
+
+class BadParams(ValueError):
+    """Scheme parameters are out of range (genus, X, T, L) or do not fit together."""
 
 
 class Infeasible(ValueError):

@@ -4,11 +4,20 @@ Every function handled here is a unit of the shape
 
     scalar * y^k * prod (x - alpha_i)^e_i
 
-so valuations and divisors come straight from per-atom rules instead of
-general local-uniformizer machinery. The reduced form num / den * y^parity
-(num and den coprime polynomials in x) is derived once per function and
-used for evaluation; the curve relation y^2 = x^3 + ax + b folds even
-powers of y into polynomials in x.
+so valuations, divisors and values all come straight from per-atom rules
+instead of general local-uniformizer machinery or polynomial arithmetic.
+At an affine point (x0, y0) let e be the exponent of x - x0:
+
+- away from two-torsion (genus 0, or y0 != 0) x - x0 is a uniformizer, so
+  the order is e, and at order 0 the value is
+  scalar * prod_{alpha != x0} (x0 - alpha)^e_alpha * y0^k;
+- at a rational two-torsion point (r, 0) y is a uniformizer and x - r
+  ramifies, so the order is 2e + k (H. Stichtenoth, Algebraic Function
+  Fields and Codes). At order 0, k = -2e and the atom (x - r)^e * y^(-2e)
+  is (y^2 / (x - r))^(-e), whose value at r is (3r^2 + a)^(-e): nonzero,
+  since r is a simple root of the cubic of a smooth curve.
+
+A negative order is a pole; a positive order gives the value 0.
 
 The zero locus of y is tracked as one symbolic degree-3 place regardless of
 how the cubic splits, matching how the schemes use it (an aggregate pole
@@ -20,7 +29,6 @@ differ at rational two-torsion points, which the schemes never evaluate at.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
 from .curve import (
@@ -42,7 +50,6 @@ from .errors import (
     WrongCurveKind,
     ZeroScalar,
 )
-from .field import Polynomial
 
 
 @dataclass(frozen=True)
@@ -281,40 +288,20 @@ class RationalFunction:
     def __pow__(self, e: int) -> "RationalFunction":
         return RationalFunction.make(
             self.curve,
-            self.curve.field.pow_(self.scalar, e),
+            pow(self.scalar, e, self.curve.field.p),
             tuple((a, k * e) for a, k in self.x_factors),
             self.y_exp * e,
         )
 
-    # -- reduced form ----------------------------------------------------------
-
-    @cached_property
-    def _reduced(self) -> tuple[Polynomial, Polynomial, int]:
-        """(numerator, monic denominator, y parity) with gcd(num, den) = 1."""
-        field = self.curve.field
-        num = Polynomial.one(field)
-        den = Polynomial.one(field)
-        for alpha, exp in self.x_factors:
-            atom = Polynomial(field, (-alpha, 1))
-            if exp > 0:
-                num = num * atom**exp
-            else:
-                den = den * atom ** (-exp)
-        k, parity = divmod(self.y_exp, 2)  # y^e = cubic^k * y^parity
-        if k:
-            cubic = self.curve.cubic
-            if k > 0:
-                num = num * cubic**k
-            else:
-                den = den * cubic ** (-k)
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
-        lead_inv = field.inv(den.leading)
-        return num.scale(self.scalar * lead_inv), den.monic(), parity
-
     # -- valuations, divisor, evaluation ----------------------------------------
+
+    def _order_at(self, point: AffinePoint) -> tuple[int, int]:
+        """(e, order): the exponent e of x - x0 and the order of vanishing at the point."""
+        e = dict(self.x_factors).get(point.x, 0)
+        if point.y == 0:
+            # x - x0 ramifies at two-torsion; y is a uniformizer there.
+            return e, 2 * e + self.y_exp
+        return e, e
 
     def valuation(self, place: Place) -> int:
         """Order of vanishing at a place (negative at poles)."""
@@ -335,13 +322,7 @@ class RationalFunction:
         if isinstance(place, AffinePoint):
             if not self.curve.contains(place):
                 raise ValueError(f"{place!r} is not on {self.curve!r}")
-            e = exps.get(place.x, 0)
-            if self.curve.genus == 0:
-                return e
-            if place.y == 0:
-                # x - alpha ramifies at two-torsion; y is a uniformizer there.
-                return 2 * e + self.y_exp
-            return e
+            return self._order_at(place)[1]
         raise TypeError(f"not a place: {place!r}")
 
     def divisor(self) -> Divisor:
@@ -372,26 +353,27 @@ class RationalFunction:
         return Divisor.of(self.curve, coeffs)
 
     def eval_at(self, point: CurvePoint) -> int:
-        """Exact value at an affine rational point that is not a pole.
-
-        The reduced denominator vanishes at the point exactly when the point
-        is a pole. Away from two-torsion the cubic is nonzero, so den(x0) = 0
-        means a negative exponent of x - x0. At a two-torsion point (r, 0)
-        the valuation is 2E + parity, with E the exponent of x - r left after
-        num and den are made coprime, so it is negative exactly when E is.
-        """
+        """Exact value at an affine rational point that is not a pole, atom by atom."""
         if isinstance(point, PointAtInfinity):
             raise InfinityUnsupported("evaluation at infinity is not supported")
         if not self.curve.contains(point):
             raise ValueError(f"{point!r} is not on {self.curve!r}")
-        field = self.curve.field
-        num, den, parity = self._reduced
-        d = den(point.x)
-        if d == 0:
+        e, order = self._order_at(point)
+        if order < 0:
             raise PoleAtPoint(f"{self!r} has a pole at {point!r}")
-        value = num(point.x) * field.inv(d) % field.p
-        if parity:
-            value = value * point.y % field.p
+        if order > 0:
+            return 0
+        p = self.curve.field.p
+        x0 = point.x
+        value = self.scalar
+        for alpha, exp in self.x_factors:
+            if alpha != x0:
+                value = value * pow(x0 - alpha, exp, p) % p
+        if point.y == 0:
+            # (x - x0)^e * y^(-2e) = (y^2 / (x - x0))^(-e), and y^2 / (x - x0) is 3 x0^2 + a at x0.
+            return value * pow(3 * x0 * x0 + self.curve.a, -e, p) % p
+        if self.y_exp:
+            value = value * pow(point.y, self.y_exp, p) % p
         return value
 
     def __repr__(self) -> str:

@@ -41,6 +41,7 @@ from .curve import (
 )
 from .errors import (
     BadL,
+    BadParams,
     BadTheta,
     CurveTooSmall,
     DescriptorMismatch,
@@ -77,15 +78,17 @@ class SchemeParams:
 
     def __post_init__(self):
         if self.genus not in (0, 1):
-            raise ValueError(f"genus must be 0 or 1, got {self.genus}")
+            raise BadParams(f"genus must be 0 or 1, got {self.genus}")
         if self.x < 1 or self.t < 1:
-            raise ValueError("security and privacy levels must both be >= 1")
+            raise BadParams(
+                f"security and privacy levels must both be >= 1, got X = {self.x}, T = {self.t}"
+            )
         if self.l < 1:
-            raise ValueError("need at least one fragment per file")
+            raise BadParams(f"need at least one fragment per file, got L = {self.l}")
         if self.genus == 1 and self.l % 2 == 0:
             raise BadL(f"genus 1 requires an odd fragment count, got L = {self.l}")
         if self.genus == 0 and self.curve is not None:
-            raise ValueError("genus 0 does not take curve coefficients")
+            raise BadParams("genus 0 does not take curve coefficients")
 
 
 @dataclass(frozen=True)
@@ -637,17 +640,19 @@ def scheme_from_descriptor(descriptor: dict) -> SchemeInstance:
         raise DescriptorMismatch("a scheme descriptor is a JSON object")
     curve = descriptor.get("curve")
     try:
-        params = SchemeParams(
-            p=descriptor["p"],
-            genus=descriptor["genus"],
-            x=descriptor["x"],
-            t=descriptor["t"],
-            l=descriptor["l"],
-            curve=None if curve is None else (curve["a"], curve["b"]),
-            seed=descriptor.get("seed", 0),
-        )
+        entries = {key: descriptor[key] for key in ("p", "genus", "x", "t", "l")}
+        entries["seed"] = descriptor.get("seed", 0)
+        if curve is not None and not isinstance(curve, dict):
+            raise DescriptorMismatch(
+                f"descriptor 'curve' entry is neither null nor an object: {curve!r}"
+            )
+        coeffs = {} if curve is None else {"curve a": curve["a"], "curve b": curve["b"]}
     except KeyError as exc:
         raise DescriptorMismatch(f"descriptor has no {exc.args[0]!r} entry") from None
+    for key, value in {**entries, **coeffs}.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise DescriptorMismatch(f"descriptor {key!r} entry is not an integer: {value!r}")
+    params = SchemeParams(**entries, curve=tuple(coeffs.values()) or None)
     inst = build_scheme(params)
     if scheme_descriptor(inst) != descriptor:
         raise DescriptorMismatch("descriptor does not match the deterministic rebuild")

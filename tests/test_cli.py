@@ -134,6 +134,42 @@ def test_unusable_descriptor_file_is_a_one_line_error(tmp_path, capsys, command,
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("genus", 5, "genus must be 0 or 1, got 5"),
+        ("curve", [1, 2], "'curve' entry is neither null nor an object"),
+        ("x", "4", "'x' entry is not an integer"),
+    ],
+)
+def test_bad_descriptor_entry_is_a_one_line_error(tmp_path, capsys, key, value, message):
+    scheme = tmp_path / "scheme.json"
+    run_cli(
+        capsys,
+        "build", "--p", "13", "--genus", "0", "--x", "2", "--t", "2", "--l", "3",
+        "--out", str(scheme),
+    )
+    payload = json.loads(scheme.read_text())
+    payload[key] = value
+    scheme.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "verify", "--scheme", str(scheme))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "levels, message",
+    [
+        (("--x", "0", "--t", "1"), "security and privacy levels must both be >= 1"),
+        (("--x", "40", "--t", "40"), "no feasible L for these parameters"),
+    ],
+)
+def test_bad_build_levels_are_a_one_line_error(capsys, levels, message):
+    code, out, err = run_cli(capsys, "build", "--p", "43", "--genus", "0", *levels)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_sweep_cli(tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
     code, out, _ = run_cli(

@@ -42,6 +42,15 @@ def test_zeros_of_y(curve43, curve127):
     assert len(curve127.zeros_of_y()) == 1
     f5 = PrimeField(5)
     assert EllipticCurve(f5, 0, 1).zeros_of_y() == (AffinePoint(4, 0),)  # 4^3 + 1 = 65 = 0 mod 5
+    split = EllipticCurve(PrimeField(43), -1, 0)  # x^3 - x = x (x - 1) (x + 1)
+    assert split.zeros_of_y() == (AffinePoint(0, 0), AffinePoint(1, 0), AffinePoint(42, 0))
+
+
+def test_contains_needs_canonical_coordinates(curve43):
+    pt = curve43.fiber(1)[0]
+    assert curve43.contains(pt)
+    assert not curve43.contains(AffinePoint(pt.x + 43, pt.y))
+    assert not curve43.contains(AffinePoint(pt.x, pt.y - 43))
 
 
 def test_singular_curve_rejected(f43):

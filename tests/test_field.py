@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agpir.errors import CharTooSmall, NotPrime, ZeroPolynomial
-from agpir.field import Polynomial, PrimeField, is_prime
+from agpir.errors import CharTooSmall, NotPrime
+from agpir.field import PrimeField, is_prime
 
 PRIMES = [5, 7, 11, 13, 43, 127]
 
@@ -81,43 +81,3 @@ def test_sqrt_table_and_tonelli_agree(p):
             assert tonelli == table_roots[0]
         else:
             assert tonelli is None
-
-
-def test_poly_eval_example():
-    f5 = PrimeField(5)
-    f = Polynomial(f5, (1, 0, 0, 1))  # x^3 + 1
-    assert f(4) == 0  # 65 mod 5
-
-
-def test_poly_roots_of_reference_cubics(f43, f127):
-    assert Polynomial(f43, (9, 0, 0, 1)).roots() == ()
-    assert len(Polynomial(f127, (33, 1, 0, 1)).roots()) == 1
-
-
-def test_poly_roots_matches_independent_sweep(f43):
-    f = Polynomial(f43, (9, 0, 0, 1))
-    sweep = tuple(x for x in range(43) if (x**3 + 9) % 43 == 0)
-    assert f.roots() == sweep
-    g = Polynomial(f43, (2, 5, 1))
-    sweep_g = tuple(x for x in range(43) if (x * x + 5 * x + 2) % 43 == 0)
-    assert g.roots() == sweep_g
-
-
-def test_zero_polynomial_has_no_roots(f43):
-    with pytest.raises(ZeroPolynomial):
-        Polynomial.zero(f43).roots()
-
-
-def test_poly_arithmetic(f43):
-    x = Polynomial(f43, (0, 1))
-    f = Polynomial.from_roots(f43, [1, 2])
-    assert f == (x - Polynomial.constant(f43, 1)) * (x - Polynomial.constant(f43, 2))
-    assert f(1) == 0 and f(2) == 0 and f(3) != 0
-    q, r = (f * x).divmod_(f)
-    assert q == x and r.is_zero
-    assert f.gcd(x - Polynomial.constant(f43, 1)).degree == 1
-
-
-def test_poly_normalizes_trailing_zeros(f43):
-    assert Polynomial(f43, (1, 0, 0)).degree == 0
-    assert Polynomial(f43, (0, 0)).is_zero

@@ -10,6 +10,7 @@ from agpir.agcode import LinearCode, evaluation_code, information_set, subset_ra
 from agpir.curve import PointAtInfinity
 from agpir.errors import (
     BadL,
+    BadParams,
     BadTheta,
     CurveTooSmall,
     Infeasible,
@@ -189,9 +190,9 @@ def test_genus1_curve_too_small():
 
 
 def test_degenerate_levels_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
         SchemeParams(p=43, genus=0, x=0, t=16, l=5)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
         SchemeParams(p=43, genus=0, x=16, t=0, l=5)
     with pytest.raises(BadL):
         SchemeParams(p=43, genus=1, x=16, t=16, l=6)
