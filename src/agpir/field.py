@@ -3,7 +3,9 @@
 Field elements are plain ints kept in canonical form (0 <= v < p); sums,
 products and powers use the builtin int operations and pow(a, e, p), so
 the field itself only supplies inverses, Legendre symbols and square
-roots. Everything here is pure, exact, and deterministic.
+roots. Each has one algorithm, polynomial in log p and with no per-field
+table: inverses by the builtin pow(a, -1, p), Legendre symbols by Euler's
+criterion, square roots by Tonelli-Shanks. Everything here is pure, exact, and deterministic.
 """
 
 from __future__ import annotations
@@ -37,11 +39,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Square roots below this bound come from a per-field lookup table, above it
-# from Tonelli-Shanks. The two must produce identical output (tested).
-SQRT_TABLE_LIMIT = 1 << 16
-
-
 class PrimeField:
     """The prime field F_p for a prime p >= 5.
 
@@ -49,7 +46,7 @@ class PrimeField:
     residues.
     """
 
-    __slots__ = ("p", "_sqrt_table")
+    __slots__ = ("p",)
 
     def __init__(self, p: int):
         if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
@@ -57,7 +54,6 @@ class PrimeField:
         if p < 5:
             raise CharTooSmall(f"characteristic {p} is excluded, need p >= 5")
         self.p = p
-        self._sqrt_table = None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
@@ -73,7 +69,7 @@ class PrimeField:
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of zero in {self!r}")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     # -- quadratic residues ---------------------------------------------------
 
@@ -85,52 +81,34 @@ class PrimeField:
         return 1 if pow(a, (self.p - 1) // 2, self.p) == 1 else -1
 
     def sqrt(self, a: int) -> tuple[int, ...]:
-        """All square roots of a, smaller residue first.
+        """All square roots of a by Tonelli-Shanks, smaller residue first.
 
         Returns (0,) for a = 0, () when a is a non-residue, and (r, p - r)
         with r < p - r otherwise.
         """
-        a %= self.p
+        p = self.p
+        a %= p
         if a == 0:
             return (0,)
-        if self.p < SQRT_TABLE_LIMIT:
-            root = self._table().get(a)
-        else:
-            root = self._tonelli(a)
-        if root is None:
-            return ()
-        return (root, self.p - root) if root < self.p - root else (self.p - root, root)
-
-    def _table(self) -> dict[int, int]:
-        if self._sqrt_table is None:
-            table: dict[int, int] = {}
-            for v in range(self.p):  # ascending, so the smaller root wins
-                table.setdefault(v * v % self.p, v)
-            self._sqrt_table = table
-        return self._sqrt_table
-
-    def _tonelli(self, a: int) -> int | None:
-        """Tonelli-Shanks square root; None for non-residues."""
-        p = self.p
         if self.legendre(a) != 1:
-            return None
+            return ()
         if p % 4 == 3:
             r = pow(a, (p + 1) // 4, p)
-            return min(r, p - r)
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while self.legendre(z) != -1:
-            z += 1
-        m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-        while t != 1:
-            t2, i = t * t % p, 1
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            m, c = i, b * b % p
-            t, r = t * c % p, r * b % p
-        return min(r, p - r)
+        else:
+            q, s = p - 1, 0
+            while q % 2 == 0:
+                q //= 2
+                s += 1
+            z = 2
+            while self.legendre(z) != -1:
+                z += 1
+            m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+            while t != 1:
+                t2, i = t * t % p, 1
+                while t2 != 1:
+                    t2 = t2 * t2 % p
+                    i += 1
+                b = pow(c, 1 << (m - i - 1), p)
+                m, c = i, b * b % p
+                t, r = t * c % p, r * b % p
+        return (r, p - r) if r < p - r else (p - r, r)

@@ -39,6 +39,7 @@ from .curve import (
     EllipticCurve,
     PointAtInfinity,
     ProjectiveLine,
+    point_key,
 )
 from .errors import (
     DuplicateAlpha,
@@ -96,10 +97,9 @@ def place_degree(place: Place) -> int:
 
 
 def place_key(place: Place) -> tuple[int, int, int]:
-    if isinstance(place, PointAtInfinity):
-        return (0, -1, -1)
-    if isinstance(place, AffinePoint):
-        return (1, place.x, -1 if place.y is None else place.y)
+    """Canonical place order: rational points as `point_key` orders them, then the rest."""
+    if isinstance(place, (PointAtInfinity, AffinePoint)):
+        return point_key(place)
     if isinstance(place, QuadraticPlace):
         return (2, place.x, -1)
     return (3, -1, -1)

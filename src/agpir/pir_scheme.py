@@ -35,8 +35,8 @@ from .curve import (
     AffinePoint,
     Curve,
     CurvePoint,
-    PointAtInfinity,
     ProjectiveLine,
+    hasse_window,
     resolve_curve,
 )
 from .errors import (
@@ -304,41 +304,40 @@ def _line_geometry(params: SchemeParams, field: PrimeField, n: int) -> tuple:
 def _elliptic_geometry(params: SchemeParams, field: PrimeField, n: int) -> tuple:
     """(curve, fragment points, candidates, info basis, noise basis) at genus 1.
 
-    Fragments fill the first (L+1)/2 full fibers. The candidates are the
-    first N + 1 affine points with y != 0 off those fibers; the one spare
-    lets the build skip a point on which the decode rows would be dependent.
+    One walk over x = 0, 1, ... reads only the fibers it uses: the first
+    (L+1)/2 full fibers hold the fragment pairs, the later ones the N + 1
+    candidates (the spare lets the build skip a point on which the decode
+    rows would be dependent). The points are counted only when 2L + X + T
+    + 11 + Z for Z = 3 exceeds the Hasse bound q + 1 - floor(2 sqrt q);
+    below it every smooth curve has enough.
     """
     big_l, x, t = params.l, params.x, params.t
     curve = resolve_curve(field, params.curve)
-    points = curve.enumerate_points()
-    z = len(curve.zeros_of_y())
-    need = sizes.points_needed(1, big_l, x, t, z)
-    if len(points) < need:
-        raise CurveTooSmall(
-            f"curve has {len(points)} rational points but 2L + X + T + 11 + Z = {need} "
-            f"are needed for (L={big_l}, X={x}, T={t}, Z={z})"
-        )
+    if sizes.points_needed(1, big_l, x, t, 3) > hasse_window(field.p)[0]:
+        points = curve.point_count()
+        z = len(curve.zeros_of_y())
+        need = sizes.points_needed(1, big_l, x, t, z)
+        if points < need:
+            raise CurveTooSmall(
+                f"curve has {points} rational points but 2L + X + T + 11 + Z = {need} "
+                f"are needed for (L={big_l}, X={x}, T={t}, Z={z})"
+            )
     j = (big_l + 1) // 2
     pairs = []
-    for pt in points:
-        if isinstance(pt, PointAtInfinity) or pt.y == 0:
+    candidates = []
+    for abscissa in range(field.p):
+        fiber = curve.fiber(abscissa)
+        if len(fiber) < 2:
             continue
-        if pairs and pairs[-1][0].x == pt.x:
-            continue
-        fiber = curve.fiber(pt.x)
-        if len(fiber) == 2:
+        if len(pairs) < j:
             pairs.append(fiber)
-        if len(pairs) == j:
+            continue
+        candidates.extend(fiber)
+        if len(candidates) > n:
             break
     fragment = tuple(pt for pair in pairs for pt in pair)
-    fragment_x = {pt.x for pt in fragment}
-    candidates = tuple(
-        pt
-        for pt in points
-        if not isinstance(pt, PointAtInfinity) and pt.y != 0 and pt.x not in fragment_x
-    )[: n + 1]
     noise = noise_basis_g1(curve, sizes.noise_poles(1, x, t))
-    return curve, fragment, candidates, interp_basis_g1(curve, pairs), noise
+    return curve, fragment, tuple(candidates[: n + 1]), interp_basis_g1(curve, pairs), noise
 
 
 def _check_units(info, info_rows, eval_points) -> None:
@@ -652,6 +651,9 @@ def scheme_from_descriptor(descriptor: dict) -> SchemeInstance:
     for key, value in {**entries, **coeffs}.items():
         if not isinstance(value, int) or isinstance(value, bool):
             raise DescriptorMismatch(f"descriptor {key!r} entry is not an integer: {value!r}")
+    if entries["genus"] == 1 and curve is None:
+        # A rebuild without the curve would search for one, O(q^3) in the worst case.
+        raise DescriptorMismatch("a genus-1 descriptor names its curve: 'curve' is null")
     params = SchemeParams(**entries, curve=tuple(coeffs.values()) or None)
     inst = build_scheme(params)
     if scheme_descriptor(inst) != descriptor:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from agpir import curve as curve_module
 from agpir.cli import main
 
 
@@ -155,6 +156,22 @@ def test_bad_descriptor_entry_is_a_one_line_error(tmp_path, capsys, key, value, 
     code, out, err = run_cli(capsys, "verify", "--scheme", str(scheme))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_genus1_descriptor_without_a_curve_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    scheme = tmp_path / "scheme.json"
+    run_cli(
+        capsys,
+        "build", "--p", "43", "--genus", "1", "--x", "2", "--t", "2", "--l", "3",
+        "--a", "0", "--b", "9", "--out", str(scheme),
+    )
+    payload = json.loads(scheme.read_text())
+    payload["curve"] = None
+    scheme.write_text(json.dumps(payload))
+    monkeypatch.setattr(curve_module, "find_curve", lambda *_: pytest.fail("find_curve reached"))
+    code, out, err = run_cli(capsys, "verify", "--scheme", str(scheme))
+    assert (code, out) == (2, "")
+    assert err == "error: a genus-1 descriptor names its curve: 'curve' is null\n"
 
 
 @pytest.mark.parametrize(

@@ -1,23 +1,33 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
-from agpir import linalg, pir_scheme
+from agpir import curve as curve_module
+from agpir import linalg, pir_scheme, sizes
 from agpir.agcode import LinearCode, evaluation_code, information_set, subset_rank_check
-from agpir.curve import PointAtInfinity
+from agpir.curve import (
+    EllipticCurve,
+    PointAtInfinity,
+    _point_counts,
+    find_curve,
+    hasse_window,
+)
 from agpir.errors import (
     BadL,
     BadParams,
     BadTheta,
     CurveTooSmall,
+    DescriptorMismatch,
     Infeasible,
     InconsistentSystem,
     PoleAtEvaluationPoint,
     ShapeMismatch,
 )
+from agpir.field import PrimeField, is_prime
 from agpir.function_space import Divisor, RationalFunction, interp_basis_g0
 from agpir.pir_scheme import (
     Database,
@@ -34,6 +44,7 @@ from agpir.pir_scheme import (
     store,
     verify_scheme,
 )
+from agpir.rates import max_rate_g1
 from conftest import ZeroRng
 
 G0_Q43 = SchemeParams(p=43, genus=0, x=16, t=16, l=5)
@@ -392,6 +403,17 @@ def test_descriptor_round_trip(g1_q43, g0_q43):
         scheme_from_descriptor(tampered)
 
 
+def test_genus1_descriptor_without_a_curve_is_refused_before_any_search(g1_q43, monkeypatch):
+    def no_search(*_):
+        raise AssertionError("find_curve reached")
+
+    monkeypatch.setattr(curve_module, "find_curve", no_search)
+    descriptor = scheme_descriptor(g1_q43)
+    descriptor["curve"] = None
+    with pytest.raises(DescriptorMismatch, match="a genus-1 descriptor names its curve"):
+        scheme_from_descriptor(descriptor)
+
+
 def test_database_validates_residues():
     with pytest.raises(ValueError):
         Database(13, ((13, 0),))
@@ -547,14 +569,84 @@ def test_containment_flags_a_privacy_function_with_too_many_poles(name, request)
     assert all(label.endswith(f"priv[{inst.priv_dim}]") for label in flagged)
 
 
+def reference_genus1_selection(curve, l, n):
+    """The genus-1 point selection by enumerate and filter, a reference for the
+    fiber walk: fragments on the first (L+1)/2 full fibers, candidates the first
+    N + 1 points with y != 0 off those fibers."""
+    points = curve.enumerate_points()
+    pairs = []
+    for pt in points:
+        if isinstance(pt, PointAtInfinity) or pt.y == 0:
+            continue
+        if pairs and pairs[-1][0].x == pt.x:
+            continue
+        fiber = curve.fiber(pt.x)
+        if len(fiber) == 2:
+            pairs.append(fiber)
+        if len(pairs) == (l + 1) // 2:
+            break
+    fragment = tuple(pt for pair in pairs for pt in pair)
+    fragment_x = {pt.x for pt in fragment}
+    candidates = tuple(
+        pt
+        for pt in points
+        if not isinstance(pt, PointAtInfinity) and pt.y != 0 and pt.x not in fragment_x
+    )[: n + 1]
+    return fragment, candidates
+
+
 def genus1_candidates(inst):
     """The L+X+T+9 points the genus-1 build picks its evaluation points from."""
-    fragment_x = {pt.x for pt in inst.fragment_points}
-    return [
-        pt
-        for pt in inst.curve.enumerate_points()
-        if not isinstance(pt, PointAtInfinity) and pt.y != 0 and pt.x not in fragment_x
-    ][: inst.l + inst.x + inst.t + 9]
+    return list(reference_genus1_selection(inst.curve, inst.l, inst.l + inst.x + inst.t + 8)[1])
+
+
+def test_fiber_walk_matches_enumerate_and_filter():
+    # On the first maximal curve, at the best and the smallest feasible L.
+    for q in filter(is_prime, range(5, 200)):
+        field = PrimeField(q)
+        curve = find_curve(field, hasse_window(q)[1])
+        for x, t in [(1, 1), (2, 5)]:
+            row = max_rate_g1(q, x, t, curve)
+            if not row.feasible:
+                continue
+            for l in sorted({1, row.l}):
+                n = sizes.num_servers(1, l, x, t)
+                params = SchemeParams(p=q, genus=1, x=x, t=t, l=l, curve=(curve.a, curve.b))
+                _, fragment, candidates, _, _ = pir_scheme._elliptic_geometry(params, field, n)
+                assert (fragment, candidates) == reference_genus1_selection(curve, l, n)
+
+
+def test_short_curve_with_two_torsion_is_counted_below_the_hasse_bound():
+    # Curves whose count lies less than Z above the Hasse lower bound: a need
+    # of count + 1 is at most that bound for Z = 0 but not for the real Z, so
+    # the build must count and refuse, and build one point lower.
+    seen = 0
+    for q in filter(is_prime, range(5, 80)):
+        lo = hasse_window(q)[0]
+        for a, b, count in _point_counts(q, itertools.product(range(q), repeat=2)):
+            if count - lo >= 3:  # the case below needs count - lo < Z <= 3
+                continue
+            z = len(EllipticCurve(PrimeField(q), a, b).zeros_of_y())
+            t = count - 13 - z  # 2L + X + T + 11 + Z = count + 1 at L = X = 1
+            if count - lo < z and t >= 1:
+                params = SchemeParams(p=q, genus=1, x=1, t=t, l=1, curve=(a, b))
+                with pytest.raises(CurveTooSmall):
+                    build_scheme(params)
+                assert build_scheme(dataclasses.replace(params, t=t - 1)).n == t + 9
+                seen += 1
+                break
+    assert seen == 10
+
+
+def test_genus1_build_at_a_billion_reads_only_the_fibers_it_uses(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the build must not count or enumerate the curve")
+
+    for name in ("enumerate_points", "point_count", "zeros_of_y"):
+        monkeypatch.setattr(EllipticCurve, name, refuse)
+    inst = build_scheme(SchemeParams(p=1_000_000_007, genus=1, x=2, t=2, l=3, curve=(1, 1)))
+    assert inst.n == 15
+    assert all(inst.curve.contains(pt) for pt in inst.fragment_points + inst.eval_points)
 
 
 def evaluate(basis, points, alias):
