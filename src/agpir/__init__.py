@@ -54,9 +54,7 @@ from .pir_scheme import (
 )
 from .rates import SweepRow, max_rate_g0, max_rate_g1, rows_to_csv, sweep
 from .sim_harness import (
-    CollusionView,
     Transcript,
-    collusion_view,
     exhaustive_privacy_oracle,
     exhaustive_security_oracle,
     run_retrieval,
@@ -64,7 +62,6 @@ from .sim_harness import (
 
 __all__ = [
     "AffinePoint",
-    "CollusionView",
     "Database",
     "Divisor",
     "EllipticCurve",
@@ -84,7 +81,6 @@ __all__ = [
     "basis_poles_at_infinity",
     "build_scheme",
     "check_noise_containment",
-    "collusion_view",
     "decode",
     "evaluation_code",
     "exhaustive_privacy_oracle",

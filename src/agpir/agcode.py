@@ -1,4 +1,4 @@
-"""Evaluation codes over F_p: generators, distances, subset-rank checks.
+"""Evaluation codes over F_p: distances, subset-rank checks.
 
 A LinearCode keeps the raw spanning rows it was built from (for evaluation
 codes, one row per basis function); the dimension is the rank of those
@@ -60,38 +60,25 @@ class LinearCode:
     def k(self) -> int:
         return linalg.rank(self.rows, self.p)
 
-    @cached_property
-    def generator(self) -> tuple[tuple[int, ...], ...]:
-        """A full-rank generator matrix (nonzero rows of the reduced form)."""
-        reduced, pivots = linalg.rref(self.rows, self.p)
-        return tuple(tuple(row) for row in reduced[: len(pivots)])
-
     def __repr__(self) -> str:
         return f"[{self.n}, {self.k}] code over F_{self.p}"
 
 
-def evaluation_code(
-    basis: Sequence[RationalFunction], points: Sequence[CurvePoint], p: int | None = None
-) -> LinearCode:
-    """Evaluate each basis function at each point; rows index the basis.
-
-    An empty basis yields the dimension-0 code (pass p explicitly then).
-    """
+def evaluation_code(basis: Sequence[RationalFunction], points: Sequence[CurvePoint]) -> LinearCode:
+    """Evaluate each basis function at each point; rows index the basis."""
+    if not basis:
+        raise ValueError("an evaluation code needs a non-empty basis")
     pts = tuple(points)
     if len(set(pts)) != len(pts):
         raise DuplicatePoint("evaluation points must be distinct")
     for pt in pts:
         if isinstance(pt, PointAtInfinity):
             raise InfinityUnsupported("cannot evaluate at the point at infinity")
-    if basis:
-        p = basis[0].curve.field.p
-    elif p is None:
-        raise ValueError("an empty basis needs an explicit modulus p")
     try:
         rows = tuple(tuple(f.eval_at(pt) for pt in pts) for f in basis)
     except PoleAtPoint as exc:
         raise PoleAtEvaluationPoint(str(exc)) from exc
-    return LinearCode(p, len(pts), rows)
+    return LinearCode(basis[0].curve.field.p, len(pts), rows)
 
 
 def divide_columns(code: LinearCode, values: Sequence[int]) -> LinearCode:
@@ -114,16 +101,17 @@ def divide_columns(code: LinearCode, values: Sequence[int]) -> LinearCode:
     return LinearCode(p, code.n, rows)
 
 
-def min_distance(code: LinearCode, cap: int | None = None) -> int:
+def min_distance(code: LinearCode) -> int:
     """Minimum Hamming weight over all nonzero codewords, by brute force."""
     if code.k == 0:
         raise ValueError("the zero code has no nonzero codewords")
-    limit = cap if cap is not None else bruteforce_cap(DEFAULT_CODEWORD_CAP)
+    limit = bruteforce_cap(DEFAULT_CODEWORD_CAP)
     total = code.p**code.k - 1
     if total > limit:
         raise TooLarge(f"{total} codewords exceeds the brute-force cap {limit}")
-    gen = code.generator
     p = code.p
+    reduced, pivots = linalg.rref(code.rows, p)
+    gen = reduced[: len(pivots)]
     best = code.n
     for coeffs in product(range(p), repeat=code.k):
         if not any(coeffs):
@@ -158,10 +146,11 @@ def subset_rank_check(
     mode: str = "all",
     sample_count: int = DEFAULT_SAMPLE_COUNT,
     seed: int = 0,
-    cap: int | None = None,
 ) -> SubsetRankReport:
-    """Check that (all or sampled) t-subsets of generator columns are independent.
+    """Check that (all or sampled) t-subsets of code columns are independent.
 
+    The columns are those of the rows the code holds. They span the code, as
+    a generator matrix would, so every column subset has the same rank.
     Exhaustive checking falls back to seeded sampling when the number of
     subsets exceeds the cap; the report records which mode actually ran.
     """
@@ -169,18 +158,11 @@ def subset_rank_check(
         raise ValueError(f"t = {t} exceeds the code dimension {code.k}")
     if t < 0:
         raise ValueError("t must be >= 0")
-    limit = cap if cap is not None else bruteforce_cap(DEFAULT_SUBSET_CAP)
+    limit = bruteforce_cap(DEFAULT_SUBSET_CAP)
     total = comb(code.n, t)
     requested = mode
     if mode == "all" and total > limit:
         mode = "sample"
-    gen = code.generator
-    p = code.p
-
-    def cols_independent(cols: tuple[int, ...]) -> bool:
-        sub = [[row[c] for c in cols] for row in gen]
-        return linalg.rank(sub, p) == len(cols)
-
     failures: list[tuple[int, ...]] = []
     if mode == "all":
         subsets: Iterable[tuple[int, ...]] = combinations(range(code.n), t)
@@ -194,7 +176,7 @@ def subset_rank_check(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     for cols in subsets:
-        if not cols_independent(cols):
+        if linalg.rank([[row[c] for c in cols] for row in code.rows], code.p) < t:
             failures.append(cols)
             if len(failures) >= 5:
                 break

@@ -14,7 +14,7 @@ from pathlib import Path
 from . import errors
 from .agcode import DEFAULT_SAMPLE_COUNT
 from .curve import EllipticCurve, find_curve, resolve_curve
-from .errors import DescriptorMismatch, Infeasible, TooLarge
+from .errors import BadParams, DescriptorMismatch, Infeasible, TooLarge
 from .field import PrimeField
 from .pir_scheme import (
     Database,
@@ -75,13 +75,11 @@ def cmd_find_curve(args) -> int:
 
 def cmd_build(args) -> int:
     field = PrimeField(args.p)
-    curve = None
+    if (args.a is None) != (args.b is None):
+        raise BadParams("--a and --b must be given together")
+    curve = None if args.a is None else (args.a, args.b)
     if args.genus == 1:
-        explicit = (args.a, args.b) if args.a is not None or args.b is not None else None
-        if explicit is not None and (args.a is None or args.b is None):
-            print("error: --a and --b must be given together", file=sys.stderr)
-            return 2
-        model = resolve_curve(field, explicit)
+        model = resolve_curve(field, curve)
         curve = (model.a, model.b)
     big_l = args.l
     if big_l is None:
@@ -196,7 +194,8 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     result = sweep(args.p, args.xt_min, args.xt_max)
     _write(args.out, rows_to_csv(result.rows))
-    print(f"curve: a={result.curve.a} b={result.curve.b} points={result.curve.point_count()} z={len(result.curve.zeros_of_y())}")
+    g1 = result.rows[-1]  # every genus-1 row carries the curve's counts
+    print(f"curve: a={g1.curve_a} b={g1.curve_b} points={g1.points} z={g1.z}")
     print(f"crossover_xt={result.crossover_xt}")
     print(f"genus0_max_feasible_xt={result.g0_max_feasible_xt}")
     print(f"genus1_max_feasible_xt={result.g1_max_feasible_xt}")

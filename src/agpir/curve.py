@@ -113,6 +113,7 @@ class EllipticCurve:
 
     def zeros_of_y(self) -> tuple[AffinePoint, ...]:
         """Rational two-torsion points (r, 0), one per rational root of the cubic."""
+        _check_countable(self.field.p)
         return tuple(AffinePoint(r, 0) for r in range(self.field.p) if self.rhs(r) == 0)
 
     def point_count(self) -> int:
@@ -145,6 +146,9 @@ def admissible_traces(q: int) -> set[int]:
 
 # Full (a, b) enumeration is quadratic in q; keep it to desk scale.
 ENUMERATION_FIELD_CAP = 500
+# Counting the points of one curve, or the roots of its cubic, sweeps all of
+# F_q and tabulates it; keep that below a few million steps.
+COUNTING_FIELD_CAP = 2**21
 
 
 def attained_traces(q: int) -> set[int]:
@@ -155,10 +159,8 @@ def attained_traces(q: int) -> set[int]:
     return {q + 1 - count for _, _, count in _point_counts(q, product(range(q), repeat=2))}
 
 
-def find_curve(field: PrimeField | int, min_points: int) -> EllipticCurve:
+def find_curve(field: PrimeField, min_points: int) -> EllipticCurve:
     """First curve in lexicographic (a, b) order with at least min_points points."""
-    if isinstance(field, int):
-        field = PrimeField(field)
     q = field.p
     lo, hi = hasse_window(q)
     if min_points > hi:
@@ -188,10 +190,16 @@ def _point_counts(
     #E = q + 1 + sum over x of chi(x^3 + a x + b), with chi the Legendre symbol;
     (a, b) with 4a^3 + 27b^2 = 0 are singular and skipped.
     """
+    _check_countable(q)
     chi, cubes = _chi_table(q), _cube_table(q)
     for a, b in coefficients:
         if (4 * a**3 + 27 * b * b) % q:
             yield a, b, q + 1 + sum(chi[(cubes[x] + a * x + b) % q] for x in range(q))
+
+
+def _check_countable(q: int) -> None:
+    if q > COUNTING_FIELD_CAP:
+        raise FieldTooLarge(f"refusing to count points over F_{q} (cap {COUNTING_FIELD_CAP})")
 
 
 @lru_cache(maxsize=None)

@@ -140,27 +140,13 @@ class Divisor:
     def is_zero(self) -> bool:
         return not self.items
 
-    def _merge(self, other: "Divisor", sign: int) -> "Divisor":
+    def __add__(self, other: "Divisor") -> "Divisor":
         if self.curve != other.curve:
             raise ValueError("divisors on different curves")
         out = self.as_dict()
         for pl, n in other.items:
-            out[pl] = out.get(pl, 0) + sign * n
+            out[pl] = out.get(pl, 0) + n
         return Divisor.of(self.curve, out)
-
-    def __add__(self, other: "Divisor") -> "Divisor":
-        return self._merge(other, 1)
-
-    def __sub__(self, other: "Divisor") -> "Divisor":
-        return self._merge(other, -1)
-
-    def __neg__(self) -> "Divisor":
-        return Divisor(self.curve, tuple((pl, -n) for pl, n in self.items))
-
-    def __rmul__(self, k: int) -> "Divisor":
-        if k == 0:
-            return Divisor.zero(self.curve)
-        return Divisor(self.curve, tuple((pl, k * n) for pl, n in self.items))
 
     def __le__(self, other: "Divisor") -> bool:
         """Coefficientwise comparison over the union of supports."""
@@ -168,9 +154,6 @@ class Divisor:
             raise ValueError("divisors on different curves")
         places = {pl for pl, _ in self.items} | {pl for pl, _ in other.items}
         return all(self.coeff(pl) <= other.coeff(pl) for pl in places)
-
-    def __ge__(self, other: "Divisor") -> bool:
-        return other <= self
 
     def __repr__(self) -> str:
         if not self.items:
@@ -245,20 +228,12 @@ class RationalFunction:
         return cls.make(curve)
 
     @classmethod
-    def constant(cls, curve: Curve, c: int) -> "RationalFunction":
-        return cls.make(curve, scalar=c)
-
-    @classmethod
     def x_minus(cls, curve: Curve, alpha: int, exp: int = 1) -> "RationalFunction":
         return cls.make(curve, x_factors={alpha: exp})
 
     @classmethod
     def x_power(cls, curve: Curve, i: int) -> "RationalFunction":
         return cls.make(curve, x_factors={0: i})
-
-    @classmethod
-    def y_fn(cls, curve: Curve, exp: int = 1) -> "RationalFunction":
-        return cls.make(curve, y_exp=exp)
 
     # -- algebra ---------------------------------------------------------------
 
@@ -278,19 +253,6 @@ class RationalFunction:
             self.curve.field.inv(self.scalar),
             tuple((a, -e) for a, e in self.x_factors),
             -self.y_exp,
-        )
-
-    def scale(self, c: int) -> "RationalFunction":
-        if c % self.curve.field.p == 0:
-            raise ZeroScalar("cannot scale a unit by zero")
-        return RationalFunction.make(self.curve, self.scalar * c, self.x_factors, self.y_exp)
-
-    def __pow__(self, e: int) -> "RationalFunction":
-        return RationalFunction.make(
-            self.curve,
-            pow(self.scalar, e, self.curve.field.p),
-            tuple((a, k * e) for a, k in self.x_factors),
-            self.y_exp * e,
         )
 
     # -- valuations, divisor, evaluation ----------------------------------------

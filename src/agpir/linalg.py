@@ -109,14 +109,6 @@ def mat_vec(rows: Matrix, vec: Sequence[int], p: int) -> list[int]:
     return [sum(a * b for a, b in zip(row, vec)) % p for row in rows]
 
 
-def transpose(rows: Matrix) -> list[list[int]]:
-    return [list(col) for col in zip(*rows)] if rows else []
-
-
-def columns(rows: Matrix, cols: Sequence[int]) -> list[list[int]]:
-    return [[row[c] for c in cols] for row in rows]
-
-
 def row_space_equal(a: Matrix, b: Matrix, p: int) -> bool:
     ra, rb = rank(a, p), rank(b, p)
     if ra != rb:

@@ -147,10 +147,6 @@ class SchemeInstance:
         return self.params.p
 
     @property
-    def field(self) -> PrimeField:
-        return self.curve.field
-
-    @property
     def genus(self) -> int:
         return self.params.genus
 
@@ -383,15 +379,9 @@ def store(inst: SchemeInstance, db: Database, rng: random.Random) -> Table:
         raise ShapeMismatch(f"database is over F_{db.p}, scheme over F_{inst.p}")
     if any(len(f) != inst.l for f in db.files):
         raise ShapeMismatch(f"every file must have exactly L = {inst.l} fragments")
-    p, ones = inst.p, inst.packed_ones
-    shares = []
-    for ell, sec in enumerate(inst.packed_sec):
-        per_file = []
-        for file in db.files:
-            coeffs = [rng.randrange(p) for _ in range(inst.sec_dim)]
-            per_file.append(sec.combine(coeffs, file[ell] * ones))
-        shares.append(tuple(per_file))
-    return tuple(shares)
+    ones = inst.packed_ones
+    extras = [[file[ell] * ones for file in db.files] for ell in range(inst.l)]
+    return _masked(inst.packed_sec, extras, rng)
 
 
 def make_queries(
@@ -400,15 +390,24 @@ def make_queries(
     """Queries for file theta (1-based), masked with privacy noise."""
     if not 1 <= theta <= num_files:
         raise BadTheta(f"theta must be in 1..{num_files}, got {theta}")
-    p, priv = inst.p, inst.packed_priv
-    queries = []
-    for base in inst.packed_info:
-        per_file = []
-        for m in range(num_files):
-            coeffs = [rng.randrange(p) for _ in range(inst.priv_dim)]
-            per_file.append(priv.combine(coeffs, base if m == theta - 1 else 0))
-        queries.append(tuple(per_file))
-    return tuple(queries)
+    extras = [
+        [base if m == theta - 1 else 0 for m in range(num_files)] for base in inst.packed_info
+    ]
+    return _masked((inst.packed_priv,) * inst.l, extras, rng)
+
+
+def _masked(
+    codes: Sequence[linalg.PackedRows], extras: Sequence[Sequence[int]], rng: random.Random
+) -> Table:
+    """Cell [l][m] is extras[l][m] plus a uniformly random codeword of codes[l].
+
+    This is the one masking rule of shares and queries alike. The codeword
+    coefficients are drawn cell by cell, fragment-major then file-major.
+    """
+    return tuple(
+        tuple(code.combine([rng.randrange(code.p) for _ in code.rows], extra) for extra in row)
+        for code, row in zip(codes, extras)
+    )
 
 
 def server_view(table: Table, server: int) -> tuple[tuple[int, ...], ...]:
@@ -655,6 +654,15 @@ def scheme_from_descriptor(descriptor: dict) -> SchemeInstance:
         # A rebuild without the curve would search for one, O(q^3) in the worst case.
         raise DescriptorMismatch("a genus-1 descriptor names its curve: 'curve' is null")
     params = SchemeParams(**entries, curve=tuple(coeffs.values()) or None)
+    # The rebuild's work grows with N, so N must match entries the descriptor
+    # spells out: then L, X and T are bounded by the length of the file.
+    n = descriptor.get("n")
+    if type(n) is not int or n != sizes.num_servers(params.genus, params.l, params.x, params.t):
+        raise DescriptorMismatch(f"descriptor 'n' entry {n!r} is not L + X + T + 8 * genus")
+    for key, count in (("eval_points", n), ("fragment_points", params.l + params.genus)):
+        points = descriptor.get(key)
+        if not isinstance(points, list) or len(points) != count:
+            raise DescriptorMismatch(f"descriptor {key!r} entry is not a list of {count} points")
     inst = build_scheme(params)
     if scheme_descriptor(inst) != descriptor:
         raise DescriptorMismatch("descriptor does not match the deterministic rebuild")

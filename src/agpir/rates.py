@@ -38,12 +38,16 @@ def max_rate_g1(
     q: int, x: int, t: int, curve: EllipticCurve | tuple[int, int] | None = None
 ) -> SweepRow:
     """Largest odd L with #points >= 2L + X + T + 11 + Z; N = L + X + T + 8."""
-    field = PrimeField(q)
-    model = resolve_curve(field, curve)
-    points = model.point_count()
-    z = len(model.zeros_of_y())
+    model = resolve_curve(PrimeField(q), curve)
+    return _g1_row(model, model.point_count(), len(model.zeros_of_y()), x, t)
+
+
+def _g1_row(model: EllipticCurve, points: int, z: int, x: int, t: int) -> SweepRow:
+    """The genus-1 row on a curve with the given point count and Z."""
     best = sizes.max_fragments(1, points, x, t, z)
-    return _best_row(q, 1, x, t, best, curve_a=model.a, curve_b=model.b, points=points, z=z)
+    return _best_row(
+        model.field.p, 1, x, t, best, curve_a=model.a, curve_b=model.b, points=points, z=z
+    )
 
 
 def _best_row(q: int, genus: int, x: int, t: int, best: int, **info) -> SweepRow:
@@ -69,23 +73,19 @@ class SweepResult:
     g1_max_feasible_xt: int | None
 
 
-def sweep(
-    q: int,
-    xt_min: int,
-    xt_max: int,
-    curve: EllipticCurve | tuple[int, int] | None = None,
-) -> SweepResult:
+def sweep(q: int, xt_min: int, xt_max: int) -> SweepResult:
     """Both genera across X = T in [xt_min, xt_max], plus the crossover summary.
 
-    The crossover is the smallest X = T where the genus-1 rate strictly
-    beats genus 0 (an infeasible genus-0 row counts as beaten).
+    The genus-1 rows use the first maximal curve, counted once. The
+    crossover is the smallest X = T where the genus-1 rate strictly beats
+    genus 0 (an infeasible genus-0 row counts as beaten).
     """
     if xt_min < 1 or xt_max < xt_min:
         raise ValueError("need 1 <= xt_min <= xt_max")
-    field = PrimeField(q)
-    model = resolve_curve(field, curve)
+    model = resolve_curve(PrimeField(q), None)
+    points, z = model.point_count(), len(model.zeros_of_y())
     g0_rows = [max_rate_g0(q, xt, xt) for xt in range(xt_min, xt_max + 1)]
-    g1_rows = [max_rate_g1(q, xt, xt, model) for xt in range(xt_min, xt_max + 1)]
+    g1_rows = [_g1_row(model, points, z, xt, xt) for xt in range(xt_min, xt_max + 1)]
     crossover = None
     for r0, r1 in zip(g0_rows, g1_rows):
         if r1.feasible and (not r0.feasible or r1.rate > r0.rate):

@@ -1,4 +1,4 @@
-"""In-process multi-server simulation: transcripts, collusion views, oracles.
+"""In-process multi-server simulation: transcripts and distribution oracles.
 
 The exhaustive oracles enumerate every noise draw at tiny parameters and
 compare the resulting view distributions as multisets, independently of the
@@ -57,15 +57,6 @@ class Transcript:
         return json.dumps(payload)
 
 
-@dataclass(frozen=True)
-class CollusionView:
-    """The share/query columns a set of colluding servers observes."""
-
-    servers: tuple[int, ...]
-    shares: tuple
-    queries: tuple
-
-
 def run_retrieval(inst: SchemeInstance, db: Database, theta: int, seed: int) -> Transcript:
     """Store, query, collect responses, decode; asserts the round decodes correctly."""
     rng = random.Random(seed)
@@ -91,17 +82,6 @@ def run_retrieval(inst: SchemeInstance, db: Database, theta: int, seed: int) -> 
     )
 
 
-def collusion_view(transcript: Transcript, servers: Sequence[int]) -> CollusionView:
-    n = len(transcript.responses)
-    cols = _validated(servers, n)
-    restrict = lambda table: tuple(
-        tuple(tuple(per_file[c] for c in cols) for per_file in row) for row in table
-    )
-    return CollusionView(
-        servers=cols, shares=restrict(transcript.shares), queries=restrict(transcript.queries)
-    )
-
-
 def _validated(servers: Sequence[int], n: int) -> tuple[int, ...]:
     cols = tuple(sorted(set(servers)))
     for c in cols:
@@ -117,6 +97,19 @@ def _noise_value_table(rows: Sequence[Sequence[int]], cols: Sequence[int], p: in
         tuple(sum(c * col[j] for c, col in zip(combo, restricted)) % p for j in range(len(cols)))
         for combo in product(range(p), repeat=len(rows))
     ]
+
+
+def _view_distribution(cells: Sequence[tuple[tuple[int, ...], list]], p: int) -> Counter:
+    """Multiset of restricted views over every choice of one codeword per cell.
+
+    Each cell is (base, table): its view is `base` plus one entry of `table`,
+    a `_noise_value_table`, the mirror of the protocol's masking rule.
+    """
+    bases = [base for base, _ in cells]
+    return Counter(
+        tuple(tuple((b + v) % p for b, v in zip(base, vals)) for base, vals in zip(bases, choice))
+        for choice in product(*(table for _, table in cells))
+    )
 
 
 def _check_cap(p: int, dim: int, cells: int) -> int:
@@ -140,24 +133,15 @@ def exhaustive_privacy_oracle(
     compares the multisets of restricted query tables.
     """
     cols = _validated(servers, inst.n)
-    p, big_l = inst.p, inst.l
-    _check_cap(p, inst.priv_dim, big_l * num_files)
+    p = inst.p
+    _check_cap(p, inst.priv_dim, inst.l * num_files)
     noise = _noise_value_table(inst.priv_code.rows, cols, p)
+    info = [tuple(row[c] for c in cols) for row in inst.info_rows]
+    zeros = (0,) * len(cols)
 
     def distribution(theta: int) -> Counter:
-        bases = []
-        for ell in range(big_l):
-            info = tuple(inst.info_rows[ell][c] for c in cols)
-            for m in range(num_files):
-                bases.append(info if m == theta - 1 else (0,) * len(cols))
-        counter: Counter = Counter()
-        for choice in product(range(len(noise)), repeat=len(bases)):
-            key = tuple(
-                tuple((b + v) % p for b, v in zip(base, noise[idx]))
-                for base, idx in zip(bases, choice)
-            )
-            counter[key] += 1
-        return counter
+        cells = [(b if m == theta - 1 else zeros, noise) for b in info for m in range(num_files)]
+        return _view_distribution(cells, p)
 
     return distribution(theta_a) == distribution(theta_b)
 
@@ -169,23 +153,14 @@ def exhaustive_security_oracle(
     if len(db_a) != len(db_b):
         raise ShapeMismatch("databases must have the same number of files")
     cols = _validated(servers, inst.n)
-    p, big_l = inst.p, inst.l
-    _check_cap(p, inst.sec_dim, big_l * len(db_a))
-    noise_per_fragment = [
-        _noise_value_table(inst.sec_codes[ell].rows, cols, p) for ell in range(big_l)
-    ]
+    p = inst.p
+    _check_cap(p, inst.sec_dim, inst.l * len(db_a))
+    noise = [_noise_value_table(code.rows, cols, p) for code in inst.sec_codes]
 
     def distribution(db: Database) -> Counter:
-        cells = [(ell, m) for ell in range(big_l) for m in range(len(db))]
-        tables = [noise_per_fragment[ell] for ell, _ in cells]
-        values = [db.files[m][ell] for ell, m in cells]
-        counter: Counter = Counter()
-        for choice in product(range(len(tables[0])), repeat=len(cells)):
-            key = tuple(
-                tuple((value + v) % p for v in table[idx])
-                for value, table, idx in zip(values, tables, choice)
-            )
-            counter[key] += 1
-        return counter
+        cells = [
+            ((file[ell],) * len(cols), tab) for ell, tab in enumerate(noise) for file in db.files
+        ]
+        return _view_distribution(cells, p)
 
     return distribution(db_a) == distribution(db_b)

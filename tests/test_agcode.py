@@ -64,10 +64,8 @@ def test_is_grs_length_mismatch(line43):
         is_grs(rep, [0, 1], [1, 1])
 
 
-def test_empty_basis_gives_zero_dimensional_code(line43):
-    code = evaluation_code([], line_points(range(4)), p=43)
-    assert (code.n, code.k) == (4, 0)
-    with pytest.raises(ValueError):
+def test_empty_basis_is_refused():
+    with pytest.raises(ValueError, match="non-empty basis"):
         evaluation_code([], line_points(range(4)))
 
 
@@ -82,10 +80,14 @@ def test_evaluation_code_rejects_bad_points(line43):
         evaluation_code(pole, [AffinePoint(1)])
 
 
-def test_min_distance_cap(line43):
-    code = evaluation_code(basis_poles_at_infinity(line43, 5), line_points(range(12)))
-    with pytest.raises(TooLarge):
-        min_distance(code, cap=100)
+def test_min_distance_cap(line43, monkeypatch):
+    # 43^2 - 1 = 1848 nonzero codewords: a cap one below refuses, the cap itself runs.
+    code = evaluation_code(basis_poles_at_infinity(line43, 1), line_points(range(12)))
+    monkeypatch.setenv("PIR_AG_MAX_BRUTEFORCE", "1847")
+    with pytest.raises(TooLarge, match="1848 codewords"):
+        min_distance(code)
+    monkeypatch.setenv("PIR_AG_MAX_BRUTEFORCE", "1848")
+    assert min_distance(code) == 11
 
 
 @pytest.mark.parametrize("value", ["1e6", "lots", "10.5"])
@@ -126,20 +128,22 @@ def test_subset_rank_check_detects_dependence():
     assert (0, 2) in report.failures
 
 
-def test_subset_rank_check_sample_fallback(line43):
+def test_subset_rank_check_sample_fallback(line43, monkeypatch):
+    monkeypatch.setenv("PIR_AG_MAX_BRUTEFORCE", "1000")
     code = evaluation_code(basis_poles_at_infinity(line43, 9), line_points(range(30)))
-    report = subset_rank_check(code, 10, mode="all", cap=1000, sample_count=50, seed=7)
+    report = subset_rank_check(code, 10, mode="all", sample_count=50, seed=7)
     assert report.mode == "sample" and report.requested_mode == "all"
     assert report.checked == 50 and report.passed
 
 
 @pytest.mark.parametrize("count", [0, -5])
-def test_subset_rank_check_rejects_an_empty_sample(line43, count):
+def test_subset_rank_check_rejects_an_empty_sample(line43, monkeypatch, count):
     code = evaluation_code(basis_poles_at_infinity(line43, 2), line_points(range(8)))
     with pytest.raises(ValueError, match="sample_count >= 1"):
         subset_rank_check(code, 3, mode="sample", sample_count=count)
+    monkeypatch.setenv("PIR_AG_MAX_BRUTEFORCE", "1")
     with pytest.raises(ValueError, match="sample_count >= 1"):  # exhaustive mode over its cap
-        subset_rank_check(code, 3, mode="all", cap=1, sample_count=count)
+        subset_rank_check(code, 3, mode="all", sample_count=count)
 
 
 def test_subset_rank_check_rejects_t_above_k(line43):

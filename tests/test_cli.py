@@ -158,6 +158,42 @@ def test_bad_descriptor_entry_is_a_one_line_error(tmp_path, capsys, key, value, 
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
+def test_inflated_descriptor_is_a_one_line_error(tmp_path, capsys):
+    scheme = tmp_path / "scheme.json"
+    run_cli(
+        capsys,
+        "build", "--p", "43", "--genus", "0", "--x", "16", "--t", "16", "--out", str(scheme),
+    )
+    payload = json.loads(scheme.read_text())
+    payload.update(p=1_000_000_007, l=5001)
+    scheme.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "verify", "--scheme", str(scheme))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: descriptor 'n' entry 37") and err.count("\n") == 1
+
+
+def test_count_points_above_the_counting_bound_is_a_one_line_error(capsys, monkeypatch):
+    monkeypatch.setattr(curve_module, "_chi_table", lambda *_: pytest.fail("table built"))
+    code, out, err = run_cli(
+        capsys, "count-points", "--p", "1000000007", "--a", "1", "--b", "1"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: refusing to count points over F_1000000007 (cap 2097152)\n"
+
+
+def test_genus0_build_refuses_curve_coefficients(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "build", "--p", "43", "--genus", "0", "--x", "2", "--t", "2", "--a", "1", "--b", "1",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: genus 0 does not take curve coefficients\n"
+    code, out, err = run_cli(
+        capsys, "build", "--p", "43", "--genus", "0", "--x", "2", "--t", "2", "--a", "1"
+    )
+    assert (code, out, err) == (2, "", "error: --a and --b must be given together\n")
+
+
 def test_genus1_descriptor_without_a_curve_is_a_one_line_error(tmp_path, capsys, monkeypatch):
     scheme = tmp_path / "scheme.json"
     run_cli(
@@ -242,6 +278,8 @@ def test_verify_reports_a_descriptor_that_cannot_be_rebuilt(tmp_path, capsys):
     )
     payload = json.loads(scheme.read_text())
     payload["x"] = 6  # 2L + X + T + 1 = 15 > q + 1 = 14
+    payload["n"] = 11  # keep N = L + X + T and its point list consistent with the new X
+    payload["eval_points"] += [[x, None] for x in range(10, 14)]
     scheme.write_text(json.dumps(payload))
     code, out, err = run_cli(capsys, "verify", "--scheme", str(scheme))
     assert code == 2 and out == ""

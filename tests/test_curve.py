@@ -121,7 +121,7 @@ def test_find_curve_examples(f43, f127):
     with pytest.raises(NoSuchCurve):
         find_curve(f43, 58)
     with pytest.raises(NoSuchCurve):
-        find_curve(43, 60)
+        find_curve(f43, 60)
 
 
 @pytest.mark.parametrize("q", [5, 7, 13])
@@ -137,7 +137,7 @@ def test_find_curve_is_the_first_smooth_curve_by_brute_force(q):
     lo, hi = hasse_window(q)
     for need in range(lo, hi + 1):
         a, b = next(ab for ab, count in counts if count >= need)
-        curve = find_curve(q, need)
+        curve = find_curve(PrimeField(q), need)
         assert (curve.a, curve.b) == (a, b)
         assert EllipticCurve(PrimeField(q), a, b).point_count() == dict(counts)[a, b]
 

@@ -182,7 +182,7 @@ def test_pivot_inverse_is_information_set_and_inverse(rows):
         return
     cols, inv = solved
     assert cols == linalg.rref(rows, p)[1]
-    sub = linalg.columns(rows, cols)
+    sub = [[row[c] for c in cols] for row in rows]
     k = len(rows)
     prod = [[sum(inv[i][m] * sub[m][j] for m in range(k)) % p for j in range(k)] for i in range(k)]
     assert prod == [[int(i == j) for j in range(k)] for i in range(k)]

@@ -414,6 +414,25 @@ def test_genus1_descriptor_without_a_curve_is_refused_before_any_search(g1_q43, 
         scheme_from_descriptor(descriptor)
 
 
+def test_inflated_descriptor_is_refused_before_the_rebuild(g0_q43, monkeypatch):
+    def no_build(*_):
+        raise AssertionError("build_scheme reached")
+
+    monkeypatch.setattr(pir_scheme, "build_scheme", no_build)
+    descriptor = scheme_descriptor(g0_q43)
+    descriptor.update(p=1_000_000_007, l=5001)  # N would be 5033, with 37 points spelled out
+    with pytest.raises(DescriptorMismatch, match="'n' entry 37"):
+        scheme_from_descriptor(descriptor)
+    descriptor = scheme_descriptor(g0_q43)
+    descriptor["eval_points"].pop()
+    with pytest.raises(DescriptorMismatch, match="'eval_points' entry is not a list of 37"):
+        scheme_from_descriptor(descriptor)
+    descriptor = scheme_descriptor(g0_q43)
+    descriptor["fragment_points"] = None
+    with pytest.raises(DescriptorMismatch, match="'fragment_points' entry is not a list of 5"):
+        scheme_from_descriptor(descriptor)
+
+
 def test_database_validates_residues():
     with pytest.raises(ValueError):
         Database(13, ((13, 0),))
@@ -433,7 +452,7 @@ def test_single_elimination_matches_information_set_and_inverse(name, request):
     p, rows = inst.p, inst.decode_rows
     cols, achieved = information_set(rows, p, want=len(rows))
     assert achieved == len(rows)
-    sub_t = linalg.transpose(linalg.columns(rows, cols))
+    sub_t = [[row[c] for row in rows] for c in cols]
     assert inst.decode_cols == cols
     assert inst.decode_inv == tuple(map(tuple, linalg.invert(sub_t, p)))
     k = len(rows)

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from agpir.curve import resolve_curve
-from agpir.errors import Infeasible
+from agpir.curve import EllipticCurve, resolve_curve
+from agpir.errors import FieldTooLarge, Infeasible
 from agpir.field import is_prime
 from agpir.pir_scheme import SchemeParams, build_scheme, verify_scheme
 from agpir.rates import CSV_HEADER, max_rate_g0, max_rate_g1, rows_to_csv, sweep
@@ -112,6 +112,20 @@ def test_feasible_rows_round_trip_q43(xt):
         inst = build_scheme(params)
         assert inst.n == row.n and inst.rate == row.rate
         assert verify_scheme(inst, subsets="sample", sample_count=40).passed
+
+
+def test_sweep_counts_its_curve_once(monkeypatch):
+    calls = []
+    count = EllipticCurve.point_count
+    monkeypatch.setattr(EllipticCurve, "point_count", lambda self: calls.append(1) or count(self))
+    result = sweep(127, 1, 70)
+    assert len(calls) == 1
+    assert {(r.points, r.z) for r in result.rows if r.genus == 1} == {(150, 1)}
+
+
+def test_max_rate_g1_refuses_to_count_a_large_field():
+    with pytest.raises(FieldTooLarge):
+        max_rate_g1(1_000_000_007, 2, 2, (1, 1))
 
 
 def test_sweep_validates_range():

@@ -6,7 +6,6 @@ import pytest
 from agpir.errors import BadIndex, ShapeMismatch, TooLarge
 from agpir.pir_scheme import Database, SchemeParams, build_scheme
 from agpir.sim_harness import (
-    collusion_view,
     exhaustive_privacy_oracle,
     exhaustive_security_oracle,
     run_retrieval,
@@ -60,19 +59,6 @@ def test_fuzz_thousand_rounds_never_mismatch(g0_q7):
         run_retrieval(g0_q7, db, 1 + seed % 2, seed)
 
 
-def test_collusion_view(g0_q7):
-    db = Database(7, ((1,), (2,)))
-    transcript = run_retrieval(g0_q7, db, 1, seed=0)
-    empty = collusion_view(transcript, [])
-    assert empty.servers == () and empty.queries == (((), ()),)
-    full = collusion_view(transcript, range(g0_q7.n))
-    assert full.queries == transcript.queries
-    single = collusion_view(transcript, [1])
-    assert single.queries[0][0] == (transcript.queries[0][0][1],)
-    with pytest.raises(BadIndex):
-        collusion_view(transcript, [g0_q7.n])
-
-
 def test_privacy_oracle_single_servers_true(g0_q5):
     for n in range(g0_q5.n):
         assert exhaustive_privacy_oracle(g0_q5, [n], 1, 2, num_files=2)
@@ -114,6 +100,14 @@ def test_security_oracle_genus1(g1_q13):
 def test_security_oracle_shape_check(g0_q5):
     with pytest.raises(ShapeMismatch):
         exhaustive_security_oracle(g0_q5, [0], Database(5, ((1,),)), Database(5, ((1,), (2,))))
+
+
+def test_oracles_reject_a_server_index_out_of_range(g0_q5):
+    db = Database(5, ((1,), (2,)))
+    with pytest.raises(BadIndex, match=f"server index {g0_q5.n} outside"):
+        exhaustive_privacy_oracle(g0_q5, [0, g0_q5.n], 1, 2, num_files=2)
+    with pytest.raises(BadIndex, match=f"server index {g0_q5.n} outside"):
+        exhaustive_security_oracle(g0_q5, [g0_q5.n], db, db)
 
 
 def test_oracle_cap(g0_q5, monkeypatch):
