@@ -175,8 +175,10 @@ def subset_rank_check(
         checked = sample_count
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    # Rank is unchanged by transposing, so each subset is ranked as t rows of length k.
+    columns = list(zip(*code.rows))
     for cols in subsets:
-        if linalg.rank([[row[c] for c in cols] for row in code.rows], code.p) < t:
+        if linalg.rank([columns[c] for c in cols], code.p) < t:
             failures.append(cols)
             if len(failures) >= 5:
                 break

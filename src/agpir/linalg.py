@@ -1,78 +1,140 @@
 """Dense exact linear algebra over F_p.
 
 Matrices are sequences of rows of ints. All routines copy their input and
-reduce mod p as they go; nothing here mutates caller data.
+reduce mod p as they go; nothing here mutates caller data. Rows must all
+have the same length; ragged input raises ValueError.
 
-`PackedRows` evaluates many linear combinations of one fixed set of rows by
-Kronecker substitution: each row of length n is packed into one Python int
-with n fixed-width little-endian slots (residue j at byte offset j * slot),
-so a combination sum(c_i * row_i) is `dim` native big-int multiply-adds
-followed by one unpack and a reduction mod p. Slots never carry into each
-other because the width is chosen from the largest value a slot can reach:
-with residues in [0, p) and room for one extra packed term, that is
-(dim + 1) * (p - 1)**2. Slots of 4 or 8 bytes are read back with
-`memoryview.cast`; wider slots, needed only once p approaches
-2**32 / sqrt(dim + 1), are read with `int.from_bytes` on fixed-width slices.
+Rows are packed by Kronecker substitution (D. Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
+2009): a row of length n becomes one Python int with n fixed-width
+little-endian slots (residue j at byte offset j * slot). A linear
+combination of packed rows is then a few native big-int multiply-adds with
+no reduction per slot. Slots never carry into each other because the width
+is chosen from the largest value a slot can reach. Both packed uses share
+this one layout and its helpers:
+
+- `PackedRows` evaluates many combinations sum(c_i * row_i) of one fixed
+  set of `dim` rows, each followed by one unpack and a reduction mod p.
+  With residues in [0, p) and room for one extra packed term, a slot
+  reaches (dim + 1) * (p - 1)**2.
+- `_eliminate`, the one elimination behind `rref`, `rank` and
+  `pivot_inverse`, holds each row of the matrix as one packed int and
+  clears a pivot column with one update m_i += (p - f) * lead per row,
+  where f is the row's entry in that column and lead the normalised pivot
+  row. The lead is canonical, so an update adds at most (p - 1)**2 to a
+  slot, and a row takes at most one update per pivot: a slot stays below
+  min(rows, cols) * (p - 1)**2 + p. An entry is read by shift, mask and
+  % p; a pivot row is normalised by one unpack, scale and repack, and every
+  row is unpacked once at the end.
+
+Slots of 4 or 8 bytes are written with `array` and read with
+`memoryview.cast` in native formats; wider slots, needed only once p
+approaches 2**32 / sqrt(rows), go through `int.to_bytes`/`int.from_bytes`
+on fixed-width slices.
 """
 
 from __future__ import annotations
 
-import struct
 import sys
+from array import array
 from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
 Matrix = Sequence[Sequence[int]]
 
-# Slot widths that memoryview.cast reads directly: native unsigned formats,
-# usable only where native order matches the little-endian slot layout.
-_CAST_FORMATS = {struct.calcsize(f): f for f in "IQ"} if sys.byteorder == "little" else {}
+# Slot widths that `array` writes and memoryview.cast reads directly: native
+# unsigned formats, usable only where native order matches the little-endian
+# slot layout.
+_CAST_FORMATS = {array(f).itemsize: f for f in "IQ"} if sys.byteorder == "little" else {}
 
 
-def _copy(rows: Matrix, p: int) -> list[list[int]]:
-    return [[v % p for v in row] for row in rows]
+def _width(rows: Matrix) -> int:
+    """The common length of the rows, 0 when there are none."""
+    lengths = set(map(len, rows))
+    if len(lengths) > 1:
+        raise ValueError("rows have different lengths")
+    return lengths.pop() if lengths else 0
 
 
-def _eliminate(rows: Matrix, p: int, full: bool) -> tuple[list[list[int]], tuple[int, ...]]:
-    """Gaussian elimination with leftmost pivoting; returns (matrix, pivot columns).
+def _slot_bytes(largest: int) -> int:
+    """Bytes per slot for slot values up to `largest`; 4 or 8 when they suffice."""
+    if largest < 1 << 32:
+        return 4
+    if largest < 1 << 64:
+        return 8
+    return (largest.bit_length() + 7) // 8
 
-    Each pivot row is normalised and its column cleared below it, and also
-    above it when `full` is set, which gives the reduced row echelon form.
-    Without it the result is only an echelon form, enough to count pivots.
+
+def _pack(residues: list[int], slot: int) -> int:
+    """Residues, each below 2**(8 * slot), as one packed int."""
+    fmt = _CAST_FORMATS.get(slot)
+    if fmt is not None:
+        return int.from_bytes(array(fmt, residues), "little")
+    return int.from_bytes(b"".join(v.to_bytes(slot, "little") for v in residues), "little")
+
+
+def _unpack(value: int, n: int, slot: int) -> Sequence[int]:
+    """The n slot values of a packed int, unreduced."""
+    raw = value.to_bytes(n * slot, "little")
+    fmt = _CAST_FORMATS.get(slot)
+    if fmt is not None:
+        return memoryview(raw).cast(fmt)
+    return [int.from_bytes(raw[i : i + slot], "little") for i in range(0, n * slot, slot)]
+
+
+def _eliminate(rows: Matrix, p: int, full: bool) -> tuple[list[int], int, tuple[int, ...]]:
+    """Gaussian elimination with leftmost pivoting on packed rows.
+
+    Returns the packed rows, their slot width and the pivot columns. Each
+    pivot row is normalised and its column cleared below it, and also above
+    it when `full` is set, which gives the reduced row echelon form. Without
+    it the result is only an echelon form, enough to count pivots. Slot
+    values are left unreduced: read them with `_unpack` and % p.
     """
-    m = _copy(rows, p)
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
+    ncols = _width(rows)
+    nrows = len(rows)
+    slot = _slot_bytes(min(nrows, ncols) * (p - 1) ** 2 + p)
+    bits = 8 * slot
+    mask = (1 << bits) - 1
+    m = [_pack([v % p for v in row], slot) for row in rows]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
+        shift = c * bits
+        for pr in range(r, nrows):
+            if (m[pr] >> shift & mask) % p:
+                break
+        else:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [v * inv % p for v in m[r]]
-        lead = m[r]
-        for i in range(0 if full else r + 1, nrows):
-            f = m[i][c]
-            if i != r and f:
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], lead)]
         pivots.append(c)
+        if not full and r + 1 == nrows:
+            break  # no row left to clear
+        row = _unpack(m[r], ncols, slot)
+        inv = pow(row[c], -1, p)
+        lead = m[r] = _pack([v * inv % p for v in row], slot)
+        for i in range(0 if full else r + 1, nrows):
+            if i != r:
+                f = (m[i] >> shift & mask) % p
+                if f:
+                    m[i] += (p - f) * lead
         r += 1
-    return m, tuple(pivots)
+    return m, slot, tuple(pivots)
 
 
 def rref(rows: Matrix, p: int) -> tuple[list[list[int]], tuple[int, ...]]:
     """Reduced row echelon form with leftmost pivoting; returns (R, pivot columns)."""
-    return _eliminate(rows, p, full=True)
+    packed, slot, pivots = _eliminate(rows, p, full=True)
+    n = len(rows[0]) if rows else 0
+    return [[v % p for v in _unpack(row, n, slot)] for row in packed], pivots
 
 
 def rank(rows: Matrix, p: int) -> int:
     """Number of pivots, by forward elimination only."""
-    return len(_eliminate(rows, p, full=False)[1])
+    return len(_eliminate(rows, p, full=False)[2])
 
 
 def pivot_inverse(rows: Matrix, p: int) -> tuple[tuple[int, ...], list[list[int]]] | None:
@@ -87,7 +149,7 @@ def pivot_inverse(rows: Matrix, p: int) -> tuple[tuple[int, ...], list[list[int]
     if not k:
         return (), []
     n = len(rows[0])
-    aug = [[v % p for v in row] + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    aug = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
     reduced, pivots = rref(aug, p)
     if len(pivots) < k or pivots[-1] >= n:
         return None
@@ -127,19 +189,16 @@ class PackedRows:
 
     @classmethod
     def of(cls, rows: Matrix, p: int) -> PackedRows:
-        """Pack a non-empty matrix, with slots wide enough for one extra packed term."""
-        bound = (len(rows) + 1) * (p - 1) ** 2
-        slot = next((b for b in (4, 8) if bound < 1 << (8 * b)), (bound.bit_length() + 7) // 8)
-        n = len(rows[0])
-        if any(len(row) != n for row in rows):
-            raise ValueError("rows have different lengths")
-        return cls(p, n, slot, tuple(_pack(row, p, slot) for row in rows))
+        """Pack a matrix, with slots wide enough for one extra packed term."""
+        slot = _slot_bytes((len(rows) + 1) * (p - 1) ** 2)
+        n = _width(rows)
+        return cls(p, n, slot, tuple(_pack([v % p for v in row], slot) for row in rows))
 
     def pack(self, row: Sequence[int]) -> int:
         """One row of length n as a packed int, entries reduced to [0, p)."""
         if len(row) != self.n:
             raise ValueError(f"row has length {len(row)}, expected {self.n}")
-        return _pack(row, self.p, self.slot)
+        return _pack([v % self.p for v in row], self.slot)
 
     def combine(self, coeffs: Sequence[int], extra: int = 0) -> tuple[int, ...]:
         """sum(coeffs[i] * rows[i]) + extra, reduced mod p, as a tuple of n residues.
@@ -150,14 +209,4 @@ class PackedRows:
             raise ValueError(f"{len(coeffs)} coefficients for {len(self.rows)} rows")
         p, n, slot = self.p, self.n, self.slot
         acc = sum(map(mul, [c % p for c in coeffs], self.rows), extra)
-        raw = acc.to_bytes(n * slot, "little")
-        fmt = _CAST_FORMATS.get(slot)
-        if fmt is not None:
-            return tuple([v % p for v in memoryview(raw).cast(fmt)])
-        return tuple(
-            [int.from_bytes(raw[i : i + slot], "little") % p for i in range(0, n * slot, slot)]
-        )
-
-
-def _pack(row: Sequence[int], p: int, slot: int) -> int:
-    return int.from_bytes(b"".join((v % p).to_bytes(slot, "little") for v in row), "little")
+        return tuple([v % p for v in _unpack(acc, n, slot)])

@@ -38,6 +38,37 @@ class ZeroRng:
         return 0
 
 
+def eliminate_reference(rows, p, full):
+    """Gaussian elimination on lists of residues, with leftmost pivoting.
+
+    The reference for `linalg`'s packed elimination: it returns the same
+    (matrix, pivot columns), reduced row echelon form when `full` is set and
+    an echelon form otherwise, reducing every entry mod p after each update.
+    """
+    m = [[v % p for v in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [v * inv % p for v in m[r]]
+        lead = m[r]
+        for i in range(0 if full else r + 1, nrows):
+            f = m[i][c]
+            if i != r and f:
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], lead)]
+        pivots.append(c)
+        r += 1
+    return m, tuple(pivots)
+
+
 def rank_column_pivot(rows, p):
     """Rank over F_p by elimination scanning columns right to left.
 

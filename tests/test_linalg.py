@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import agpir
 from agpir import linalg
-from conftest import rank_column_pivot
+from conftest import eliminate_reference, rank_column_pivot
 
-# One prime per slot-width regime of PackedRows: 4-byte slots at 5 and 257,
+# One prime per slot-width regime of the packed kernels: 4-byte slots at 5 and 257,
 # 8-byte slots at 2**31 - 1 with one row, wide slots beyond that and at 2**61 - 1.
 KERNEL_PRIMES = (5, 257, 2**31 - 1, 2**61 - 1)
 
@@ -38,10 +38,15 @@ def test_rank_simple():
 
 
 def products(p=13, max_dim=7):
-    """k x n matrices A @ B with A k x r and B r x n, so rank <= r; any dimension may be 0."""
+    """k x n matrices A @ B with A k x r and B r x n, so rank <= r; any dimension may be 0.
+
+    Entries of A and B favour 0, 1 and p - 1, so that even at large p some
+    products are sparse or have repeated rows and columns.
+    """
 
     def rows(count, length):
-        row = st.lists(st.integers(0, p - 1), min_size=length, max_size=length)
+        entry = st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1))
+        row = st.lists(entry, min_size=length, max_size=length)
         return st.lists(row, min_size=count, max_size=count)
 
     def multiply(ab, n):
@@ -68,6 +73,77 @@ def test_two_eliminations_agree(case):
     r = linalg.rank(rows, 13)
     assert r == len(linalg.rref(rows, 13)[1]) == rank_column_pivot(rows, 13)
     assert r <= min(inner, len(rows), len(rows[0]) if rows else 0)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(rows, p) at a kernel prime: products of any shape, each entry shifted by a multiple of p."""
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    rows, _ = draw(products(p, max_dim=8))
+    rng = draw(st.randoms(use_true_random=False))
+    return [[v + p * rng.randint(-2, 2) for v in row] for row in rows], p
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_packed_elimination_matches_the_reference(case):
+    """rref, rank and pivot_inverse against the list elimination of conftest.
+
+    Wide, tall, square, empty, single-column and rank-deficient matrices,
+    with entries below 0 and at or above p, at one prime per slot regime.
+    """
+    rows, p = case
+    reduced, pivots = eliminate_reference(rows, p, full=True)
+    assert linalg.rref(rows, p) == (reduced, pivots)
+    assert linalg.rank(rows, p) == len(eliminate_reference(rows, p, full=False)[1]) == len(pivots)
+    solved = linalg.pivot_inverse(rows, p)
+    k = len(rows)
+    if len(pivots) < k:
+        assert solved is None
+    else:
+        block = [[row[c] for c in pivots] + [int(i == j) for j in range(k)]
+                 for i, row in enumerate(rows)]
+        inverse = [row[k:] for row in eliminate_reference(block, p, full=True)[0]]
+        assert solved == (pivots, inverse)
+
+
+def test_packed_elimination_at_the_slot_bound():
+    """Every row takes an update at every pivot with f = 1, the largest multiplier p - 1.
+
+    Pivot c normalises to lead_c: 1 at column c, 2**(d - 1 - c) at each later
+    pivot column d, and p - 1 in the last columns; row c of the matrix is
+    lead_0 + ... + lead_c, and one more row repeats row k - 1. Then at each
+    pivot every other row reads 1 there, and its update (p - 1) * lead_c adds
+    (p - 1)**2 to each last slot. The repeated row is never normalised and
+    takes all k updates: its last slots exceed 2**128, so slots sized from
+    one update's (p - 1)**2 instead of min(rows, cols) of them would carry.
+    """
+    p, k, extra = 2**61 - 1, 65, 3
+    leads = [
+        [0] * c + [1] + [pow(2, d - 1 - c, p) for d in range(c + 1, k)] + [p - 1] * extra
+        for c in range(k)
+    ]
+    rows = [[sum(column) % p for column in zip(*leads[: c + 1])] for c in range(k)]
+    rows.append(rows[-1])
+    packed, slot, pivots = linalg._eliminate(rows, p, full=True)
+    assert slot == 17 and pivots == tuple(range(k))
+    # Pivot row c takes the k - 1 - c updates after its normalisation.
+    tops = [(p - 1) + (k - 1 - c) * (p - 1) ** 2 for c in range(k)]
+    tops.append(rows[k][k] + k * (p - 1) ** 2)
+    assert tops[-1] >> 128 == 1
+    for value, top in zip(packed, tops):
+        assert list(linalg._unpack(value, k + extra, slot)[k:]) == [top] * extra
+    assert linalg.rref(rows, p) == eliminate_reference(rows, p, full=True)
+    assert linalg.rank(rows, p) == k
+    assert linalg.pivot_inverse(rows, p) is None
+    assert linalg.pivot_inverse(rows[:k], p)[0] == tuple(range(k))
+
+
+@pytest.mark.parametrize("entry", [linalg.rref, linalg.rank, linalg.pivot_inverse])
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[], [1]], [[1, 0, 0], [0, 1]]])
+def test_ragged_rows_are_refused(entry, rows):
+    with pytest.raises(ValueError, match="different lengths"):
+        entry(rows, 7)
 
 
 def test_rank_of_empty_matrices():
