@@ -11,7 +11,7 @@ from itertools import combinations
 from math import comb
 from pathlib import Path
 
-from . import errors
+from . import errors, sizes
 from .agcode import DEFAULT_SAMPLE_COUNT
 from .curve import EllipticCurve, find_curve, resolve_curve
 from .errors import BadParams, DescriptorMismatch, Infeasible, TooLarge
@@ -114,7 +114,15 @@ def _load_scheme(path: str) -> SchemeInstance:
 
 
 def cmd_simulate(args) -> int:
+    if args.files < 1:
+        raise BadParams(f"--files must be at least 1, got {args.files}")
     inst = _load_scheme(args.scheme)
+    symbols = inst.l * args.files * inst.n
+    if symbols > sizes.TABLE_SYMBOL_CAP:
+        raise BadParams(
+            f"refusing a share table of L * M * N = {symbols} symbols "
+            f"(cap {sizes.TABLE_SYMBOL_CAP})"
+        )
     # The database is drawn first from its own generator seeded identically;
     # the protocol stream (store, then queries) restarts from the same seed.
     db = Database.random(inst.p, args.files, inst.l, random.Random(args.seed))

@@ -5,7 +5,9 @@ are the canonically smallest usable points, evaluation points are the first
 admissible points (reduced by an information set at genus 1), and all
 protocol randomness flows through one caller-supplied generator with a fixed
 stream order (security noise first, then privacy noise, each fragment-major
-then file-major).
+then file-major). Each noise coefficient is drawn by rejection from
+`getrandbits(p.bit_length())`, the loop `random.Random.randrange(p)` runs,
+so the stream matches drawing every coefficient with `randrange(p)`.
 
 Fragments are plain field scalars: the encoding space is the constants, so
 the decoded coefficient on each fragment basis function is the fragment
@@ -18,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice, repeat
 from operator import itemgetter, mul
 from typing import NoReturn, Sequence
 
@@ -215,6 +217,11 @@ class SchemeInstance:
     def packed_decode(self) -> linalg.PackedRows:
         return linalg.PackedRows.of(self.decode_rows, self.p)
 
+    @cached_property
+    def packed_decode_inv(self) -> linalg.PackedRows:
+        """The columns of `decode_inv`: combining them solves the decode system."""
+        return linalg.PackedRows.of(tuple(zip(*self.decode_inv)), self.p)
+
     def noise_divisor(self) -> Divisor:
         """Upper bound on every noise-product divisor."""
         bound = {INFINITY: sizes.noise_poles(self.genus, self.x, self.t)}
@@ -381,7 +388,7 @@ def store(inst: SchemeInstance, db: Database, rng: random.Random) -> Table:
         raise ShapeMismatch(f"every file must have exactly L = {inst.l} fragments")
     ones = inst.packed_ones
     extras = [[file[ell] * ones for file in db.files] for ell in range(inst.l)]
-    return _masked(inst.packed_sec, extras, rng)
+    return _masked(inst.packed_sec, extras, inst.p, rng)
 
 
 def make_queries(
@@ -393,27 +400,54 @@ def make_queries(
     extras = [
         [base if m == theta - 1 else 0 for m in range(num_files)] for base in inst.packed_info
     ]
-    return _masked((inst.packed_priv,) * inst.l, extras, rng)
+    return _masked((inst.packed_priv,) * inst.l, extras, inst.p, rng)
 
 
 def _masked(
-    codes: Sequence[linalg.PackedRows], extras: Sequence[Sequence[int]], rng: random.Random
+    codes: Sequence[linalg.PackedRows],
+    extras: Sequence[Sequence[int]],
+    p: int,
+    rng: random.Random,
 ) -> Table:
     """Cell [l][m] is extras[l][m] plus a uniformly random codeword of codes[l].
 
     This is the one masking rule of shares and queries alike. The codeword
-    coefficients are drawn cell by cell, fragment-major then file-major.
+    coefficients over F_p are drawn in one `_draw` call and split cell by
+    cell, fragment-major then file-major.
     """
+    total = sum(len(code.rows) * len(row) for code, row in zip(codes, extras))
+    draws = iter(_draw(rng, p, total))
     return tuple(
-        tuple(code.combine([rng.randrange(code.p) for _ in code.rows], extra) for extra in row)
+        tuple(code.combine(list(islice(draws, len(code.rows))), extra) for extra in row)
         for code, row in zip(codes, extras)
     )
 
 
+def _draw(rng: random.Random, p: int, count: int) -> list[int]:
+    """`[rng.randrange(p) for _ in range(count)]`, with the loop in C.
+
+    `randrange(p)` draws `getrandbits(p.bit_length())` until a value is below
+    p. Filtering one batch of draws per round and drawing only as many as are
+    still missing consumes the same stream: the last draw is always accepted,
+    so the generator ends in the same state.
+    """
+    bits = p.bit_length()
+    out: list[int] = []
+    while len(out) < count:
+        out += filter(p.__gt__, map(rng.getrandbits, repeat(bits, count - len(out))))
+    return out
+
+
 def server_view(table: Table, server: int) -> tuple[tuple[int, ...], ...]:
     """One server's column of a share or query table, indexed [fragment][file]."""
-    get = itemgetter(server)
-    return tuple([tuple(map(get, row)) for row in table])
+    widths = set(map(len, table))
+    if len(widths) > 1:
+        raise ShapeMismatch("table rows hold different numbers of files")
+    m = widths.pop() if widths else 0
+    if not m:
+        return ((),) * len(table)  # zip would fold L empty rows into none
+    # One pass over the cells in table order, regrouped M to a fragment.
+    return tuple(zip(*[map(itemgetter(server), chain.from_iterable(table))] * m))
 
 
 def server_respond(
@@ -431,7 +465,7 @@ def decode(inst: SchemeInstance, responses: Sequence[int]) -> tuple[int, ...]:
         raise ShapeMismatch(f"expected {inst.n} response symbols, got {len(responses)}")
     p = inst.p
     picked = [responses[c] % p for c in inst.decode_cols]
-    coeffs = linalg.mat_vec(inst.decode_inv, picked, p)
+    coeffs = inst.packed_decode_inv.combine(picked)
     expected = inst.packed_decode.combine(coeffs)
     for n, (want, got) in enumerate(zip(expected, responses)):
         if want != got % p:

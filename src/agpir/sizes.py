@@ -7,6 +7,10 @@ number of rational zeros of y (two-torsion points), counted at genus 1 only.
 
 from __future__ import annotations
 
+# Largest share table, L * M * N symbols, that `agpir simulate` builds; its
+# query table is as large and its transcript holds both.
+TABLE_SYMBOL_CAP = 2**21
+
 
 def points_needed(genus: int, l: int, x: int, t: int, z: int = 0) -> int:
     """Rational points the curve needs: 2L + X + T + 1, or 2L + X + T + 11 + Z at genus 1."""

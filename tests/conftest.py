@@ -1,6 +1,10 @@
+from operator import itemgetter
+
 import pytest
 
+from agpir import linalg
 from agpir.curve import EllipticCurve, ProjectiveLine
+from agpir.errors import InconsistentSystem, ShapeMismatch
 from agpir.field import PrimeField
 
 
@@ -34,8 +38,28 @@ def line43(f43):
 class ZeroRng:
     """Stub generator that always draws zero (forces all noise off)."""
 
-    def randrange(self, _n):
+    def getrandbits(self, _k):
         return 0
+
+
+def server_view_reference(table, server):
+    """One server's column of a table, read cell by cell: the reference for `server_view`."""
+    get = itemgetter(server)
+    return tuple([tuple(map(get, row)) for row in table])
+
+
+def decode_reference(inst, responses):
+    """`decode` by the matrix-vector product of `decode_inv` with the picked responses."""
+    if len(responses) != inst.n:
+        raise ShapeMismatch(f"expected {inst.n} response symbols, got {len(responses)}")
+    p = inst.p
+    picked = [responses[c] % p for c in inst.decode_cols]
+    coeffs = linalg.mat_vec(inst.decode_inv, picked, p)
+    expected = linalg.mat_vec(list(zip(*inst.decode_rows)), coeffs, p)
+    for n, (want, got) in enumerate(zip(expected, responses)):
+        if want != got % p:
+            raise InconsistentSystem(f"response symbol {n} is outside the decode row space")
+    return tuple(coeffs[: inst.l])
 
 
 def eliminate_reference(rows, p, full):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from agpir import curve as curve_module
+from agpir import pir_scheme
 from agpir.cli import main
 
 
@@ -252,6 +253,41 @@ def test_simulate_is_deterministic(tmp_path, capsys):
             "--seed", "9", "--out", str(out),
         )
     assert t1.read_bytes() == t2.read_bytes()
+
+
+class DatabaseDrawn(Exception):
+    pass
+
+
+def _refuse_draws(*_):
+    raise DatabaseDrawn
+
+
+@pytest.mark.parametrize(
+    "files, message",
+    [
+        ("0", "error: --files must be at least 1, got 0\n"),
+        ("-3", "error: --files must be at least 1, got -3\n"),
+        # L * N = 21 symbols per file, and 99864 files are the most under the cap.
+        ("99865", "error: refusing a share table of L * M * N = 2097165 symbols (cap 2097152)\n"),
+        ("10000000000", "error: refusing a share table of L * M * N = 210000000000 symbols"
+         " (cap 2097152)\n"),
+    ],
+)
+def test_simulate_refuses_a_file_count_out_of_bounds(tmp_path, capsys, monkeypatch, files, message):
+    scheme = tmp_path / "scheme.json"
+    run_cli(
+        capsys,
+        "build", "--p", "13", "--genus", "0", "--x", "2", "--t", "2", "--l", "3",
+        "--out", str(scheme),
+    )
+    monkeypatch.setattr(pir_scheme.Database, "random", _refuse_draws)
+    code, out, err = run_cli(
+        capsys, "simulate", "--scheme", str(scheme), "--files", files, "--theta", "1"
+    )
+    assert (code, out, err) == (2, "", message)
+    with pytest.raises(DatabaseDrawn):
+        main(["simulate", "--scheme", str(scheme), "--files", "99864", "--theta", "1"])
 
 
 @pytest.mark.parametrize("spec", ["sample:x:0", "bogus", "sample:-5:0", "sample:0:3"])

@@ -5,6 +5,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agpir import curve as curve_module
 from agpir import linalg, pir_scheme, sizes
@@ -45,7 +47,7 @@ from agpir.pir_scheme import (
     verify_scheme,
 )
 from agpir.rates import max_rate_g1
-from conftest import ZeroRng
+from conftest import ZeroRng, decode_reference, server_view_reference
 
 G0_Q43 = SchemeParams(p=43, genus=0, x=16, t=16, l=5)
 G1_Q43 = SchemeParams(p=43, genus=1, x=16, t=16, l=7, curve=(0, 9))
@@ -379,6 +381,61 @@ def test_corrupted_response_detected_or_wrong(g1_tiny, g0_tiny):
                 bad[n] = (bad[n] + delta) % 13
                 with pytest.raises(InconsistentSystem, match="outside the decode row space"):
                     decode(inst, bad)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 127, 257, 65537, 2**31 - 1, 2**61 - 1]),
+    seed=st.integers(0, 2**64),
+    count=st.integers(0, 2000),
+)
+def test_draw_matches_randrange_and_leaves_the_same_state(p, seed, count):
+    rng, ref = random.Random(seed), random.Random(seed)
+    assert pir_scheme._draw(rng, p, count) == [ref.randrange(p) for _ in range(count)]
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("name", ["g0_tiny", "g1_tiny", "g0_q43", "g1_q43"])
+def test_server_view_and_decode_match_references(name, request):
+    inst = request.getfixturevalue(name)
+    p = inst.p
+    rng = random.Random(11)
+    db = Database.random(p, 3, inst.l, rng)
+    shares = store(inst, db, rng)
+    queries = make_queries(inst, 2, len(db), rng)
+    for n in range(inst.n):
+        assert server_view(shares, n) == server_view_reference(shares, n)
+        assert server_view(queries, n) == server_view_reference(queries, n)
+    # Responses inside the decode row space, then arbitrary ones, which at
+    # genus 1 fall outside it and must be refused alike.
+    for _ in range(20):
+        coeffs = [rng.randrange(p) for _ in inst.decode_rows]
+        responses = inst.packed_decode.combine(coeffs)
+        assert decode(inst, responses) == decode_reference(inst, responses) == tuple(
+            coeffs[: inst.l]
+        )
+    for _ in range(20):
+        responses = [rng.randrange(-p, 2 * p) for _ in range(inst.n)]
+        try:
+            expected = decode_reference(inst, responses)
+        except InconsistentSystem:
+            with pytest.raises(InconsistentSystem):
+                decode(inst, responses)
+        else:
+            assert decode(inst, responses) == expected
+
+
+def test_server_view_rejects_a_ragged_table():
+    table = (((1, 2), (3, 4)), ((5, 6),))
+    with pytest.raises(ShapeMismatch, match="different numbers of files"):
+        server_view(table, 0)
+
+
+def test_server_view_of_a_database_without_files(g0_tiny):
+    shares = store(g0_tiny, Database(13, ()), random.Random(0))
+    assert shares == ((),) * g0_tiny.l
+    for n in range(g0_tiny.n):
+        assert server_view(shares, n) == ((),) * g0_tiny.l
 
 
 def test_decode_rejects_wrong_length(g0_tiny):
