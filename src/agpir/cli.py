@@ -12,7 +12,7 @@ from math import comb
 from pathlib import Path
 
 from . import errors, sizes
-from .agcode import DEFAULT_SAMPLE_COUNT
+from .agcode import DEFAULT_SAMPLE_COUNT, DEFAULT_SUBSET_CAP
 from .curve import EllipticCurve, find_curve, resolve_curve
 from .errors import BadParams, DescriptorMismatch, Infeasible, TooLarge
 from .field import PrimeField
@@ -179,8 +179,9 @@ def _oracle_lines(inst) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    inst = _load_scheme(args.scheme)
     mode, count, seed = args.subsets
+    sizes.refuse_count_above("--subsets sample COUNT", count, DEFAULT_SUBSET_CAP)
+    inst = _load_scheme(args.scheme)
     report = verify_scheme(inst, subsets=mode, sample_count=count, sample_seed=seed)
     lines = report.lines()
     containment = check_noise_containment(inst)
@@ -200,6 +201,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    sizes.refuse_count_above("--xt-max", args.xt_max, args.p)
     result = sweep(args.p, args.xt_min, args.xt_max)
     _write(args.out, rows_to_csv(result.rows))
     g1 = result.rows[-1]  # every genus-1 row carries the curve's counts

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice, repeat
-from operator import itemgetter, mul
+from operator import mul
 from typing import NoReturn, Sequence
 
 from . import linalg, sizes
@@ -63,7 +63,24 @@ from .function_space import (
     noise_basis_g1,
 )
 
-Table = tuple[tuple[tuple[int, ...], ...], ...]  # indexed [fragment][file][server]
+
+class Table(tuple):
+    """A share or query table, indexed [fragment][file][server].
+
+    It is the plain nested tuple, so it compares and serializes as one. Its
+    `views` regroup it once into every server's column, in one C-level pass,
+    so the N servers of a read cost one pass over the table, not N.
+    """
+
+    @cached_property
+    def views(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Every server's column of the table, indexed [server][fragment][file].
+
+        Empty when the table has no cells (L = 0 or M = 0).
+        """
+        if len(set(map(len, self))) > 1:
+            raise ShapeMismatch("table rows hold different numbers of files")
+        return tuple(zip(*[tuple(zip(*row)) for row in self]))
 
 
 @dataclass(frozen=True)
@@ -126,7 +143,9 @@ class SchemeInstance:
     one Riemann-Roch space L(D), so the instance keeps the basis of L(D) and
     its evaluation code once; `sec_bases` and `sec_codes` derive fragment l's
     basis and code from them on first use, the code by dividing column n by
-    h_l at evaluation point n (`info_rows[l][n]`).
+    h_l at evaluation point n (`info_rows[l][n]`). `store` reads neither:
+    `packed_sec` scales and packs one fragment's code at a time, so no
+    scaled copy is cached on the serving path.
     """
 
     params: SchemeParams
@@ -206,7 +225,15 @@ class SchemeInstance:
 
     @cached_property
     def packed_sec(self) -> tuple[linalg.PackedRows, ...]:
-        return tuple(linalg.PackedRows.of(code.rows, self.p) for code in self.sec_codes)
+        """Each fragment's security code, scaled from `sec_code` and packed at once.
+
+        The scaled `LinearCode` is dropped as soon as it is packed, so `store`
+        keeps no copy of the L codes that `sec_codes` caches.
+        """
+        return tuple(
+            linalg.PackedRows.of(divide_columns(self.sec_code, row).rows, self.p)
+            for row in self.info_rows
+        )
 
     @cached_property
     def packed_ones(self) -> int:
@@ -417,7 +444,7 @@ def _masked(
     """
     total = sum(len(code.rows) * len(row) for code, row in zip(codes, extras))
     draws = iter(_draw(rng, p, total))
-    return tuple(
+    return Table(
         tuple(code.combine(list(islice(draws, len(code.rows))), extra) for extra in row)
         for code, row in zip(codes, extras)
     )
@@ -439,15 +466,19 @@ def _draw(rng: random.Random, p: int, count: int) -> list[int]:
 
 
 def server_view(table: Table, server: int) -> tuple[tuple[int, ...], ...]:
-    """One server's column of a share or query table, indexed [fragment][file]."""
-    widths = set(map(len, table))
-    if len(widths) > 1:
-        raise ShapeMismatch("table rows hold different numbers of files")
-    m = widths.pop() if widths else 0
-    if not m:
-        return ((),) * len(table)  # zip would fold L empty rows into none
-    # One pass over the cells in table order, regrouped M to a fragment.
-    return tuple(zip(*[map(itemgetter(server), chain.from_iterable(table))] * m))
+    """One server's column of a share or query table, indexed [fragment][file].
+
+    It is read from the table's `views`, built on the first call. Any other
+    nested sequence is wrapped as a `Table` first and regrouped whole, so a
+    loop over servers should pass a `Table`, as `store` and `make_queries`
+    return.
+    """
+    if not isinstance(table, Table):
+        table = Table(table)
+    views = table.views
+    if not any(table):
+        return ((),) * len(table)  # zip folds the L empty rows of M = 0 into none
+    return views[server]
 
 
 def server_respond(

@@ -7,9 +7,24 @@ number of rational zeros of y (two-torsion points), counted at genus 1 only.
 
 from __future__ import annotations
 
+from .errors import BadParams
+
 # Largest share table, L * M * N symbols, that `agpir simulate` builds; its
 # query table is as large and its transcript holds both.
 TABLE_SYMBOL_CAP = 2**21
+
+
+def refuse_count_above(name: str, count: int, cap: int) -> None:
+    """The bound on a command-line count that sets a loop's length: at most `cap`.
+
+    The COUNT of `verify --subsets sample:COUNT:SEED` is the number of ranks
+    a sampled check runs, so its cap is `agcode.DEFAULT_SUBSET_CAP`, the most
+    subsets an exhaustive check enumerates. `sweep --xt-max` sets the number
+    of rows per genus, and its cap is q: X = T above q leaves too few points
+    for L = 1 at either genus, so every row past it is infeasible.
+    """
+    if count > cap:
+        raise BadParams(f"refusing {name} = {count} (cap {cap})")
 
 
 def points_needed(genus: int, l: int, x: int, t: int, z: int = 0) -> int:

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from agpir import cli, rates
 from agpir import curve as curve_module
 from agpir import pir_scheme
+from agpir.agcode import DEFAULT_SUBSET_CAP
 from agpir.cli import main
 
 
@@ -296,6 +298,49 @@ def test_verify_rejects_a_bad_subsets_spec(tmp_path, capsys, spec):
         main(["verify", "--scheme", str(tmp_path / "scheme.json"), "--subsets", spec])
     assert exc.value.code == 2
     assert "COUNT >= 1" in capsys.readouterr().err
+
+
+class SchemeLoaded(Exception):
+    pass
+
+
+def _refuse_load(*_):
+    raise SchemeLoaded
+
+
+def test_verify_refuses_a_sample_count_above_the_subset_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_load_scheme", _refuse_load)
+    scheme = str(tmp_path / "scheme.json")
+    spec = f"sample:{DEFAULT_SUBSET_CAP + 1}:0"
+    code, out, err = run_cli(capsys, "verify", "--scheme", scheme, "--subsets", spec)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: refusing --subsets sample COUNT = {DEFAULT_SUBSET_CAP + 1}"
+        f" (cap {DEFAULT_SUBSET_CAP})\n"
+    )
+    # A count at the cap passes the bound and goes on to load the scheme.
+    with pytest.raises(SchemeLoaded):
+        main(["verify", "--scheme", scheme, "--subsets", f"sample:{DEFAULT_SUBSET_CAP}:0"])
+
+
+class SweepRun(Exception):
+    pass
+
+
+def _refuse_sweep(*_):
+    raise SweepRun
+
+
+def test_sweep_refuses_an_xt_max_above_q(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sweep", _refuse_sweep)
+    for xt_max in ("14", "1000000000000"):
+        code, out, err = run_cli(capsys, "sweep", "--p", "13", "--xt-min", "1", "--xt-max", xt_max)
+        assert (code, out, err) == (2, "", f"error: refusing --xt-max = {xt_max} (cap 13)\n")
+    with pytest.raises(SweepRun):
+        main(["sweep", "--p", "13", "--xt-min", "1", "--xt-max", "13"])
+    # The cap loses no row: at X = T = q neither genus is feasible.
+    for q in (13, 43, 127):
+        assert not any(row.feasible for row in rates.sweep(q, q, q).rows)
 
 
 def test_package_error_is_a_one_line_message(capsys):

@@ -246,6 +246,15 @@ def test_store_shapes_and_determinism(g0_tiny):
     s2 = store(g0_tiny, db, random.Random(5))
     assert s1 == s2
     assert len(s1) == 3 and len(s1[0]) == 2 and len(s1[0][0]) == g0_tiny.n
+    # A Table is the plain nested tuple to every reader of the transcript.
+    plain = tuple(tuple(tuple(cell) for cell in row) for row in s1)
+    assert type(s1) is pir_scheme.Table and type(plain) is tuple
+    assert s1 == plain and plain == s1
+    assert json.dumps(s1) == json.dumps(plain)
+    # A fresh instance stores without deriving the scaled security codes.
+    inst = build_scheme(G0_TINY)
+    assert store(inst, db, random.Random(5)) == s1
+    assert "packed_sec" in inst.__dict__ and "sec_codes" not in inst.__dict__
 
 
 def test_store_rejects_bad_shapes(g0_tiny):
@@ -406,6 +415,15 @@ def test_server_view_and_decode_match_references(name, request):
     for n in range(inst.n):
         assert server_view(shares, n) == server_view_reference(shares, n)
         assert server_view(queries, n) == server_view_reference(queries, n)
+        # The views are built once per table and handed out from then on.
+        assert server_view(shares, n) is server_view(shares, n)
+    # Nested lists, as a transcript loads them, give the same views.
+    loaded = json.loads(json.dumps(shares))
+    for n in range(inst.n):
+        assert server_view(loaded, n) == server_view_reference(shares, n)
+    for n in (inst.n, -inst.n - 1):
+        with pytest.raises(IndexError):
+            server_view(shares, n)
     # Responses inside the decode row space, then arbitrary ones, which at
     # genus 1 fall outside it and must be refused alike.
     for _ in range(20):
@@ -501,6 +519,10 @@ def test_derived_security_codes_match_symbolic_evaluation(name, request):
     assert len(inst.sec_codes) == len(inst.sec_bases) == inst.l
     for basis, code in zip(inst.sec_bases, inst.sec_codes):
         assert code.rows == evaluation_code(basis, inst.eval_points).rows
+    # `packed_sec` scales `sec_code` itself and packs the same rows.
+    assert len(inst.packed_sec) == inst.l
+    for packed, code in zip(inst.packed_sec, inst.sec_codes):
+        assert packed == linalg.PackedRows.of(code.rows, inst.p)
 
 
 @pytest.mark.parametrize("name", ORACLE_INSTANCES)
