@@ -65,7 +65,13 @@ class LinearCode:
 
 
 def evaluation_code(basis: Sequence[RationalFunction], points: Sequence[CurvePoint]) -> LinearCode:
-    """Evaluate each basis function at each point; rows index the basis."""
+    """Evaluate each basis function at each point; rows index the basis.
+
+    The points are checked once, not once per entry: distinct, affine and on
+    the basis curve. Each row is then one `RationalFunction.values_at` pass,
+    the value rule `eval_at` reads too. A pole raises `PoleAtEvaluationPoint`
+    for the first basis function that has one, at its first such point.
+    """
     if not basis:
         raise ValueError("an evaluation code needs a non-empty basis")
     pts = tuple(points)
@@ -74,31 +80,48 @@ def evaluation_code(basis: Sequence[RationalFunction], points: Sequence[CurvePoi
     for pt in pts:
         if isinstance(pt, PointAtInfinity):
             raise InfinityUnsupported("cannot evaluate at the point at infinity")
+    curve = basis[0].curve
+    if any(f.curve != curve for f in basis):
+        raise ValueError("the basis functions lie on different curves")
+    for pt in pts:
+        if not curve.contains(pt):
+            raise ValueError(f"{pt!r} is not on {curve!r}")
     try:
-        rows = tuple(tuple(f.eval_at(pt) for pt in pts) for f in basis)
+        rows = tuple(f.values_at(pts) for f in basis)
     except PoleAtPoint as exc:
         raise PoleAtEvaluationPoint(str(exc)) from exc
-    return LinearCode(basis[0].curve.field.p, len(pts), rows)
+    return LinearCode(curve.field.p, len(pts), rows)
 
 
-def divide_columns(code: LinearCode, values: Sequence[int]) -> LinearCode:
-    """The code with column n divided by values[n].
+def divided_rows(
+    rows: Sequence[Sequence[int]], values: Sequence[int], p: int
+) -> list[list[int]]:
+    """The rows with column n divided by values[n], as canonical residues.
 
-    With `code` the evaluation code of a basis and `values` the values of a
-    unit h at the same points, this is the evaluation code of h^-1 times that
-    basis, at one inverse per point instead of one evaluation per entry. The
-    scaling is by units, so every column subset keeps its rank. A zero value
-    is a pole of h^-1 at that point.
+    This is the one column-scaling rule: one inverse per column, then one
+    product per entry. A zero value is a pole of the inverse at that column.
     """
-    if len(values) != code.n:
-        raise LengthMismatch(f"{len(values)} column scales for a length-{code.n} code")
-    p = code.p
+    if any(len(row) != len(values) for row in rows):
+        raise LengthMismatch(f"{len(values)} column scales for rows of another length")
     for n, v in enumerate(values):
         if v % p == 0:
             raise PoleAtEvaluationPoint(f"column {n} has scale 0: the inverse has a pole there")
     inv = [pow(v, -1, p) for v in values]
-    rows = tuple(tuple([a * b % p for a, b in zip(row, inv)]) for row in code.rows)
-    return LinearCode(p, code.n, rows)
+    return [[a * b % p for a, b in zip(row, inv)] for row in rows]
+
+
+def divide_columns(code: LinearCode, values: Sequence[int]) -> LinearCode:
+    """The code with column n divided by values[n] (see `divided_rows`).
+
+    With `code` the evaluation code of a basis and `values` the values of a
+    unit h at the same points, this is the evaluation code of h^-1 times that
+    basis, at one inverse per point instead of one evaluation per entry. The
+    scaling is by units, so every column subset keeps its rank.
+    """
+    if len(values) != code.n:
+        raise LengthMismatch(f"{len(values)} column scales for a length-{code.n} code")
+    rows = divided_rows(code.rows, values, code.p)
+    return LinearCode(code.p, code.n, tuple(map(tuple, rows)))
 
 
 def min_distance(code: LinearCode) -> int:

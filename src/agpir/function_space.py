@@ -28,8 +28,9 @@ differ at rational two-torsion points, which the schemes never evaluate at.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .curve import (
     INFINITY,
@@ -315,28 +316,54 @@ class RationalFunction:
         return Divisor.of(self.curve, coeffs)
 
     def eval_at(self, point: CurvePoint) -> int:
-        """Exact value at an affine rational point that is not a pole, atom by atom."""
+        """Exact value at an affine rational point that is not a pole.
+
+        The one-point case of `values_at`, after checking that the point is
+        affine and on the curve.
+        """
         if isinstance(point, PointAtInfinity):
             raise InfinityUnsupported("evaluation at infinity is not supported")
         if not self.curve.contains(point):
             raise ValueError(f"{point!r} is not on {self.curve!r}")
-        e, order = self._order_at(point)
-        if order < 0:
-            raise PoleAtPoint(f"{self!r} has a pole at {point!r}")
-        if order > 0:
-            return 0
+        return self.values_at((point,))[0]
+
+    def values_at(self, points: Sequence[AffinePoint]) -> tuple[int, ...]:
+        """Exact values at affine rational points of the curve, atom by atom.
+
+        This is the one value rule; `eval_at` is its one-point case. The
+        points must be affine points of the curve: `eval_at` and
+        `agcode.evaluation_code` check that, once per point. Each atom is
+        applied to the whole row in one pass, with the atom's own zero read as
+        1; the order rule then runs only at the points where the order can be
+        nonzero, those over an alpha and the two-torsion points. Raises
+        `PoleAtPoint` at the first pole.
+        """
         p = self.curve.field.p
-        x0 = point.x
-        value = self.scalar
+        exps = dict(self.x_factors)
+        xs = [pt.x for pt in points]
+        ys = [pt.y for pt in points]
+        special = []
+        if not exps.keys().isdisjoint(xs) or 0 in ys:
+            for i, pt in enumerate(points):
+                if pt.x in exps or pt.y == 0:
+                    e, order = self._order_at(pt)
+                    if order < 0:
+                        raise PoleAtPoint(f"{self!r} has a pole at {pt!r}")
+                    special.append((i, e, order))
+        row = [self.scalar] * len(xs)
         for alpha, exp in self.x_factors:
-            if alpha != x0:
-                value = value * pow(x0 - alpha, exp, p) % p
-        if point.y == 0:
-            # (x - x0)^e * y^(-2e) = (y^2 / (x - x0))^(-e), and y^2 / (x - x0) is 3 x0^2 + a at x0.
-            return value * pow(3 * x0 * x0 + self.curve.a, -e, p) % p
+            row = [v * pow(x0 - alpha or 1, exp, p) % p for v, x0 in zip(row, xs)]
         if self.y_exp:
-            value = value * pow(point.y, self.y_exp, p) % p
-        return value
+            row = [v * pow(y0 or 1, self.y_exp, p) % p for v, y0 in zip(row, ys)]
+        for i, e, order in special:
+            if order > 0:
+                row[i] = 0
+            elif ys[i] == 0:
+                # (x - x0)^e * y^(-2e) = (y^2 / (x - x0))^(-e), and y^2 / (x - x0)
+                # is 3 x0^2 + a at x0.
+                x0 = xs[i]
+                row[i] = row[i] * pow(3 * x0 * x0 + self.curve.a, -e, p) % p
+        return tuple(row)
 
     def __repr__(self) -> str:
         parts = [] if self.scalar == 1 and (self.x_factors or self.y_exp) else [str(self.scalar)]

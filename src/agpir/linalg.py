@@ -190,9 +190,18 @@ class PackedRows:
     @classmethod
     def of(cls, rows: Matrix, p: int) -> PackedRows:
         """Pack a matrix, with slots wide enough for one extra packed term."""
+        return cls._packed(rows, p, ([v % p for v in row] for row in rows))
+
+    @classmethod
+    def of_residues(cls, rows: Sequence[list[int]], p: int) -> PackedRows:
+        """`of` for rows whose entries are already residues in [0, p), packed as they are."""
+        return cls._packed(rows, p, rows)
+
+    @classmethod
+    def _packed(cls, rows: Matrix, p: int, residues) -> PackedRows:
+        """Pack `residues`, the rows reduced one at a time, in slots sized for `rows`."""
         slot = _slot_bytes((len(rows) + 1) * (p - 1) ** 2)
-        n = _width(rows)
-        return cls(p, n, slot, tuple(_pack([v % p for v in row], slot) for row in rows))
+        return cls(p, _width(rows), slot, tuple(_pack(row, slot) for row in residues))
 
     def pack(self, row: Sequence[int]) -> int:
         """One row of length n as a packed int, entries reduced to [0, p)."""

@@ -29,6 +29,7 @@ from .agcode import (
     LinearCode,
     SubsetRankReport,
     divide_columns,
+    divided_rows,
     evaluation_code,
     subset_rank_check,
 )
@@ -144,8 +145,8 @@ class SchemeInstance:
     its evaluation code once; `sec_bases` and `sec_codes` derive fragment l's
     basis and code from them on first use, the code by dividing column n by
     h_l at evaluation point n (`info_rows[l][n]`). `store` reads neither:
-    `packed_sec` scales and packs one fragment's code at a time, so no
-    scaled copy is cached on the serving path.
+    `packed_sec` scales each fragment's code inside the pack, so no scaled
+    copy is built or cached on the serving path.
     """
 
     params: SchemeParams
@@ -205,7 +206,9 @@ class SchemeInstance:
 
     @cached_property
     def sec_bases(self) -> tuple[tuple[RationalFunction, ...], ...]:
-        return tuple(tuple(h.inverse() * w for w in self.sec_basis) for h in self.info_basis)
+        """Fragment l's security basis, h_l^-1 times each shared basis function."""
+        inverses = map(RationalFunction.inverse, self.info_basis)
+        return tuple(tuple(h_inv * w for w in self.sec_basis) for h_inv in inverses)
 
     @cached_property
     def sec_codes(self) -> tuple[LinearCode, ...]:
@@ -225,14 +228,18 @@ class SchemeInstance:
 
     @cached_property
     def packed_sec(self) -> tuple[linalg.PackedRows, ...]:
-        """Each fragment's security code, scaled from `sec_code` and packed at once.
+        """Each fragment's security code, scaled from `sec_code` inside the pack.
 
-        The scaled `LinearCode` is dropped as soon as it is packed, so `store`
-        keeps no copy of the L codes that `sec_codes` caches.
+        Fragment l's code is `sec_code` with column n divided by
+        `info_rows[l][n]` (`agcode.divided_rows`: one inverse per column, one
+        product per entry). Its residues go straight into the packed slots,
+        so `store` builds no `LinearCode` and keeps no copy of the L codes
+        that `sec_codes` caches.
         """
+        rows, p = self.sec_code.rows, self.p
         return tuple(
-            linalg.PackedRows.of(divide_columns(self.sec_code, row).rows, self.p)
-            for row in self.info_rows
+            linalg.PackedRows.of_residues(divided_rows(rows, values, p), p)
+            for values in self.info_rows
         )
 
     @cached_property

@@ -3,8 +3,16 @@ from operator import itemgetter
 import pytest
 
 from agpir import linalg
-from agpir.curve import EllipticCurve, ProjectiveLine
-from agpir.errors import InconsistentSystem, ShapeMismatch
+from agpir.agcode import LinearCode
+from agpir.curve import EllipticCurve, PointAtInfinity, ProjectiveLine
+from agpir.errors import (
+    DuplicatePoint,
+    InconsistentSystem,
+    InfinityUnsupported,
+    PoleAtEvaluationPoint,
+    PoleAtPoint,
+    ShapeMismatch,
+)
 from agpir.field import PrimeField
 
 
@@ -46,6 +54,52 @@ def server_view_reference(table, server):
     """One server's column of a table, read cell by cell: the reference for `server_view`."""
     get = itemgetter(server)
     return tuple([tuple(map(get, row)) for row in table])
+
+
+def eval_at_reference(f, point):
+    """One value of a factored function, computed entry by entry: the reference for `eval_at`.
+
+    The order of f at an affine point (x0, y0) is the exponent e of x - x0,
+    or 2e + k at a two-torsion point (y0 = 0), where k is the power of y.
+    """
+    if isinstance(point, PointAtInfinity):
+        raise InfinityUnsupported("evaluation at infinity is not supported")
+    if not f.curve.contains(point):
+        raise ValueError(f"{point!r} is not on {f.curve!r}")
+    p = f.curve.field.p
+    x0 = point.x
+    e = dict(f.x_factors).get(x0, 0)
+    order = 2 * e + f.y_exp if point.y == 0 else e
+    if order < 0:
+        raise PoleAtPoint(f"{f!r} has a pole at {point!r}")
+    if order > 0:
+        return 0
+    value = f.scalar
+    for alpha, exp in f.x_factors:
+        if alpha != x0:
+            value = value * pow(x0 - alpha, exp, p) % p
+    if point.y == 0:
+        return value * pow(3 * x0 * x0 + f.curve.a, -e, p) % p
+    if f.y_exp:
+        value = value * pow(point.y, f.y_exp, p) % p
+    return value
+
+
+def evaluation_code_reference(basis, points):
+    """`evaluation_code` with one `eval_at_reference` call per (function, point) entry."""
+    if not basis:
+        raise ValueError("an evaluation code needs a non-empty basis")
+    pts = tuple(points)
+    if len(set(pts)) != len(pts):
+        raise DuplicatePoint("evaluation points must be distinct")
+    for pt in pts:
+        if isinstance(pt, PointAtInfinity):
+            raise InfinityUnsupported("cannot evaluate at the point at infinity")
+    try:
+        rows = tuple(tuple(eval_at_reference(f, pt) for pt in pts) for f in basis)
+    except PoleAtPoint as exc:
+        raise PoleAtEvaluationPoint(str(exc)) from exc
+    return LinearCode(basis[0].curve.field.p, len(pts), rows)
 
 
 def decode_reference(inst, responses):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from agpir.agcode import (
     LinearCode,
     divide_columns,
+    divided_rows,
     evaluation_code,
     information_set,
     is_grs,
@@ -23,7 +24,7 @@ from agpir.errors import (
     TooLarge,
 )
 from agpir.function_space import RationalFunction, basis_poles_at_infinity
-from conftest import rank_column_pivot
+from conftest import evaluation_code_reference, rank_column_pivot
 
 
 def line_points(rng):
@@ -224,3 +225,73 @@ def test_divide_columns_rejects_a_zero_scale():
         divide_columns(code, (1, 2, 14))  # 14 = 0 mod 7
     with pytest.raises(LengthMismatch):
         divide_columns(code, (1, 2))
+
+
+def test_divided_rows_is_the_scaling_rule_of_divide_columns():
+    code = LinearCode(7, 3, ((1, 2, 3), (0, 4, 6)))
+    rows = divided_rows(code.rows, (1, 2, 3), 7)
+    assert rows == [[1, 1, 1], [0, 2, 2]]
+    assert divide_columns(code, (1, 2, 3)).rows == tuple(map(tuple, rows))
+    with pytest.raises(PoleAtEvaluationPoint, match="column 1"):
+        divided_rows(code.rows, (1, 7, 3), 7)
+    with pytest.raises(LengthMismatch):
+        divided_rows(code.rows, (1, 2), 7)
+
+
+def off_curve_points(curve):
+    """Affine points that are not on the curve (on the line: a point with a y, or x = p)."""
+    p = curve.field.p
+    if curve.genus == 0:
+        return st.sampled_from([AffinePoint(0, 0), AffinePoint(p)])
+    pairs = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
+    return pairs.filter(lambda xy: xy[1] * xy[1] % p != curve.rhs(xy[0])).map(
+        lambda xy: AffinePoint(*xy)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_evaluation_code_rows_follow_the_per_entry_value_rule(line43, curve43, curve127, data):
+    # One `values_at` pass per function must give the rows of one `eval_at`
+    # per entry: the same values, the same first pole, and off-curve points
+    # refused. curve127 has a rational two-torsion point, where the order
+    # rule and the value take their other branch.
+    curve = data.draw(st.sampled_from([line43, curve43, curve127]))
+    p = curve.field.p
+    affine = curve.enumerate_points()[1:]
+    points = data.draw(st.lists(st.sampled_from(affine), min_size=1, max_size=10, unique=True))
+    torsion = curve.zeros_of_y() if curve.genus else ()
+    if torsion and torsion[0] not in points and data.draw(st.booleans()):
+        points.insert(data.draw(st.integers(0, len(points))), torsion[0])
+    # Factors at the points' own x make poles and zeros likely.
+    alpha = st.sampled_from(sorted({pt.x for pt in points})) | st.integers(0, p - 1)
+    function = st.builds(
+        RationalFunction.make,
+        st.just(curve),
+        st.integers(1, p - 1),
+        st.lists(st.tuples(alpha, st.integers(-3, 3)), max_size=4),
+        st.integers(-3, 3) if curve.genus else st.just(0),
+    )
+    basis = data.draw(st.lists(function, min_size=1, max_size=4))
+    try:
+        expected = evaluation_code_reference(basis, points)
+    except PoleAtEvaluationPoint as exc:
+        with pytest.raises(PoleAtEvaluationPoint) as raised:
+            evaluation_code(basis, points)
+        assert str(raised.value) == str(exc)
+    else:
+        assert evaluation_code(basis, points) == expected
+        assert tuple(tuple(f.eval_at(pt) for pt in points) for f in basis) == expected.rows
+    # Points are checked before any function is evaluated, poles or not.
+    off = data.draw(off_curve_points(curve))
+    at = data.draw(st.integers(0, len(points)))
+    with pytest.raises(ValueError, match="is not on"):
+        evaluation_code(basis, points[:at] + [off] + points[at:])
+    with pytest.raises(ValueError, match="is not on"):
+        basis[0].eval_at(off)
+
+
+def test_evaluation_code_refuses_a_basis_on_two_curves(line43, curve43):
+    basis = [RationalFunction.one(curve43), RationalFunction.one(line43)]
+    with pytest.raises(ValueError, match="different curves"):
+        evaluation_code(basis, curve43.fiber(1))

@@ -215,6 +215,15 @@ def test_packed_combine_at_the_slot_bound(p):
     assert packed.combine([p - 1] * dim, extra) == ((dim + 1) * (p - 1) ** 2 % p,) * n
 
 
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_packed_rows_of_residues_packs_canonical_rows_as_of_does(p):
+    rng = random.Random(p)
+    rows = [[rng.randrange(p) for _ in range(9)] for _ in range(4)]
+    assert linalg.PackedRows.of_residues(rows, p) == linalg.PackedRows.of(rows, p)
+    with pytest.raises(ValueError):
+        linalg.PackedRows.of_residues([[1, 2], [3]], p)
+
+
 def test_packed_combine_reduces_coefficients():
     p = 257
     packed = linalg.PackedRows.of([[1, 2, 3], [4, 5, 6]], p)

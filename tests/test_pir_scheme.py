@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from agpir import curve as curve_module
@@ -525,6 +525,19 @@ def test_derived_security_codes_match_symbolic_evaluation(name, request):
         assert packed == linalg.PackedRows.of(code.rows, inst.p)
 
 
+@pytest.mark.parametrize("params", [G0_TINY, G1_Q127], ids=["g0_tiny", "g1_q127"])
+def test_store_scales_security_codes_inside_the_pack(params):
+    # The first store packs every fragment's security code without building
+    # the scaled `LinearCode`s; the packed rows are those of `sec_codes`.
+    inst = build_scheme(params)
+    db = Database.random(inst.p, 3, inst.l, random.Random(1))
+    store(inst, db, random.Random(2))
+    assert "packed_sec" in inst.__dict__ and "sec_codes" not in inst.__dict__
+    assert len(inst.packed_sec) == len(inst.sec_codes) == inst.l
+    for packed, code in zip(inst.packed_sec, inst.sec_codes):
+        assert packed.rows == linalg.PackedRows.of(code.rows, inst.p).rows
+
+
 @pytest.mark.parametrize("name", ORACLE_INSTANCES)
 def test_single_elimination_matches_information_set_and_inverse(name, request):
     inst = request.getfixturevalue(name)
@@ -567,6 +580,39 @@ def test_verify_security_failures_carry_over_to_every_fragment(g0_tiny):
 def test_descriptor_bytes_unchanged(name, request):
     blob = json.dumps(scheme_descriptor(request.getfixturevalue(name))).encode()
     assert hashlib.sha256(blob).hexdigest() == DESCRIPTOR_SHA256[name]
+
+
+@st.composite
+def small_feasible_params(draw):
+    """Small parameters that build: genus 0 on the line, genus 1 on a random smooth curve."""
+    genus = draw(st.sampled_from([0, 1]))
+    x, t = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if genus == 0:
+        p = draw(st.sampled_from([7, 13, 17, 23, 29, 43]))
+        top, curve = sizes.max_fragments(0, p + 1, x, t), None
+    else:
+        p = draw(st.sampled_from([29, 31, 37, 43]))
+        a, b = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+        assume((4 * a**3 + 27 * b * b) % p)
+        elliptic = EllipticCurve(PrimeField(p), a, b)
+        z = len(elliptic.zeros_of_y())
+        top, curve = sizes.max_fragments(1, elliptic.point_count(), x, t, z), (a, b)
+    assume(top >= 1)
+    if genus == 0:
+        l = draw(st.integers(1, top))
+    else:
+        l = 2 * draw(st.integers(0, (min(top, 9) - 1) // 2)) + 1  # odd, at most 9
+    return SchemeParams(p=p, genus=genus, x=x, t=t, l=l, curve=curve)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=small_feasible_params())
+def test_descriptor_round_trips_through_json(params):
+    # The descriptor of a rebuilt instance serializes to the same bytes, so
+    # the security bases it spells out are those the rebuild derives.
+    text = json.dumps(scheme_descriptor(build_scheme(params)))
+    rebuilt = scheme_from_descriptor(json.loads(text))
+    assert json.dumps(scheme_descriptor(rebuilt)) == text
 
 
 def test_units_ok_flags_a_zero_fragment_value(g0_tiny):
