@@ -100,6 +100,9 @@ def divided_rows(
 
     This is the one column-scaling rule: one inverse per column, then one
     product per entry. A zero value is a pole of the inverse at that column.
+    With `rows` the evaluation code of a basis and `values` the values of a
+    unit h at the same points, the result is the evaluation code of h^-1
+    times that basis; scaling by units keeps the rank of every column subset.
     """
     if any(len(row) != len(values) for row in rows):
         raise LengthMismatch(f"{len(values)} column scales for rows of another length")
@@ -108,20 +111,6 @@ def divided_rows(
             raise PoleAtEvaluationPoint(f"column {n} has scale 0: the inverse has a pole there")
     inv = [pow(v, -1, p) for v in values]
     return [[a * b % p for a, b in zip(row, inv)] for row in rows]
-
-
-def divide_columns(code: LinearCode, values: Sequence[int]) -> LinearCode:
-    """The code with column n divided by values[n] (see `divided_rows`).
-
-    With `code` the evaluation code of a basis and `values` the values of a
-    unit h at the same points, this is the evaluation code of h^-1 times that
-    basis, at one inverse per point instead of one evaluation per entry. The
-    scaling is by units, so every column subset keeps its rank.
-    """
-    if len(values) != code.n:
-        raise LengthMismatch(f"{len(values)} column scales for a length-{code.n} code")
-    rows = divided_rows(code.rows, values, code.p)
-    return LinearCode(code.p, code.n, tuple(map(tuple, rows)))
 
 
 def min_distance(code: LinearCode) -> int:
@@ -155,8 +144,7 @@ def min_distance(code: LinearCode) -> int:
 class SubsetRankReport(NamedTuple):
     passed: bool
     t: int
-    mode: str  # "all" or "sample"
-    requested_mode: str
+    mode: str  # "all" or "sample": the mode that ran
     checked: int
     total: int
     failures: tuple[tuple[int, ...], ...]
@@ -183,7 +171,6 @@ def subset_rank_check(
         raise ValueError("t must be >= 0")
     limit = bruteforce_cap(DEFAULT_SUBSET_CAP)
     total = comb(code.n, t)
-    requested = mode
     if mode == "all" and total > limit:
         mode = "sample"
     failures: list[tuple[int, ...]] = []
@@ -209,7 +196,6 @@ def subset_rank_check(
         passed=not failures,
         t=t,
         mode=mode,
-        requested_mode=requested,
         checked=checked,
         total=total,
         failures=tuple(failures),

@@ -42,8 +42,8 @@ PACKAGE_ERRORS = tuple(
 )
 
 
-def _write(path: str | None, text: str) -> None:
-    if path is None or path == "-":
+def _write(path: str, text: str) -> None:
+    if path == "-":
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")

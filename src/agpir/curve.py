@@ -171,12 +171,8 @@ def find_curve(field: PrimeField, min_points: int) -> EllipticCurve:
     raise NoSuchCurve(f"no curve over F_{q} has {min_points} rational points")
 
 
-def resolve_curve(
-    field: PrimeField, curve: EllipticCurve | tuple[int, int] | None
-) -> EllipticCurve:
-    """The curve given (or the one with the given coefficients), else the first maximal one."""
-    if isinstance(curve, EllipticCurve):
-        return curve
+def resolve_curve(field: PrimeField, curve: tuple[int, int] | None) -> EllipticCurve:
+    """The curve with the given coefficients (a, b), else the first maximal one."""
     if curve is not None:
         return EllipticCurve(field, *curve)
     return find_curve(field, hasse_window(field.p)[1])

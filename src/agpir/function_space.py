@@ -267,26 +267,19 @@ class RationalFunction:
         return e, e
 
     def valuation(self, place: Place) -> int:
-        """Order of vanishing at a place (negative at poles)."""
-        exps = dict(self.x_factors)
-        if isinstance(place, PointAtInfinity):
-            total = sum(exps.values())
-            if self.curve.genus == 0:
-                return -total
-            return -2 * total - 3 * self.y_exp
-        if isinstance(place, YZerosPlace):
-            if self.curve.genus == 0:
-                raise WrongCurveKind("(y)_0 only exists on an elliptic curve")
-            return self.y_exp
-        if isinstance(place, QuadraticPlace):
-            if self.curve.genus == 0:
-                raise WrongCurveKind("quadratic places only arise on an elliptic curve")
-            return exps.get(place.x, 0)
+        """Order of vanishing at a place (negative at poles).
+
+        At an affine point this is the local order rule `values_at` shares;
+        at every other place it is the coefficient of `divisor()`.
+        """
         if isinstance(place, AffinePoint):
             if not self.curve.contains(place):
                 raise ValueError(f"{place!r} is not on {self.curve!r}")
             return self._order_at(place)[1]
-        raise TypeError(f"not a place: {place!r}")
+        place_degree(place)  # a TypeError for anything that is not a place
+        if self.curve.genus == 0 and not isinstance(place, PointAtInfinity):
+            raise WrongCurveKind(f"{place!r} only exists on an elliptic curve")
+        return self.divisor().coeff(place)
 
     def divisor(self) -> Divisor:
         """Zeros minus poles; y-atom mass sits on the aggregate (y)_0 place."""

@@ -26,9 +26,9 @@ from typing import NoReturn, Sequence
 
 from . import linalg, sizes
 from .agcode import (
+    DEFAULT_SAMPLE_COUNT,
     LinearCode,
     SubsetRankReport,
-    divide_columns,
     divided_rows,
     evaluation_code,
     subset_rank_check,
@@ -212,7 +212,11 @@ class SchemeInstance:
 
     @cached_property
     def sec_codes(self) -> tuple[LinearCode, ...]:
-        return tuple(divide_columns(self.sec_code, row) for row in self.info_rows)
+        rows, p = self.sec_code.rows, self.p
+        return tuple(
+            LinearCode(p, self.n, tuple(map(tuple, divided_rows(rows, values, p))))
+            for values in self.info_rows
+        )
 
     # Packed forms of the rows the protocol combines (see linalg.PackedRows);
     # filled on first use, so building and verifying an instance never pays for them.
@@ -475,13 +479,12 @@ def _draw(rng: random.Random, p: int, count: int) -> list[int]:
 def server_view(table: Table, server: int) -> tuple[tuple[int, ...], ...]:
     """One server's column of a share or query table, indexed [fragment][file].
 
-    It is read from the table's `views`, built on the first call. Any other
-    nested sequence is wrapped as a `Table` first and regrouped whole, so a
-    loop over servers should pass a `Table`, as `store` and `make_queries`
-    return.
+    It is read from the table's `views`, built on the first call. The table
+    is one that `store` or `make_queries` returned, or a loaded one wrapped
+    once with `Table(...)`.
     """
     if not isinstance(table, Table):
-        table = Table(table)
+        raise TypeError(f"server_view reads a Table, got {type(table).__name__}")
     views = table.views
     if not any(table):
         return ((),) * len(table)  # zip folds the L empty rows of M = 0 into none
@@ -572,7 +575,7 @@ def _line(text: str, ok: bool) -> str:
 def verify_scheme(
     inst: SchemeInstance,
     subsets: str = "all",
-    sample_count: int = 300,
+    sample_count: int = DEFAULT_SAMPLE_COUNT,
     sample_seed: int = 0,
 ) -> SchemeReport:
     """Re-check the build conditions and the subset-rank collusion criteria.

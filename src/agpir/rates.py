@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from . import sizes
 from .curve import EllipticCurve, resolve_curve
+from .errors import BadParams
 from .field import PrimeField
 
 
@@ -34,9 +35,7 @@ def max_rate_g0(q: int, x: int, t: int) -> SweepRow:
     return _best_row(q, 0, x, t, sizes.max_fragments(0, q + 1, x, t))
 
 
-def max_rate_g1(
-    q: int, x: int, t: int, curve: EllipticCurve | tuple[int, int] | None = None
-) -> SweepRow:
+def max_rate_g1(q: int, x: int, t: int, curve: tuple[int, int] | None = None) -> SweepRow:
     """Largest odd L with #points >= 2L + X + T + 11 + Z; N = L + X + T + 8."""
     model = resolve_curve(PrimeField(q), curve)
     return _g1_row(model, model.point_count(), len(model.zeros_of_y()), x, t)
@@ -81,7 +80,7 @@ def sweep(q: int, xt_min: int, xt_max: int) -> SweepResult:
     genus 0 (an infeasible genus-0 row counts as beaten).
     """
     if xt_min < 1 or xt_max < xt_min:
-        raise ValueError("need 1 <= xt_min <= xt_max")
+        raise BadParams(f"need 1 <= xt_min <= xt_max, got {xt_min} and {xt_max}")
     model = resolve_curve(PrimeField(q), None)
     points, z = model.point_count(), len(model.zeros_of_y())
     g0_rows = [max_rate_g0(q, xt, xt) for xt in range(xt_min, xt_max + 1)]

@@ -323,6 +323,15 @@ def test_verify_refuses_a_sample_count_above_the_subset_cap(tmp_path, capsys, mo
         main(["verify", "--scheme", scheme, "--subsets", f"sample:{DEFAULT_SUBSET_CAP}:0"])
 
 
+@pytest.mark.parametrize("xt_min, xt_max", [("0", "5"), ("6", "5")])
+def test_sweep_refuses_an_empty_range(capsys, xt_min, xt_max):
+    code, out, err = run_cli(
+        capsys, "sweep", "--p", "127", "--xt-min", xt_min, "--xt-max", xt_max
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: need 1 <= xt_min <= xt_max, got {xt_min} and {xt_max}\n"
+
+
 class SweepRun(Exception):
     pass
 

@@ -181,6 +181,24 @@ def test_valuation_examples(curve43, line43):
     assert y.valuation(Y_ZEROS) == 1
 
 
+def test_valuation_off_the_affine_points_is_the_divisor_coefficient(curve43, line43):
+    inert = next(x for x in range(43) if not curve43.fiber(x))
+    split = next(x for x in range(43) if len(curve43.fiber(x)) == 2)
+    f = RationalFunction.make(curve43, 5, {split: -2, inert: 3}, y_exp=-1)
+    d = f.divisor()
+    for place in (INFINITY, Y_ZEROS, QuadraticPlace(inert)):
+        assert f.valuation(place) == d.coeff(place)
+    assert (f.valuation(INFINITY), f.valuation(QuadraticPlace(inert))) == (1, 3)
+    # A fiber with rational points carries no quadratic place.
+    assert f.valuation(QuadraticPlace(split)) == 0
+    g = RationalFunction.x_minus(line43, 3, -1)
+    for place in (Y_ZEROS, QuadraticPlace(inert)):
+        with pytest.raises(WrongCurveKind):
+            g.valuation(place)
+    with pytest.raises(TypeError, match="not a place"):
+        f.valuation("infinity")
+
+
 def test_divisor_of_line_reciprocal(line43):
     h = RationalFunction.x_minus(line43, 3, -1)
     d = h.divisor()

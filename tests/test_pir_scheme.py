@@ -1,8 +1,10 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +12,14 @@ from hypothesis import strategies as st
 
 from agpir import curve as curve_module
 from agpir import linalg, pir_scheme, sizes
-from agpir.agcode import LinearCode, evaluation_code, information_set, subset_rank_check
+from agpir.agcode import (
+    LinearCode,
+    divided_rows,
+    evaluation_code,
+    information_set,
+    subset_rank_check,
+)
+from agpir.cli import PACKAGE_ERRORS
 from agpir.curve import (
     EllipticCurve,
     PointAtInfinity,
@@ -34,6 +43,7 @@ from agpir.function_space import Divisor, RationalFunction, interp_basis_g0
 from agpir.pir_scheme import (
     Database,
     SchemeParams,
+    Table,
     build_scheme,
     check_noise_containment,
     decode,
@@ -383,13 +393,53 @@ def test_corrupted_response_detected_or_wrong(g1_tiny, g0_tiny):
             # Square decode matrix: no spare symbol, so the error goes undetected.
             assert decode(inst, bad) != db.files[0]
             continue
-        # The one spare symbol's parity check covers every server of this instance.
+        # On this instance the one spare symbol's parity is nonzero at every
+        # server, so it detects a change to any one response. That is not so
+        # on every genus-1 instance: see the next test.
         for n in range(inst.n):
             for delta in range(1, 13):
                 bad = list(responses)
                 bad[n] = (bad[n] + delta) % 13
                 with pytest.raises(InconsistentSystem, match="outside the decode row space"):
                     decode(inst, bad)
+
+
+def decode_parity(inst):
+    """The null vector of `decode_rows`: responses in their row space are orthogonal to it."""
+    reduced, pivots = linalg.rref(inst.decode_rows, inst.p)
+    (free,) = set(range(inst.n)) - set(pivots)
+    parity = [0] * inst.n
+    parity[free] = 1
+    for row, col in zip(reduced, pivots):
+        parity[col] = -row[free] % inst.p
+    return parity
+
+
+@pytest.mark.parametrize(
+    "name, uncovered",
+    [("g1_tiny", {}), ("g1_q43", {2: (12, 19)}), ("g1_q127", {22: (45, 12)})],
+)
+def test_genus1_spare_symbol_detects_errors_only_on_the_parity_support(name, uncovered, request):
+    # At genus 1, N exceeds the decode dimension by one, so one parity check
+    # guards the responses. A change to response n leaves the decode row
+    # space exactly when the parity is nonzero at n; elsewhere it decodes
+    # silently to wrong fragments.
+    inst = request.getfixturevalue(name)
+    parity = decode_parity(inst)
+    assert len(inst.decode_rows) == inst.n - 1
+    assert all(sum(a * c for a, c in zip(row, parity)) % inst.p == 0 for row in inst.decode_rows)
+    points = inst.eval_points
+    assert {n: (points[n].x, points[n].y) for n, c in enumerate(parity) if c == 0} == uncovered
+    db = Database.random(inst.p, 2, inst.l, random.Random(0))
+    *_, responses, _ = run_round(inst, db, 1, 0)
+    for n in range(inst.n):
+        bad = list(responses)
+        bad[n] = (bad[n] + 1) % inst.p
+        if parity[n]:
+            with pytest.raises(InconsistentSystem, match="outside the decode row space"):
+                decode(inst, bad)
+        else:
+            assert decode(inst, bad) != db.files[0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -417,10 +467,13 @@ def test_server_view_and_decode_match_references(name, request):
         assert server_view(queries, n) == server_view_reference(queries, n)
         # The views are built once per table and handed out from then on.
         assert server_view(shares, n) is server_view(shares, n)
-    # Nested lists, as a transcript loads them, give the same views.
+    # Nested lists, as a transcript loads them, give the same views once
+    # wrapped as a `Table`; unwrapped, they are refused.
     loaded = json.loads(json.dumps(shares))
     for n in range(inst.n):
-        assert server_view(loaded, n) == server_view_reference(shares, n)
+        assert server_view(Table(loaded), n) == server_view_reference(shares, n)
+    with pytest.raises(TypeError, match="reads a Table"):
+        server_view(loaded, 0)
     for n in (inst.n, -inst.n - 1):
         with pytest.raises(IndexError):
             server_view(shares, n)
@@ -444,7 +497,7 @@ def test_server_view_and_decode_match_references(name, request):
 
 
 def test_server_view_rejects_a_ragged_table():
-    table = (((1, 2), (3, 4)), ((5, 6),))
+    table = Table((((1, 2), (3, 4)), ((5, 6),)))
     with pytest.raises(ShapeMismatch, match="different numbers of files"):
         server_view(table, 0)
 
@@ -523,6 +576,14 @@ def test_derived_security_codes_match_symbolic_evaluation(name, request):
     assert len(inst.packed_sec) == inst.l
     for packed, code in zip(inst.packed_sec, inst.sec_codes):
         assert packed == linalg.PackedRows.of(code.rows, inst.p)
+
+
+def test_sec_codes_are_the_shared_code_with_divided_columns(g0_tiny, g1_tiny):
+    for inst in (g0_tiny, g1_tiny):
+        assert len(inst.sec_codes) == inst.l
+        for values, code in zip(inst.info_rows, inst.sec_codes):
+            assert (code.p, code.n) == (inst.p, inst.n)
+            assert code.rows == tuple(map(tuple, divided_rows(inst.sec_code.rows, values, inst.p)))
 
 
 @pytest.mark.parametrize("params", [G0_TINY, G1_Q127], ids=["g0_tiny", "g1_q127"])
@@ -613,6 +674,67 @@ def test_descriptor_round_trips_through_json(params):
     text = json.dumps(scheme_descriptor(build_scheme(params)))
     rebuilt = scheme_from_descriptor(json.loads(text))
     assert json.dumps(scheme_descriptor(rebuilt)) == text
+
+
+# Top-level entries, plus one point of either list and one entry of one basis function.
+MUTABLE_FIELDS = (
+    "p", "genus", "x", "t", "l", "n", "seed", "curve", "eval_points", "fragment_points", "basis"
+)
+JSON_INTS = st.one_of(st.integers(-5, 200), st.sampled_from([2**31 - 1, 10**9 + 7, 2**61 - 1]))
+JSON_VALUES = st.one_of(
+    JSON_INTS,
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.floats(allow_nan=False),
+    st.lists(JSON_INTS, max_size=3),
+    st.dictionaries(st.sampled_from(["a", "b", "x", "y"]), JSON_INTS, max_size=2),
+)
+
+
+def _mutate_one_field(descriptor, field, data):
+    """A copy of the descriptor with one field replaced by a different value.
+
+    Returns the copy and the new value.
+    """
+    d = copy.deepcopy(descriptor)
+    if field in ("eval_points", "fragment_points", "basis"):
+        if field == "basis":
+            kind = data.draw(st.sampled_from(["info", "noise", "privacy", "security"]))
+            entries = d["basis_descriptors"][kind]
+            if kind == "security":
+                entries = entries[data.draw(st.integers(0, len(entries) - 1))]
+            entry = entries[data.draw(st.integers(0, len(entries) - 1))]
+            holder, key = entry, data.draw(st.sampled_from(["scalar", "y_exp", "x_factors"]))
+        else:
+            holder, key = d[field], data.draw(st.integers(0, len(d[field]) - 1))
+    else:
+        holder, key = d, field
+    old = holder[key]
+    holder[key] = data.draw(JSON_VALUES.filter(lambda v: v != old))
+    return d, holder[key]
+
+
+@settings(max_examples=50, deadline=None)
+@given(params=small_feasible_params(), field=st.sampled_from(MUTABLE_FIELDS), data=st.data())
+def test_a_descriptor_with_one_field_changed_is_refused_quickly(params, field, data):
+    # A changed descriptor is refused with a package error, quickly, unless it
+    # is the deterministic descriptor of its own parameters. A new integer
+    # seed always is, since the build reads no seed. So can a new prime: a
+    # descriptor spells out residues, not their modulus, and every genus-0
+    # basis scalar is 1.
+    descriptor = json.loads(json.dumps(scheme_descriptor(build_scheme(params))))
+    mutated, value = _mutate_one_field(descriptor, field, data)
+    start = time.perf_counter()
+    try:
+        rebuilt = scheme_from_descriptor(mutated)
+    except PACKAGE_ERRORS:
+        assert not (field == "seed" and type(value) is int)
+    else:
+        assert field == "seed" or (field == "p" and params.genus == 0)
+        assert type(value) is int
+        assert scheme_descriptor(rebuilt) == mutated
+    assert time.perf_counter() - start < 1.0
 
 
 def test_units_ok_flags_a_zero_fragment_value(g0_tiny):
@@ -750,7 +872,7 @@ def test_fiber_walk_matches_enumerate_and_filter():
         field = PrimeField(q)
         curve = find_curve(field, hasse_window(q)[1])
         for x, t in [(1, 1), (2, 5)]:
-            row = max_rate_g1(q, x, t, curve)
+            row = max_rate_g1(q, x, t, (curve.a, curve.b))
             if not row.feasible:
                 continue
             for l in sorted({1, row.l}):
