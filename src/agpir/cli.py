@@ -92,7 +92,7 @@ def cmd_build(args) -> int:
                 f" (q={args.p}, genus {args.genus}, X={args.x}, T={args.t})"
             )
         big_l = row.l
-    elif args.genus == 1 and big_l % 2 == 0:
+    elif args.genus == 1 and big_l % 2 == 0 and big_l >= 2:
         print(f"warning: genus 1 needs odd L; using L = {big_l - 1}", file=sys.stderr)
         big_l -= 1
     params = SchemeParams(
@@ -116,6 +116,7 @@ def _load_scheme(path: str) -> SchemeInstance:
 def cmd_simulate(args) -> int:
     if args.files < 1:
         raise BadParams(f"--files must be at least 1, got {args.files}")
+    sizes.check_theta(args.theta, args.files)
     inst = _load_scheme(args.scheme)
     symbols = inst.l * args.files * inst.n
     if symbols > sizes.TABLE_SYMBOL_CAP:

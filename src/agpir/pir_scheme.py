@@ -45,7 +45,6 @@ from .curve import (
 from .errors import (
     BadL,
     BadParams,
-    BadTheta,
     CurveTooSmall,
     DescriptorMismatch,
     Infeasible,
@@ -144,9 +143,10 @@ class SchemeInstance:
     one Riemann-Roch space L(D), so the instance keeps the basis of L(D) and
     its evaluation code once; `sec_bases` and `sec_codes` derive fragment l's
     basis and code from them on first use, the code by dividing column n by
-    h_l at evaluation point n (`info_rows[l][n]`). `store` reads neither:
-    `packed_sec` scales each fragment's code inside the pack, so no scaled
-    copy is built or cached on the serving path.
+    h_l at evaluation point n (`info_rows[l][n]`); `store` reads `packed_sec`.
+    `decode_inv` inverts `decode_rows` on the information set `decode_cols`.
+    Each other column, a spare symbol, is one parity check in `decode`: none
+    at genus 0, one at genus 1.
     """
 
     params: SchemeParams
@@ -245,15 +245,6 @@ class SchemeInstance:
             linalg.PackedRows.of_residues(divided_rows(rows, values, p), p)
             for values in self.info_rows
         )
-
-    @cached_property
-    def packed_ones(self) -> int:
-        """The all-ones row, packed as an extra term of every `packed_sec` entry."""
-        return self.packed_sec[0].pack((1,) * self.n)
-
-    @cached_property
-    def packed_decode(self) -> linalg.PackedRows:
-        return linalg.PackedRows.of(self.decode_rows, self.p)
 
     @cached_property
     def packed_decode_inv(self) -> linalg.PackedRows:
@@ -424,7 +415,7 @@ def store(inst: SchemeInstance, db: Database, rng: random.Random) -> Table:
         raise ShapeMismatch(f"database is over F_{db.p}, scheme over F_{inst.p}")
     if any(len(f) != inst.l for f in db.files):
         raise ShapeMismatch(f"every file must have exactly L = {inst.l} fragments")
-    ones = inst.packed_ones
+    ones = inst.packed_sec[0].pack((1,) * inst.n)  # an extra term of every `packed_sec` entry
     extras = [[file[ell] * ones for file in db.files] for ell in range(inst.l)]
     return _masked(inst.packed_sec, extras, inst.p, rng)
 
@@ -433,8 +424,7 @@ def make_queries(
     inst: SchemeInstance, theta: int, num_files: int, rng: random.Random
 ) -> Table:
     """Queries for file theta (1-based), masked with privacy noise."""
-    if not 1 <= theta <= num_files:
-        raise BadTheta(f"theta must be in 1..{num_files}, got {theta}")
+    sizes.check_theta(theta, num_files)
     extras = [
         [base if m == theta - 1 else 0 for m in range(num_files)] for base in inst.packed_info
     ]
@@ -501,15 +491,17 @@ def server_respond(
 
 
 def decode(inst: SchemeInstance, responses: Sequence[int]) -> tuple[int, ...]:
-    """Solve for the information coefficients; they are the requested fragments."""
+    """Solve on `decode_cols` for the fragments, then check each spare symbol.
+
+    A spare symbol must equal the coefficients times its `decode_rows` column.
+    """
     if len(responses) != inst.n:
         raise ShapeMismatch(f"expected {inst.n} response symbols, got {len(responses)}")
-    p = inst.p
+    p, rows = inst.p, inst.decode_rows
     picked = [responses[c] % p for c in inst.decode_cols]
     coeffs = inst.packed_decode_inv.combine(picked)
-    expected = inst.packed_decode.combine(coeffs)
-    for n, (want, got) in enumerate(zip(expected, responses)):
-        if want != got % p:
+    for n in sorted(set(range(inst.n)).difference(inst.decode_cols)):
+        if sum(c * row[n] for c, row in zip(coeffs, rows)) % p != responses[n] % p:
             raise InconsistentSystem(f"response symbol {n} is outside the decode row space")
     return tuple(coeffs[: inst.l])
 

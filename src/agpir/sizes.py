@@ -7,7 +7,7 @@ number of rational zeros of y (two-torsion points), counted at genus 1 only.
 
 from __future__ import annotations
 
-from .errors import BadParams
+from .errors import BadParams, BadTheta
 
 # Largest share table, L * M * N symbols, that `agpir simulate` builds; its
 # query table is as large and its transcript holds both.
@@ -25,6 +25,12 @@ def refuse_count_above(name: str, count: int, cap: int) -> None:
     """
     if count > cap:
         raise BadParams(f"refusing {name} = {count} (cap {cap})")
+
+
+def check_theta(theta: int, num_files: int) -> None:
+    """The range of a 1-based file index: theta in 1..num_files."""
+    if not 1 <= theta <= num_files:
+        raise BadTheta(f"theta must be in 1..{num_files}, got {theta}")
 
 
 def points_needed(genus: int, l: int, x: int, t: int, z: int = 0) -> int:

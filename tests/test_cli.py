@@ -86,6 +86,17 @@ def test_build_even_l_decremented(tmp_path, capsys):
     assert json.loads(scheme.read_text())["l"] == 1
 
 
+@pytest.mark.parametrize("l", ["0", "-2"])
+def test_build_genus1_l_below_one_is_refused_as_given(capsys, l):
+    # Only an even L >= 2 is lowered to an odd one; below 1 the user's own L is refused.
+    code, out, err = run_cli(
+        capsys,
+        "build", "--p", "43", "--genus", "1", "--x", "2", "--t", "2", "--a", "0", "--b", "9",
+        "--l", l,
+    )
+    assert (code, out, err) == (2, "", f"error: need at least one fragment per file, got L = {l}\n")
+
+
 def test_verify_sampled_subsets(tmp_path, capsys):
     scheme = tmp_path / "scheme.json"
     run_cli(
@@ -290,6 +301,21 @@ def test_simulate_refuses_a_file_count_out_of_bounds(tmp_path, capsys, monkeypat
     assert (code, out, err) == (2, "", message)
     with pytest.raises(DatabaseDrawn):
         main(["simulate", "--scheme", str(scheme), "--files", "99864", "--theta", "1"])
+
+
+@pytest.mark.parametrize("theta", ["0", "4", "-1"])
+def test_simulate_refuses_a_bad_theta_before_the_draw(tmp_path, capsys, monkeypatch, theta):
+    scheme = tmp_path / "scheme.json"
+    run_cli(
+        capsys,
+        "build", "--p", "13", "--genus", "0", "--x", "2", "--t", "2", "--l", "3",
+        "--out", str(scheme),
+    )
+    monkeypatch.setattr(pir_scheme.Database, "random", _refuse_draws)
+    code, out, err = run_cli(
+        capsys, "simulate", "--scheme", str(scheme), "--files", "3", "--theta", theta
+    )
+    assert (code, out, err) == (2, "", f"error: theta must be in 1..3, got {theta}\n")
 
 
 @pytest.mark.parametrize("spec", ["sample:x:0", "bogus", "sample:-5:0", "sample:0:3"])

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import operator
 import random
 import time
 
@@ -481,19 +482,34 @@ def test_server_view_and_decode_match_references(name, request):
     # genus 1 fall outside it and must be refused alike.
     for _ in range(20):
         coeffs = [rng.randrange(p) for _ in inst.decode_rows]
-        responses = inst.packed_decode.combine(coeffs)
+        responses = in_decode_row_space(inst, coeffs)
         assert decode(inst, responses) == decode_reference(inst, responses) == tuple(
             coeffs[: inst.l]
         )
     for _ in range(20):
         responses = [rng.randrange(-p, 2 * p) for _ in range(inst.n)]
-        try:
-            expected = decode_reference(inst, responses)
-        except InconsistentSystem:
-            with pytest.raises(InconsistentSystem):
-                decode(inst, responses)
-        else:
-            assert decode(inst, responses) == expected
+        assert_decode_matches_reference(inst, responses)
+
+
+def in_decode_row_space(inst, coeffs):
+    """The responses sum(coeffs[i] * decode_rows[i]), one column sum per server."""
+    return [sum(map(operator.mul, coeffs, col)) % inst.p for col in zip(*inst.decode_rows)]
+
+
+def assert_decode_matches_reference(inst, responses):
+    """`decode` returns what `decode_reference` returns, or raises its error word for word.
+
+    Returns whether the responses were refused.
+    """
+    try:
+        expected = decode_reference(inst, responses)
+    except InconsistentSystem as exc:
+        with pytest.raises(InconsistentSystem) as refused:
+            decode(inst, responses)
+        assert str(refused.value) == str(exc)
+        return True
+    assert decode(inst, responses) == expected
+    return False
 
 
 def test_server_view_rejects_a_ragged_table():
@@ -674,6 +690,31 @@ def test_descriptor_round_trips_through_json(params):
     text = json.dumps(scheme_descriptor(build_scheme(params)))
     rebuilt = scheme_from_descriptor(json.loads(text))
     assert json.dumps(scheme_descriptor(rebuilt)) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=small_feasible_params(), data=st.data())
+def test_decode_refuses_exactly_the_tampers_outside_the_decode_row_space(params, data):
+    # Honest responses lie in the decode row space; a tamper vector delta
+    # moves them out of it exactly when delta is not in it. Only then may
+    # decode refuse, and it names the first symbol the full re-encode of
+    # `decode_reference` names. Sparse tampers reach the servers outside a
+    # genus-1 parity's support, where a change stays inside the row space.
+    inst = build_scheme(params)
+    p, n, rows = inst.p, inst.n, inst.decode_rows
+    residues = st.integers(0, p - 1)
+    coeffs = data.draw(st.lists(residues, min_size=len(rows), max_size=len(rows)))
+    if data.draw(st.booleans()):
+        delta = data.draw(st.lists(residues, min_size=n, max_size=n))
+    else:
+        changed = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
+        delta = [data.draw(st.integers(1, p - 1)) if k in changed else 0 for k in range(n)]
+    wraps = data.draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    responses = [
+        r + d + w * p for r, d, w in zip(in_decode_row_space(inst, coeffs), delta, wraps)
+    ]
+    outside = linalg.rank(list(rows) + [delta], p) > linalg.rank(rows, p)
+    assert assert_decode_matches_reference(inst, responses) == outside
 
 
 # Top-level entries, plus one point of either list and one entry of one basis function.
