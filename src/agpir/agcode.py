@@ -185,10 +185,14 @@ def subset_rank_check(
         checked = sample_count
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    # Rank is unchanged by transposing, so each subset is ranked as t rows of length k.
-    columns = list(zip(*code.rows))
+    # Rank is unchanged by transposing, so each subset is ranked as t rows, one
+    # per column. All n columns are packed once, in slots sized for t pivots,
+    # and each subset eliminates its t packed ints.
+    p, length = code.p, len(code.rows)
+    columns, slot = linalg.pack_for_elimination(list(zip(*code.rows)), p, t)
     for cols in subsets:
-        if linalg.rank([columns[c] for c in cols], code.p) < t:
+        pivots = linalg.eliminate_packed([columns[c] for c in cols], length, p, slot, full=False)
+        if len(pivots) < t:
             failures.append(cols)
             if len(failures) >= 5:
                 break

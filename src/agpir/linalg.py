@@ -17,15 +17,18 @@ this one layout and its helpers:
   set of `dim` rows, each followed by one unpack and a reduction mod p.
   With residues in [0, p) and room for one extra packed term, a slot
   reaches (dim + 1) * (p - 1)**2.
-- `_eliminate`, the one elimination behind `rref`, `rank` and
-  `pivot_inverse`, holds each row of the matrix as one packed int and
-  clears a pivot column with one update m_i += (p - f) * lead per row,
-  where f is the row's entry in that column and lead the normalised pivot
-  row. The lead is canonical, so an update adds at most (p - 1)**2 to a
-  slot, and a row takes at most one update per pivot: a slot stays below
-  min(rows, cols) * (p - 1)**2 + p. An entry is read by shift, mask and
-  % p; a pivot row is normalised by one unpack, scale and repack, and every
-  row is unpacked once at the end.
+- `eliminate_packed`, the one elimination loop behind `rref`, `rank`,
+  `pivot_inverse` and `agcode.subset_rank_check`, holds each row of the
+  matrix as one packed int and clears a pivot column with one update
+  m_i += (p - f) * lead per row, where f is the row's entry in that column
+  and lead the normalised pivot row. The lead is canonical, so an update
+  adds at most (p - 1)**2 to a slot, and a row takes at most one update per
+  pivot: a slot stays below min(rows, cols) * (p - 1)**2 + p. An entry is
+  read by shift, mask and % p; a pivot row is normalised by one unpack,
+  scale and repack of its slots from the pivot column on, and `rref`
+  unpacks every row once at the end. The loop takes rows already packed
+  (`pack_for_elimination`), so a caller that ranks many subsets of one set
+  of rows packs them once.
 
 Slots of 4 or 8 bytes are written with `array` and read with
 `memoryview.cast` in native formats; wider slots, needed only once p
@@ -83,21 +86,32 @@ def _unpack(value: int, n: int, slot: int) -> Sequence[int]:
     return [int.from_bytes(raw[i : i + slot], "little") for i in range(0, n * slot, slot)]
 
 
-def _eliminate(rows: Matrix, p: int, full: bool) -> tuple[list[int], int, tuple[int, ...]]:
-    """Gaussian elimination with leftmost pivoting on packed rows.
+def pack_for_elimination(rows: Matrix, p: int, pivots: int) -> tuple[list[int], int]:
+    """The rows packed for `eliminate_packed`, and their slot width in bytes.
 
-    Returns the packed rows, their slot width and the pivot columns. Each
-    pivot row is normalised and its column cleared below it, and also above
-    it when `full` is set, which gives the reduced row echelon form. Without
-    it the result is only an echelon form, enough to count pivots. Slot
-    values are left unreduced: read them with `_unpack` and % p.
+    The slots hold pivots * (p - 1)**2 + p, enough for an elimination that
+    finds at most `pivots` pivots. Any subset of the packed rows, up to
+    `pivots` of them, can be eliminated in these slots without packing again.
     """
-    ncols = _width(rows)
-    nrows = len(rows)
-    slot = _slot_bytes(min(nrows, ncols) * (p - 1) ** 2 + p)
+    slot = _slot_bytes(pivots * (p - 1) ** 2 + p)
+    return [_pack([v % p for v in row], slot) for row in rows], slot
+
+
+def eliminate_packed(
+    m: list[int], ncols: int, p: int, slot: int, full: bool
+) -> tuple[int, ...]:
+    """Gaussian elimination with leftmost pivoting on packed rows, in place.
+
+    `m` holds rows of length `ncols` from `pack_for_elimination`, in slots
+    sized for at least min(len(m), ncols) pivots. Returns the pivot columns.
+    Each pivot row is normalised and its column cleared below it, and also
+    above it when `full` is set, which gives the reduced row echelon form.
+    Without it the result is only an echelon form, enough to count pivots.
+    Slot values are left unreduced: read them with `_unpack` and % p.
+    """
+    nrows = len(m)
     bits = 8 * slot
     mask = (1 << bits) - 1
-    m = [_pack([v % p for v in row], slot) for row in rows]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -113,16 +127,25 @@ def _eliminate(rows: Matrix, p: int, full: bool) -> tuple[list[int], int, tuple[
         pivots.append(c)
         if not full and r + 1 == nrows:
             break  # no row left to clear
-        row = _unpack(m[r], ncols, slot)
-        inv = pow(row[c], -1, p)
-        lead = m[r] = _pack([v * inv % p for v in row], slot)
+        # Row r comes from rows r.. and so reads 0 mod p left of c: only its
+        # slots from c on are read, normalised and packed back in place.
+        row = _unpack(m[r] >> shift, ncols - c, slot)
+        inv = pow(row[0], -1, p)
+        lead = m[r] = _pack([v * inv % p for v in row], slot) << shift
         for i in range(0 if full else r + 1, nrows):
             if i != r:
                 f = (m[i] >> shift & mask) % p
                 if f:
                     m[i] += (p - f) * lead
         r += 1
-    return m, slot, tuple(pivots)
+    return tuple(pivots)
+
+
+def _eliminate(rows: Matrix, p: int, full: bool) -> tuple[list[int], int, tuple[int, ...]]:
+    """Pack the rows and eliminate them: (packed rows, slot width, pivot columns)."""
+    ncols = _width(rows)
+    m, slot = pack_for_elimination(rows, p, min(len(rows), ncols))
+    return m, slot, eliminate_packed(m, ncols, p, slot, full)
 
 
 def rref(rows: Matrix, p: int) -> tuple[list[list[int]], tuple[int, ...]]:

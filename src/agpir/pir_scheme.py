@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice, repeat
 from operator import mul
-from typing import NoReturn, Sequence
+from typing import Iterator, NoReturn, Sequence
 
 from . import linalg, sizes
 from .agcode import (
@@ -206,7 +206,11 @@ class SchemeInstance:
 
     @cached_property
     def sec_bases(self) -> tuple[tuple[RationalFunction, ...], ...]:
-        """Fragment l's security basis, h_l^-1 times each shared basis function."""
+        """Fragment l's security basis, h_l^-1 times each shared basis function.
+
+        `scheme_descriptor` is its one reader in the library; the noise
+        containment check reads the factors h_l and w_i instead.
+        """
         inverses = map(RationalFunction.inverse, self.info_basis)
         return tuple(tuple(h_inv * w for w in self.sec_basis) for h_inv in inverses)
 
@@ -599,29 +603,37 @@ def verify_scheme(
     )
 
 
-def _noise_terms(info, priv, sec, enc):
-    """(label, factor, factor) for every cross-term product, in report order.
+def _noise_labels(l: int, sec_dim: int, priv_dim: int) -> Iterator[str]:
+    """The label of every cross-term product, in report order.
 
-    The factors are given per basis: `info[l]`, `priv[j]`, `sec[l][i]`, and
-    `enc` pairs with each privacy factor in the encoding terms.
+    Per fragment l: the security functions times the fragment's query
+    function, then times each privacy function (j-major); after all
+    fragments, the encoding function times each privacy function.
     """
-    for ell, h in enumerate(info):
-        for i, s in enumerate(sec[ell]):
-            yield f"sec[{ell}][{i}] * query[{ell}]", s, h
-        for j, v in enumerate(priv):
-            for i, s in enumerate(sec[ell]):
-                yield f"sec[{ell}][{i}] * priv[{j}]", s, v
-    for j, v in enumerate(priv):
-        yield f"enc * priv[{j}]", enc, v
+    pair_tails = [f"][{i}] * priv[{j}]" for j in range(priv_dim) for i in range(sec_dim)]
+    for ell in range(l):
+        head = f"sec[{ell}"
+        yield from (f"{head}][{i}] * query[{ell}]" for i in range(sec_dim))
+        yield from map(head.__add__, pair_tails)
+    yield from (f"enc * priv[{j}]" for j in range(priv_dim))
 
 
 def noise_products(inst: SchemeInstance) -> list[tuple[str, RationalFunction]]:
-    """Every cross-term product that must stay inside the noise space."""
+    """Every cross-term product that must stay inside the noise space, formed symbolically.
+
+    Fragment l's security functions are h_l^-1 * w_i, formed as `sec_bases`
+    forms them.
+    """
     one = RationalFunction.one(inst.curve)
-    return [
-        (label, a * b)
-        for label, a, b in _noise_terms(inst.info_basis, inst.priv_basis, inst.sec_bases, one)
-    ]
+    priv = inst.priv_basis
+    products = []
+    for h in inst.info_basis:
+        sec = [h.inverse() * w for w in inst.sec_basis]
+        products += [s * h for s in sec]
+        products += [s * v for v in priv for s in sec]
+    products += [one * v for v in priv]
+    labels = _noise_labels(inst.l, len(inst.sec_basis), len(priv))
+    return list(zip(labels, products, strict=True))
 
 
 def check_noise_containment(inst: SchemeInstance) -> list[tuple[str, bool]]:
@@ -629,22 +641,60 @@ def check_noise_containment(inst: SchemeInstance) -> list[tuple[str, bool]]:
 
     The divisor of a product is the sum of its factors' divisors, exactly as
     `RationalFunction.divisor` computes them: a product merges the factors'
-    exponents and the divisor is linear in them. So each basis function's
-    divisor is taken once, the noise bound is added to each security
-    factor's, and a product lies inside the bound when no place has a
-    negative coefficient in the sum of its two factors' divisors.
+    exponents and the divisor is linear in them. So one divisor is taken per
+    factor: each fragment function h_l, privacy function v_j and shared
+    security function w_i. Fragment l's security functions are h_l^-1 * w_i
+    (`sec_bases`, which this never forms), and with B the noise bound:
+
+    - sec[l][i] * query[l] is w_i for every l, decided once per i by
+      div(w_i) + B >= 0;
+    - all pairs sec[l][i] * priv[j] of fragment l lie inside the bound
+      exactly when, at every place P,
+      min_i ord_P(w_i) + min_j ord_P(v_j) + B_P >= ord_P(h_l),
+      since the least coefficient over a product of two families is the sum
+      of the two least ones. Only a fragment that fails this test
+      enumerates its pairs, to name them;
+    - enc * priv[j] is decided by div(v_j) + B >= 0.
     """
-    bound = inst.noise_divisor()
-    info = [_coeffs(h.divisor()) for h in inst.info_basis]
-    priv = [_coeffs(v.divisor()) for v in inst.priv_basis]
-    sec = [[_coeffs(s.divisor() + bound) for s in basis] for basis in inst.sec_bases]
-    terms = _noise_terms(info, priv, sec, _coeffs(bound))
-    return [(label, _sum_is_effective(a, b)) for label, a, b in terms]
+    bound = inst.noise_divisor().as_dict()
+    sec = [w.divisor().as_dict() for w in inst.sec_basis]
+    priv = [v.divisor().as_dict() for v in inst.priv_basis]
+    bound_coeffs = _coeffs(bound)
+    priv_coeffs = [_coeffs(v) for v in priv]
+    query_ok = [_sum_is_effective(_coeffs(w), bound_coeffs) for w in sec]
+    floor = _add(_add(_family_min(sec), _family_min(priv)), bound)
+    below = [pl for pl, n in floor.items() if n < 0]
+    oks: list[bool] = []
+    for h in inst.info_basis:
+        h_div = h.divisor().as_dict()
+        oks += query_ok
+        if all(floor.get(pl, 0) >= h_div.get(pl, 0) for pl in chain(h_div, below)):
+            oks += repeat(True, len(sec) * len(priv))
+        else:
+            shifted = [_coeffs(_add(_add(w, bound), h_div, -1)) for w in sec]
+            oks += [_sum_is_effective(s, v) for v in priv_coeffs for s in shifted]
+    oks += [_sum_is_effective(bound_coeffs, v) for v in priv_coeffs]
+    labels = _noise_labels(inst.l, len(sec), len(priv))
+    return list(zip(labels, oks, strict=True))
 
 
-def _coeffs(d: Divisor) -> tuple[dict, list]:
-    """A divisor as a place -> coefficient map, with its negative terms listed."""
-    return d.as_dict(), [(pl, n) for pl, n in d.items if n < 0]
+def _add(a: dict, b: dict, sign: int = 1) -> dict:
+    """The divisor a + sign * b, as a place -> coefficient map."""
+    out = dict(a)
+    for pl, n in b.items():
+        out[pl] = out.get(pl, 0) + sign * n
+    return out
+
+
+def _family_min(divisors: list[dict]) -> dict:
+    """At each place, the least coefficient over a family of divisors (0 off a support)."""
+    places = set().union(*divisors)
+    return {pl: min(d.get(pl, 0) for d in divisors) for pl in places}
+
+
+def _coeffs(d: dict) -> tuple[dict, list]:
+    """A place -> coefficient map with its negative terms listed."""
+    return d, [(pl, n) for pl, n in d.items() if n < 0]
 
 
 def _sum_is_effective(a: tuple[dict, list], b: tuple[dict, list]) -> bool:

@@ -1,4 +1,9 @@
-"""Best achievable rates per genus, and the genus-0 vs genus-1 sweep."""
+"""Rates per genus, and the genus-0 vs genus-1 sweep.
+
+At genus 1 with no curve given, the rates are taken on the first maximal
+curve in (a, b) order (`curve.resolve_curve`). That is not always the
+best genus-1 rate, which needs the largest #E - Z, not the largest #E.
+"""
 
 from __future__ import annotations
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
+from . import sizes
 from .agcode import bruteforce_cap
 from .errors import BadIndex, DecodeMismatch, ShapeMismatch, TooLarge
 from .pir_scheme import (
@@ -130,8 +131,12 @@ def exhaustive_privacy_oracle(
     """Whether the colluders' query view distribution is identical for both files.
 
     Enumerates every privacy-noise assignment for each requested index and
-    compares the multisets of restricted query tables.
+    compares the multisets of restricted query tables. Both indices must lie
+    in 1..num_files (`sizes.check_theta`): outside it both views are pure
+    noise and would compare equal.
     """
+    sizes.check_theta(theta_a, num_files)
+    sizes.check_theta(theta_b, num_files)
     cols = _validated(servers, inst.n)
     p = inst.p
     _check_cap(p, inst.priv_dim, inst.l * num_files)

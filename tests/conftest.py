@@ -1,9 +1,12 @@
+import random
+from itertools import combinations
+from math import comb
 from operator import itemgetter
 
 import pytest
 
 from agpir import linalg
-from agpir.agcode import LinearCode
+from agpir.agcode import DEFAULT_SUBSET_CAP, LinearCode, SubsetRankReport, bruteforce_cap
 from agpir.curve import EllipticCurve, PointAtInfinity, ProjectiveLine
 from agpir.errors import (
     DuplicatePoint,
@@ -173,3 +176,41 @@ def rank_column_pivot(rows, p):
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], lead)]
         r += 1
     return r
+
+
+def subset_rank_check_reference(code, t, mode="all", sample_count=300, seed=0):
+    """`subset_rank_check` with one `linalg.rank` per subset, each packing its t columns.
+
+    The reference for the check that packs the code's columns once: the same
+    subsets in the same order, the same mode fallback and the same stop after
+    five failures.
+    """
+    if t > code.k:
+        raise ValueError(f"t = {t} exceeds the code dimension {code.k}")
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    total = comb(code.n, t)
+    if mode == "all" and total > bruteforce_cap(DEFAULT_SUBSET_CAP):
+        mode = "sample"
+    if mode == "all":
+        subsets, checked = combinations(range(code.n), t), total
+    else:
+        rng = random.Random(seed)
+        subsets = (tuple(sorted(rng.sample(range(code.n), t))) for _ in range(sample_count))
+        checked = sample_count
+    columns = list(zip(*code.rows))
+    failures = []
+    for cols in subsets:
+        if linalg.rank([columns[c] for c in cols], code.p) < t:
+            failures.append(cols)
+            if len(failures) >= 5:
+                break
+    return SubsetRankReport(
+        passed=not failures,
+        t=t,
+        mode=mode,
+        checked=checked,
+        total=total,
+        failures=tuple(failures),
+        seed=seed if mode == "sample" else None,
+    )

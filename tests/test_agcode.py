@@ -23,7 +23,7 @@ from agpir.errors import (
     TooLarge,
 )
 from agpir.function_space import RationalFunction, basis_poles_at_infinity
-from conftest import evaluation_code_reference, rank_column_pivot
+from conftest import evaluation_code_reference, rank_column_pivot, subset_rank_check_reference
 
 
 def line_points(rng):
@@ -168,6 +168,64 @@ def test_information_set_rank_deficient():
     rows = [[1, 2, 3], [2, 4, 6]]
     cols, achieved = information_set(rows, 7, want=2)
     assert achieved == 1 and cols == (0,)
+
+
+@st.composite
+def codes_with_dependent_columns(draw):
+    """(code, t): a k x n code G = A @ B with inner dimension r, so its rank is at most r.
+
+    Entries favour 0 and 1, and some columns of B repeat or vanish, so that
+    many column subsets are dependent even at p = 257.
+    """
+    p = draw(st.sampled_from((2, 3, 5, 257)))
+    k, r, n = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    entry = st.one_of(st.sampled_from((0, 1)), st.integers(0, p - 1))
+    a = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=k, max_size=k))
+    b_cols = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=1, max_size=n))
+    b_cols = [b_cols[draw(st.integers(0, len(b_cols) - 1))] for _ in range(n)]
+    rows = tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) % p for col in b_cols) for row in a
+    )
+    code = LinearCode(p, n, rows)
+    return code, draw(st.integers(0, code.k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=codes_with_dependent_columns(), count=st.integers(1, 20), seed=st.integers(0, 99))
+def test_subset_rank_check_matches_the_per_subset_reference(case, count, seed):
+    code, t = case
+    for mode in ("all", "sample"):
+        expected = subset_rank_check_reference(code, t, mode, sample_count=count, seed=seed)
+        assert subset_rank_check(code, t, mode, sample_count=count, seed=seed) == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 257])
+@pytest.mark.parametrize("mode", ["all", "sample"])
+def test_subset_rank_check_with_t_equal_to_n(p, mode):
+    # The only subset is every column: independent for an invertible square
+    # code, dependent once a column repeats.
+    square = LinearCode(p, 3, ((1, 1, 0), (0, 1, 1), (0, 0, 1)))
+    report = subset_rank_check(square, 3, mode, sample_count=4, seed=1)
+    assert report == subset_rank_check_reference(square, 3, mode, sample_count=4, seed=1)
+    assert report.passed and report.total == 1
+    repeated = LinearCode(p, 3, ((1, 1, 0), (0, 0, 1)))
+    report = subset_rank_check(repeated, 2, mode, sample_count=4, seed=1)
+    assert report == subset_rank_check_reference(repeated, 2, mode, sample_count=4, seed=1)
+    assert not report.passed and (0, 1) in report.failures
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 257])
+@pytest.mark.parametrize("mode", ["all", "sample"])
+def test_subset_rank_check_stops_after_five_failures(p, mode):
+    # A zero column makes every subset that holds it dependent: 7 of the
+    # C(8, 2) = 28 pairs in exhaustive order, and most samples.
+    rows = ((0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 1, 1, 1, 1, 1, 1))
+    code = LinearCode(p, 8, tuple(tuple(v % p for v in row) for row in rows))
+    report = subset_rank_check(code, 2, mode, sample_count=200, seed=3)
+    assert report == subset_rank_check_reference(code, 2, mode, sample_count=200, seed=3)
+    assert len(report.failures) == 5 and not report.passed
+    if mode == "all":
+        assert report.failures == ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5))
 
 
 def test_removing_column_breaks_non_mds():

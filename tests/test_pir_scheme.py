@@ -856,10 +856,20 @@ def reference_containment(inst):
     return [(label, zero <= f.divisor() + bound) for label, f in noise_products(inst)]
 
 
+def assert_containment_matches_reference(inst):
+    """The containment list equals the symbolic one, and the L*X products h_l^-1 * w_i
+    were never formed: `check_noise_containment` did not read `sec_bases`."""
+    fresh = dataclasses.replace(inst)
+    got = check_noise_containment(fresh)
+    assert "sec_bases" not in fresh.__dict__
+    assert got == reference_containment(fresh)
+    return got
+
+
 @pytest.mark.parametrize("name", ORACLE_INSTANCES)
 def test_containment_by_divisor_sums_matches_symbolic_products(name, request):
-    inst = request.getfixturevalue(name)
-    assert check_noise_containment(inst) == reference_containment(inst)
+    got = assert_containment_matches_reference(request.getfixturevalue(name))
+    assert all(ok for _, ok in got)
 
 
 @pytest.mark.parametrize("name", ["g0_tiny", "g1_tiny", "g0_q43", "g1_q43"])
@@ -874,6 +884,101 @@ def test_containment_flags_a_privacy_function_with_too_many_poles(name, request)
     flagged = [label for label, ok in got if not ok]
     assert f"enc * priv[{inst.priv_dim}]" in flagged
     assert all(label.endswith(f"priv[{inst.priv_dim}]") for label in flagged)
+
+
+# Every built instance passes the per-fragment floor test, so the tampered
+# instances below are what drive the branch that enumerates a fragment's pairs.
+
+
+@pytest.mark.parametrize("name", ["g0_tiny", "g1_tiny", "g0_q43", "g1_q43"])
+@pytest.mark.parametrize("pole", ["at infinity", "at an affine point"])
+def test_containment_flags_a_shared_security_function_with_too_many_poles(name, pole, request):
+    inst = request.getfixturevalue(name)
+    if pole == "at infinity":
+        extra = RationalFunction.x_power(inst.curve, inst.x + inst.t + 3)
+    else:
+        # The bound has no affine place, and no h_l has a zero to cancel this pole.
+        used = {alpha for h in inst.info_basis for alpha, _ in h.x_factors}
+        alpha = next(a for a in range(inst.p) if a not in used)
+        extra = RationalFunction.x_minus(inst.curve, alpha, -1)
+    broken = dataclasses.replace(inst, sec_basis=inst.sec_basis + (extra,))
+    got = assert_containment_matches_reference(broken)
+    flagged = {label for label, ok in got if not ok}
+    i = inst.sec_dim
+    # The function alone exceeds the bound, so every product with it fails:
+    # its query product in every fragment and every pair it forms.
+    assert {f"sec[{ell}][{i}] * query[{ell}]" for ell in range(inst.l)} <= flagged
+    assert {
+        f"sec[{ell}][{i}] * priv[{j}]" for ell in range(inst.l) for j in range(inst.priv_dim)
+    } <= flagged
+    assert all(f"][{i}] * " in label for label in flagged)
+
+
+@pytest.mark.parametrize("name", ["g0_tiny", "g1_tiny", "g0_q43", "g1_q43"])
+@pytest.mark.parametrize("factor", ["zero at an affine point", "zero at infinity"])
+def test_containment_flags_only_the_fragment_whose_function_changed(name, factor, request):
+    inst = request.getfixturevalue(name)
+    ell = inst.l - 1
+    h = inst.info_basis[ell]
+    # A zero of h_l is a pole of h_l^-1, so of every security function of
+    # fragment l: at an affine point the bound never covers it, at infinity
+    # it pushes the top pole orders past the bound.
+    if factor == "zero at an affine point":
+        alpha = next(a for a in range(inst.p) if a not in dict(h.x_factors))
+        changed = h * RationalFunction.x_minus(inst.curve, alpha)
+    else:
+        changed = h * RationalFunction.x_power(inst.curve, -1)
+    info = inst.info_basis[:ell] + (changed,) + inst.info_basis[ell + 1 :]
+    got = assert_containment_matches_reference(dataclasses.replace(inst, info_basis=info))
+    flagged = [label for label, ok in got if not ok]
+    assert flagged
+    # sec[l][i] * query[l] is w_i whatever h_l is, and enc * priv[j] has no h_l.
+    assert all(label.startswith(f"sec[{ell}][") and "priv" in label for label in flagged)
+
+
+@pytest.mark.parametrize("name", ["g0_tiny", "g1_tiny", "g0_q43", "g1_q43"])
+def test_containment_flags_the_top_pairs_under_a_shrunken_bound(name, request, monkeypatch):
+    inst = request.getfixturevalue(name)
+    real = pir_scheme.SchemeInstance.noise_divisor
+
+    def shrunken(self):
+        bound = real(self).as_dict()
+        bound[curve_module.INFINITY] -= 1
+        return Divisor.of(self.curve, bound)
+
+    monkeypatch.setattr(pir_scheme.SchemeInstance, "noise_divisor", shrunken)
+    got = assert_containment_matches_reference(inst)
+    flagged = [label for label, ok in got if not ok]
+    # One pole fewer at infinity than the construction needs: the pairs of the
+    # largest pole orders fall outside in the fragments whose h_l has the
+    # largest zero at infinity (all of them at genus 0, the first (L+1)/2 at
+    # genus 1), and nothing else does.
+    zeros = [h.divisor().coeff(curve_module.INFINITY) for h in inst.info_basis]
+    worst = {f"sec[{ell}" for ell, n in enumerate(zeros) if n == max(zeros)}
+    assert {label.split("]")[0] for label in flagged} == worst
+    assert all("priv" in label and not label.startswith("enc") for label in flagged)
+
+
+@st.composite
+def small_functions(draw, curve):
+    """A factored function with at most two x-atoms of small exponent, and y^k at genus 1."""
+    p = curve.field.p
+    atoms = draw(
+        st.lists(st.tuples(st.integers(0, p - 1), st.integers(-3, 3)), min_size=0, max_size=2)
+    )
+    y_exp = draw(st.integers(-2, 2)) if curve.genus == 1 else 0
+    return RationalFunction.make(curve, draw(st.integers(1, p - 1)), atoms, y_exp)
+
+
+@pytest.mark.parametrize("name", ["g0_tiny", "g1_tiny"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_containment_matches_the_symbolic_check_with_extra_basis_functions(name, request, data):
+    inst = request.getfixturevalue(name)
+    field = data.draw(st.sampled_from(["priv_basis", "sec_basis"]))
+    extra = data.draw(st.lists(small_functions(inst.curve), min_size=1, max_size=3))
+    broken = dataclasses.replace(inst, **{field: getattr(inst, field) + tuple(extra)})
+    assert_containment_matches_reference(broken)
 
 
 def reference_genus1_selection(curve, l, n):

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from agpir.errors import BadIndex, ShapeMismatch, TooLarge
+from agpir.errors import BadIndex, BadTheta, ShapeMismatch, TooLarge
 from agpir.pir_scheme import Database, SchemeParams, build_scheme
 from agpir.sim_harness import (
     exhaustive_privacy_oracle,
@@ -108,6 +108,14 @@ def test_oracles_reject_a_server_index_out_of_range(g0_q5):
         exhaustive_privacy_oracle(g0_q5, [0, g0_q5.n], 1, 2, num_files=2)
     with pytest.raises(BadIndex, match=f"server index {g0_q5.n} outside"):
         exhaustive_security_oracle(g0_q5, [g0_q5.n], db, db)
+
+
+@pytest.mark.parametrize("theta_a, theta_b", [(0, 7), (1, 3), (0, 1), (2, -1)])
+def test_privacy_oracle_refuses_a_file_index_outside_the_files(theta_a, theta_b):
+    # Outside 1..M both query views are pure noise, so they would compare equal.
+    inst = build_scheme(SchemeParams(p=13, genus=0, x=1, t=1, l=1))
+    with pytest.raises(BadTheta, match="theta must be in 1..2"):
+        exhaustive_privacy_oracle(inst, (0,), theta_a, theta_b, num_files=2)
 
 
 def test_oracle_cap(g0_q5, monkeypatch):
