@@ -162,8 +162,8 @@ def subset_rank_check(
 
     The columns are those of the rows the code holds. They span the code, as
     a generator matrix would, so every column subset has the same rank.
-    Exhaustive checking falls back to seeded sampling when the number of
-    subsets exceeds the cap; the report records which mode actually ran.
+    Exhaustive checking falls back to seeded sampling above the cap, and a
+    sample as large as every subset runs exhaustively; `mode` is what ran.
     """
     if t > code.k:
         raise ValueError(f"t = {t} exceeds the code dimension {code.k}")
@@ -173,6 +173,8 @@ def subset_rank_check(
     total = comb(code.n, t)
     if mode == "all" and total > limit:
         mode = "sample"
+    elif mode == "sample" and total <= min(sample_count, limit):
+        mode = "all"
     failures: list[tuple[int, ...]] = []
     if mode == "all":
         subsets: Iterable[tuple[int, ...]] = combinations(range(code.n), t)

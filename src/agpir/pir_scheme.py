@@ -80,7 +80,10 @@ class Table(tuple):
         """
         if len(set(map(len, self))) > 1:
             raise ShapeMismatch("table rows hold different numbers of files")
-        return tuple(zip(*[tuple(zip(*row)) for row in self]))
+        try:
+            return tuple(zip(*[tuple(zip(*row, strict=True)) for row in self], strict=True))
+        except ValueError:
+            raise ShapeMismatch("table cells hold different numbers of servers") from None
 
 
 @dataclass(frozen=True)
@@ -141,9 +144,9 @@ class SchemeInstance:
 
     Security space l is h_l^-1 * L(D) for the fragment basis function h_l and
     one Riemann-Roch space L(D), so the instance keeps the basis of L(D) and
-    its evaluation code once; `sec_bases` and `sec_codes` derive fragment l's
-    basis and code from them on first use, the code by dividing column n by
-    h_l at evaluation point n (`info_rows[l][n]`); `store` reads `packed_sec`.
+    its evaluation code once. Fragment l's code divides column n by h_l there
+    (`info_rows[l][n]`): `store` packs it (`packed_sec`), and only acceptance
+    criteria 5 and 9 and the tests read it as `sec_codes`.
     `decode_inv` inverts `decode_rows` on the information set `decode_cols`.
     Each other column, a spare symbol, is one parity check in `decode`: none
     at genus 0, one at genus 1.
@@ -238,11 +241,8 @@ class SchemeInstance:
     def packed_sec(self) -> tuple[linalg.PackedRows, ...]:
         """Each fragment's security code, scaled from `sec_code` inside the pack.
 
-        Fragment l's code is `sec_code` with column n divided by
-        `info_rows[l][n]` (`agcode.divided_rows`: one inverse per column, one
-        product per entry). Its residues go straight into the packed slots,
-        so `store` builds no `LinearCode` and keeps no copy of the L codes
-        that `sec_codes` caches.
+        The residues of `agcode.divided_rows` go straight into the packed
+        slots, so `store` builds none of the L `LinearCode`s of `sec_codes`.
         """
         rows, p = self.sec_code.rows, self.p
         return tuple(

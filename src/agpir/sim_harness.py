@@ -1,8 +1,8 @@
 """In-process multi-server simulation: transcripts and distribution oracles.
 
-The exhaustive oracles enumerate every noise draw at tiny parameters and
-compare the resulting view distributions as multisets, independently of the
-algebraic subset-rank criteria. Both checks must agree wherever both apply.
+The exhaustive oracles enumerate every noise codeword at tiny parameters and
+compare view distributions as multisets cell by cell, independently of
+`linalg` and of the subset-rank criteria. Both must agree wherever both apply.
 """
 
 from __future__ import annotations
@@ -12,10 +12,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 from typing import Sequence
 
 from . import sizes
-from .agcode import bruteforce_cap
+from .agcode import bruteforce_cap, divided_rows
 from .errors import BadIndex, DecodeMismatch, ShapeMismatch, TooLarge
 from .pir_scheme import (
     Database,
@@ -83,42 +84,47 @@ def run_retrieval(inst: SchemeInstance, db: Database, theta: int, seed: int) -> 
     )
 
 
-def _validated(servers: Sequence[int], n: int) -> tuple[int, ...]:
-    cols = tuple(sorted(set(servers)))
+def _restricted(rows: Sequence[Sequence[int]], servers: Sequence[int], n: int) -> list[list[int]]:
+    """The rows' columns at the given servers, in server order, each one in 0..n-1."""
+    cols = sorted(set(servers))
     for c in cols:
         if not 0 <= c < n:
             raise BadIndex(f"server index {c} outside 0..{n - 1}")
-    return cols
+    return [[row[c] for c in cols] for row in rows]
 
 
-def _noise_value_table(rows: Sequence[Sequence[int]], cols: Sequence[int], p: int):
-    """View values of every coefficient combination of the given noise rows."""
-    restricted = [[row[c] for c in cols] for row in rows]
-    return [
-        tuple(sum(c * col[j] for c, col in zip(combo, restricted)) % p for j in range(len(cols)))
-        for combo in product(range(p), repeat=len(rows))
-    ]
+def _noise_value_table(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
+    """Per column of the noise rows, its value under every codeword, in one codeword order."""
+    combos = list(product(range(p), repeat=len(rows)))
+    return [[sum(map(mul, combo, col)) % p for combo in combos] for col in zip(*rows)]
 
 
-def _view_distribution(cells: Sequence[tuple[tuple[int, ...], list]], p: int) -> Counter:
-    """Multiset of restricted views over every choice of one codeword per cell.
+def _cells_agree(codes: Sequence, bases_a: Sequence, bases_b: Sequence, p: int) -> bool:
+    """Whether every cell's multiset of views is the same under both bases.
 
-    Each cell is (base, table): its view is `base` plus one entry of `table`,
-    a `_noise_value_table`, the mirror of the protocol's masking rule.
+    Cell [l][m] is bases[l][m] plus one codeword of the rows codes[l], as
+    `pir_scheme._masked` masks it; all are restricted to the colluders. The
+    cells draw independent codewords, so the joint view is the product of the
+    cells' views, and two products of distributions are equal exactly when
+    each pair of factors is. So each code's codewords are enumerated once and
+    compared cell by cell: L*M*p^dim work at most, within the enumeration cap.
     """
-    bases = [base for base, _ in cells]
-    return Counter(
-        tuple(tuple((b + v) % p for b, v in zip(base, vals)) for base, vals in zip(bases, choice))
-        for choice in product(*(table for _, table in cells))
-    )
-
-
-def _check_cap(p: int, dim: int, cells: int) -> int:
-    total = p ** (dim * cells)
+    total = sum(len(row) * p ** len(rows) for rows, row in zip(codes, bases_a))
     cap = bruteforce_cap(DEFAULT_ORACLE_CAP)
     if total > cap:
         raise TooLarge(f"{total} noise assignments exceeds the enumeration cap {cap}")
-    return total
+
+    def views(base: Sequence[int], table) -> Counter:
+        return Counter(zip(*[[(b + v) % p for v in col] for b, col in zip(base, table)]))
+
+    table, table_rows = None, None
+    for rows, row_a, row_b in zip(codes, bases_a, bases_b, strict=True):
+        if row_a != row_b:
+            if rows is not table_rows:  # the privacy oracle passes one code L times
+                table, table_rows = _noise_value_table(rows, p), rows
+            if any(a != b and views(a, table) != views(b, table) for a, b in zip(row_a, row_b)):
+                return False
+    return True
 
 
 def exhaustive_privacy_oracle(
@@ -130,42 +136,34 @@ def exhaustive_privacy_oracle(
 ) -> bool:
     """Whether the colluders' query view distribution is identical for both files.
 
-    Enumerates every privacy-noise assignment for each requested index and
-    compares the multisets of restricted query tables. Both indices must lie
-    in 1..num_files (`sizes.check_theta`): outside it both views are pure
-    noise and would compare equal.
+    Both indices must lie in 1..num_files (`sizes.check_theta`): outside it
+    both views are pure noise and would compare equal.
     """
     sizes.check_theta(theta_a, num_files)
     sizes.check_theta(theta_b, num_files)
-    cols = _validated(servers, inst.n)
-    p = inst.p
-    _check_cap(p, inst.priv_dim, inst.l * num_files)
-    noise = _noise_value_table(inst.priv_code.rows, cols, p)
-    info = [tuple(row[c] for c in cols) for row in inst.info_rows]
-    zeros = (0,) * len(cols)
-
-    def distribution(theta: int) -> Counter:
-        cells = [(b if m == theta - 1 else zeros, noise) for b in info for m in range(num_files)]
-        return _view_distribution(cells, p)
-
-    return distribution(theta_a) == distribution(theta_b)
+    info = _restricted(inst.info_rows, servers, inst.n)
+    noise = _restricted(inst.priv_code.rows, servers, inst.n)
+    a, b = (
+        [[h if m == theta - 1 else [0] * len(h) for m in range(num_files)] for h in info]
+        for theta in (theta_a, theta_b)
+    )
+    return _cells_agree([noise] * inst.l, a, b, inst.p)
 
 
 def exhaustive_security_oracle(
     inst: SchemeInstance, servers: Sequence[int], db_a: Database, db_b: Database
 ) -> bool:
-    """Whether the colluders' share view distribution is identical for both databases."""
+    """Whether the colluders' share view distribution is identical for both databases.
+
+    Fragment l's noise is the shared `sec_code` on the servers, each column
+    divided by `info_rows[l]` there (`agcode.divided_rows`).
+    """
     if len(db_a) != len(db_b):
         raise ShapeMismatch("databases must have the same number of files")
-    cols = _validated(servers, inst.n)
-    p = inst.p
-    _check_cap(p, inst.sec_dim, inst.l * len(db_a))
-    noise = [_noise_value_table(code.rows, cols, p) for code in inst.sec_codes]
-
-    def distribution(db: Database) -> Counter:
-        cells = [
-            ((file[ell],) * len(cols), tab) for ell, tab in enumerate(noise) for file in db.files
-        ]
-        return _view_distribution(cells, p)
-
-    return distribution(db_a) == distribution(db_b)
+    info = _restricted(inst.info_rows, servers, inst.n)
+    shared = _restricted(inst.sec_code.rows, servers, inst.n)
+    a, b = (
+        [[[f[ell]] * len(h) for f in db.files] for ell, h in enumerate(info)]
+        for db in (db_a, db_b)
+    )
+    return _cells_agree([divided_rows(shared, h, inst.p) for h in info], a, b, inst.p)

@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 from math import comb
 from operator import itemgetter
 
@@ -190,8 +191,11 @@ def subset_rank_check_reference(code, t, mode="all", sample_count=300, seed=0):
     if t < 0:
         raise ValueError("t must be >= 0")
     total = comb(code.n, t)
-    if mode == "all" and total > bruteforce_cap(DEFAULT_SUBSET_CAP):
+    limit = bruteforce_cap(DEFAULT_SUBSET_CAP)
+    if mode == "all" and total > limit:
         mode = "sample"
+    elif mode == "sample" and total <= min(sample_count, limit):
+        mode = "all"
     if mode == "all":
         subsets, checked = combinations(range(code.n), t), total
     else:
@@ -214,3 +218,31 @@ def subset_rank_check_reference(code, t, mode="all", sample_count=300, seed=0):
         failures=tuple(failures),
         seed=seed if mode == "sample" else None,
     )
+
+
+def joint_oracle_reference(codes, bases_a, bases_b, p):
+    """Whether the joint view of all cells has one distribution under both bases.
+
+    The reference for `sim_harness`'s per-cell oracles: cell [l][m] is
+    bases[l][m] plus a codeword of the rows codes[l], already restricted to
+    the colluding servers, and the joint view of all L*M cells is enumerated
+    over every choice of one codeword per cell, p^(dim*L*M) draws per side.
+    """
+
+    def codewords(rows):
+        return [
+            tuple(sum(c * v for c, v in zip(combo, col)) % p for col in zip(*rows))
+            for combo in product(range(p), repeat=len(rows))
+        ]
+
+    tables = [codewords(rows) for rows in codes]
+
+    def joint(bases):
+        cells = [
+            [tuple((b + v) % p for b, v in zip(base, word)) for word in table]
+            for table, row in zip(tables, bases, strict=True)
+            for base in row
+        ]
+        return Counter(product(*cells))
+
+    return joint(bases_a) == joint(bases_b)

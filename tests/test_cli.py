@@ -60,7 +60,9 @@ def test_build_simulate_verify_genus0(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--scheme", str(scheme), "--exhaustive-oracle")
     assert code == 0
     assert "FAIL" not in out
-    assert "privacy oracle" in out and "security oracle" in out
+    lines = out.splitlines()
+    assert "PASS  privacy oracle, |I| = T = 2: all 21 subsets" in lines
+    assert "PASS  security oracle, |I| = X = 2: all 21 subsets" in lines
 
 
 def test_build_genus1_auto_l_and_curve(tmp_path, capsys):
@@ -108,6 +110,17 @@ def test_verify_sampled_subsets(tmp_path, capsys):
         capsys, "verify", "--scheme", str(scheme), "--subsets", "sample:40:3"
     )
     assert code == 0 and "sample" in out
+
+
+def test_verify_sample_of_more_than_every_subset_runs_them_all(tmp_path, capsys):
+    scheme = str(tmp_path / "scheme.json")
+    run_cli(
+        capsys,
+        "build", "--p", "13", "--genus", "0", "--x", "1", "--t", "1", "--l", "1", "--out", scheme,
+    )
+    code, out, _ = run_cli(capsys, "verify", "--scheme", scheme, "--subsets", "sample:100:0")
+    assert code == 0
+    assert "PASS  privacy: 1-subsets independent (all, 3/3)" in out.splitlines()
 
 
 def test_verify_rejects_tampered_scheme(tmp_path, capsys):

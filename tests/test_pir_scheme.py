@@ -518,6 +518,13 @@ def test_server_view_rejects_a_ragged_table():
         server_view(table, 0)
 
 
+@pytest.mark.parametrize("cells", [(((1, 2, 3), (4, 5)),), (((1, 2),), ((3, 4, 5),))])
+def test_server_view_rejects_cells_with_different_server_counts(cells):
+    # zip would cut every view to the shortest cell and hand out wrong views.
+    with pytest.raises(ShapeMismatch, match="different numbers of servers"):
+        server_view(Table(cells), 0)
+
+
 def test_server_view_of_a_database_without_files(g0_tiny):
     shares = store(g0_tiny, Database(13, ()), random.Random(0))
     assert shares == ((),) * g0_tiny.l

@@ -1,7 +1,10 @@
 import random
+from functools import cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agpir.errors import BadIndex, BadTheta, ShapeMismatch, TooLarge
 from agpir.pir_scheme import Database, SchemeParams, build_scheme
@@ -10,11 +13,15 @@ from agpir.sim_harness import (
     exhaustive_security_oracle,
     run_retrieval,
 )
+from conftest import joint_oracle_reference
+
+G0_Q5 = SchemeParams(p=5, genus=0, x=1, t=1, l=1)
+G1_Q13 = SchemeParams(p=13, genus=1, x=1, t=1, l=1)
 
 
 @pytest.fixture(scope="module")
 def g0_q5():
-    return build_scheme(SchemeParams(p=5, genus=0, x=1, t=1, l=1))
+    return build_scheme(G0_Q5)
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +31,7 @@ def g0_q7():
 
 @pytest.fixture(scope="module")
 def g1_q13():
-    return build_scheme(SchemeParams(p=13, genus=1, x=1, t=1, l=1))
+    return build_scheme(G1_Q13)
 
 
 def test_run_retrieval_tiny(g0_q7):
@@ -119,7 +126,8 @@ def test_privacy_oracle_refuses_a_file_index_outside_the_files(theta_a, theta_b)
 
 
 def test_oracle_cap(g0_q5, monkeypatch):
-    monkeypatch.setenv("PIR_AG_MAX_BRUTEFORCE", "10")
+    # The call enumerates 5 privacy codewords for each of its 2 cells: 10 > 9.
+    monkeypatch.setenv("PIR_AG_MAX_BRUTEFORCE", "9")
     with pytest.raises(TooLarge):
         exhaustive_privacy_oracle(g0_q5, [0], 1, 2, num_files=2)
 
@@ -128,3 +136,80 @@ def test_full_scale_oracle_refused():
     inst = build_scheme(SchemeParams(p=43, genus=0, x=16, t=16, l=5))
     with pytest.raises(TooLarge):
         exhaustive_privacy_oracle(inst, [0], 1, 2, num_files=2)
+
+
+def joint_privacy(inst, servers, theta_a, theta_b, num_files):
+    """The joint reference on the privacy oracle's cells, read from `priv_code`."""
+    cols = sorted(set(servers))
+    rows = [[row[c] for c in cols] for row in inst.priv_code.rows]
+    info = [tuple(row[c] for c in cols) for row in inst.info_rows]
+    zeros = (0,) * len(cols)
+    a, b = (
+        [[i if m == theta - 1 else zeros for m in range(num_files)] for i in info]
+        for theta in (theta_a, theta_b)
+    )
+    return joint_oracle_reference([rows] * inst.l, a, b, inst.p)
+
+
+def joint_security(inst, servers, db_a, db_b):
+    """The joint reference on the security oracle's cells, read from the L `sec_codes`."""
+    cols = sorted(set(servers))
+    codes = [[[row[c] for c in cols] for row in code.rows] for code in inst.sec_codes]
+    a, b = (
+        [[(f[ell],) * len(cols) for f in db.files] for ell in range(inst.l)]
+        for db in (db_a, db_b)
+    )
+    return joint_oracle_reference(codes, a, b, inst.p)
+
+
+@pytest.mark.parametrize(
+    "params, files_a, files_b, privacy_sizes",
+    [
+        # Criterion 6's calls; at genus 0 T + 1 colluders are its negative control.
+        (G0_Q5, ((1,), (2,)), ((4,), (0,)), (1, 2)),
+        (G1_Q13, ((7,), (0,)), ((1,), (5,)), (1,)),
+    ],
+)
+def test_per_cell_oracles_match_the_joint_reference_on_criterion_6(
+    params, files_a, files_b, privacy_sizes
+):
+    inst = build_scheme(params)
+    db_a, db_b = Database(inst.p, files_a), Database(inst.p, files_b)
+    verdicts = set()
+    for size in privacy_sizes:
+        for servers in combinations(range(inst.n), size):
+            verdict = exhaustive_privacy_oracle(inst, servers, 1, 2, num_files=2)
+            assert verdict == joint_privacy(inst, servers, 1, 2, 2)
+            verdicts.add((size, verdict))
+    assert verdicts == {(size, size == inst.t) for size in privacy_sizes}
+    for servers in combinations(range(inst.n), inst.x):
+        assert exhaustive_security_oracle(inst, servers, db_a, db_b)
+        assert joint_security(inst, servers, db_a, db_b)
+
+
+@cache
+def _built(params):
+    return build_scheme(params)
+
+
+# Largest joint enumeration p^(dim*L*M) per distribution that a drawn case may need.
+JOINT_CAP = 30_000
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=st.sampled_from([G0_Q5, G1_Q13]), data=st.data())
+def test_per_cell_oracles_match_the_joint_reference(params, data):
+    inst = _built(params)
+    p, dim = inst.p, max(inst.priv_dim, inst.sec_dim)
+    most = max(m for m in range(1, 10) if p ** (dim * inst.l * m) <= JOINT_CAP)
+    m = data.draw(st.integers(1, most), label="files")
+    servers = data.draw(st.permutations(range(inst.n)))[: data.draw(st.integers(0, inst.n))]
+    theta_a, theta_b = data.draw(st.integers(1, m)), data.draw(st.integers(1, m))
+    files = st.tuples(*[st.tuples(*[st.integers(0, p - 1)] * inst.l)] * m)
+    db_a, db_b = Database(p, data.draw(files)), Database(p, data.draw(files))
+    assert exhaustive_privacy_oracle(inst, servers, theta_a, theta_b, m) == joint_privacy(
+        inst, servers, theta_a, theta_b, m
+    )
+    assert exhaustive_security_oracle(inst, servers, db_a, db_b) == joint_security(
+        inst, servers, db_a, db_b
+    )
