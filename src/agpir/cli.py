@@ -28,13 +28,11 @@ from .pir_scheme import (
 )
 from .rates import max_rate_g0, max_rate_g1, rows_to_csv, sweep
 from .sim_harness import (
+    check_oracle_work,
     exhaustive_privacy_oracle,
     exhaustive_security_oracle,
     run_retrieval,
 )
-
-# Exhaustively enumerated subsets per oracle run in `verify --exhaustive-oracle`.
-ORACLE_SUBSET_LIMIT = 2000
 
 # Every exception type the package defines; `main` reports these as one-line errors.
 PACKAGE_ERRORS = tuple(
@@ -75,6 +73,7 @@ def cmd_find_curve(args) -> int:
 
 def cmd_build(args) -> int:
     field = PrimeField(args.p)
+    sizes.check_levels(args.x, args.t)
     if (args.a is None) != (args.b is None):
         raise BadParams("--a and --b must be given together")
     curve = None if args.a is None else (args.a, args.b)
@@ -146,36 +145,29 @@ def _parse_subsets(spec: str) -> tuple[str, int, int]:
 
 
 def _oracle_lines(inst) -> list[str]:
-    lines = []
+    """A PASS/FAIL/SKIP line per oracle, swept over all |I|-subsets unless that exceeds the cap."""
     p = inst.p
     db_a = Database(p, tuple((0,) * inst.l for _ in range(2)))
     db_b = Database(p, tuple(tuple((m + i + 1) % p for i in range(inst.l)) for m in range(2)))
-
-    def sweep_subsets(size, runner, label):
-        if comb(inst.n, size) > ORACLE_SUBSET_LIMIT:
-            lines.append(f"SKIP  {label}: C({inst.n}, {size}) subsets is too many to enumerate")
-            return
+    sweeps = [
+        (f"privacy oracle, |I| = T = {inst.t}", inst.t, inst.priv_dim,
+         lambda s: exhaustive_privacy_oracle(inst, s, 1, 2, num_files=2)),
+        (f"security oracle, |I| = X = {inst.x}", inst.x, inst.sec_dim,
+         lambda s: exhaustive_security_oracle(inst, s, db_a, db_b)),
+    ]
+    lines = []
+    for label, size, dim, runner in sweeps:
+        calls = comb(inst.n, size)
         try:
-            bad = [s for s in combinations(range(inst.n), size) if not runner(s)]
+            check_oracle_work(inst, dim, num_files=2, calls=calls)
         except TooLarge as exc:
-            lines.append(f"SKIP  {label}: {exc}")
-            return
-        ok = not bad
+            lines.append(f"SKIP  {label}: {calls} subsets: {exc}")
+            continue
+        bad = [s for s in combinations(range(inst.n), size) if not runner(s)]
         lines.append(
-            f"{'PASS' if ok else 'FAIL'}  {label}: all {comb(inst.n, size)} subsets"
-            + ("" if ok else f" (first failure {bad[0]})")
+            f"{'FAIL' if bad else 'PASS'}  {label}: all {calls} subsets"
+            + (f" (first failure {bad[0]})" if bad else "")
         )
-
-    sweep_subsets(
-        inst.t,
-        lambda s: exhaustive_privacy_oracle(inst, s, 1, 2, num_files=2),
-        f"privacy oracle, |I| = T = {inst.t}",
-    )
-    sweep_subsets(
-        inst.x,
-        lambda s: exhaustive_security_oracle(inst, s, db_a, db_b),
-        f"security oracle, |I| = X = {inst.x}",
-    )
     return lines
 
 

@@ -24,6 +24,10 @@ how the cubic splits, matching how the schemes use it (an aggregate pole
 bound). Divisors therefore put the mass of y-atoms on that symbolic place,
 while point valuations are the true local orders; the two views only
 differ at rational two-torsion points, which the schemes never evaluate at.
+
+`Divisor` is the one divisor algebra: `+`, `-`, `is_effective` (no negative
+coefficient), `family_min` (the per-place least coefficient over a non-empty
+family, 0 off a support) and `<=`, which is `(other - self).is_effective`.
 """
 
 from __future__ import annotations
@@ -115,20 +119,15 @@ class Divisor:
 
     @classmethod
     def of(cls, curve: Curve, coeffs: Mapping[Place, int]) -> "Divisor":
-        cleaned = tuple(
-            (pl, n) for pl, n in sorted(coeffs.items(), key=lambda kv: place_key(kv[0])) if n != 0
-        )
-        return cls(curve, cleaned)
+        nonzero = [(pl, n) for pl, n in coeffs.items() if n != 0]
+        return cls(curve, tuple(sorted(nonzero, key=lambda kv: place_key(kv[0]))))
 
     @classmethod
     def zero(cls, curve: Curve) -> "Divisor":
         return cls(curve, ())
 
     def coeff(self, place: Place) -> int:
-        for pl, n in self.items:
-            if pl == place:
-                return n
-        return 0
+        return self.as_dict().get(place, 0)
 
     def as_dict(self) -> dict[Place, int]:
         return dict(self.items)
@@ -141,6 +140,10 @@ class Divisor:
     def is_zero(self) -> bool:
         return not self.items
 
+    @property
+    def is_effective(self) -> bool:
+        return all(n >= 0 for _, n in self.items)
+
     def __add__(self, other: "Divisor") -> "Divisor":
         if self.curve != other.curve:
             raise ValueError("divisors on different curves")
@@ -149,12 +152,25 @@ class Divisor:
             out[pl] = out.get(pl, 0) + n
         return Divisor.of(self.curve, out)
 
+    def __neg__(self) -> "Divisor":
+        return Divisor(self.curve, tuple((pl, -n) for pl, n in self.items))
+
+    def __sub__(self, other: "Divisor") -> "Divisor":
+        return self + -other
+
     def __le__(self, other: "Divisor") -> bool:
         """Coefficientwise comparison over the union of supports."""
-        if self.curve != other.curve:
-            raise ValueError("divisors on different curves")
-        places = {pl for pl, _ in self.items} | {pl for pl, _ in other.items}
-        return all(self.coeff(pl) <= other.coeff(pl) for pl in places)
+        return (other - self).is_effective
+
+    @classmethod
+    def family_min(cls, family: Sequence["Divisor"]) -> "Divisor":
+        """At each place, the least coefficient over a non-empty family (0 off a support)."""
+        curves = {d.curve for d in family}
+        if len(curves) != 1:
+            raise ValueError("a family minimum needs a non-empty family on one curve")
+        (curve,) = curves
+        maps = [d.as_dict() for d in family]
+        return cls.of(curve, {pl: min(d.get(pl, 0) for d in maps) for pl in set().union(*maps)})
 
     def __repr__(self) -> str:
         if not self.items:

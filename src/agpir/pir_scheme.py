@@ -101,10 +101,7 @@ class SchemeParams:
     def __post_init__(self):
         if self.genus not in (0, 1):
             raise BadParams(f"genus must be 0 or 1, got {self.genus}")
-        if self.x < 1 or self.t < 1:
-            raise BadParams(
-                f"security and privacy levels must both be >= 1, got X = {self.x}, T = {self.t}"
-            )
+        sizes.check_levels(self.x, self.t)
         if self.l < 1:
             raise BadParams(f"need at least one fragment per file, got L = {self.l}")
         if self.genus == 1 and self.l % 2 == 0:
@@ -413,12 +410,17 @@ def _raise_rank_defect(big_l: int, info_rows, noise_rows, p: int) -> NoReturn:
 # -- protocol ------------------------------------------------------------------------
 
 
-def store(inst: SchemeInstance, db: Database, rng: random.Random) -> Table:
-    """Encode the database into per-server shares (fragment + security noise)."""
+def check_database(inst: SchemeInstance, db: Database) -> None:
+    """The database rule: over the scheme's field, with L fragments in every file."""
     if db.p != inst.p:
         raise ShapeMismatch(f"database is over F_{db.p}, scheme over F_{inst.p}")
     if any(len(f) != inst.l for f in db.files):
         raise ShapeMismatch(f"every file must have exactly L = {inst.l} fragments")
+
+
+def store(inst: SchemeInstance, db: Database, rng: random.Random) -> Table:
+    """Encode the database into per-server shares (fragment + security noise)."""
+    check_database(inst, db)
     ones = inst.packed_sec[0].pack((1,) * inst.n)  # an extra term of every `packed_sec` entry
     extras = [[file[ell] * ones for file in db.files] for ell in range(inst.l)]
     return _masked(inst.packed_sec, extras, inst.p, rng)
@@ -653,59 +655,27 @@ def check_noise_containment(inst: SchemeInstance) -> list[tuple[str, bool]]:
       min_i ord_P(w_i) + min_j ord_P(v_j) + B_P >= ord_P(h_l),
       since the least coefficient over a product of two families is the sum
       of the two least ones. Only a fragment that fails this test
-      enumerates its pairs, to name them;
+      enumerates its pairs, div(w_i) + B - div(h_l) + div(v_j) >= 0, to name
+      them;
     - enc * priv[j] is decided by div(v_j) + B >= 0.
     """
-    bound = inst.noise_divisor().as_dict()
-    sec = [w.divisor().as_dict() for w in inst.sec_basis]
-    priv = [v.divisor().as_dict() for v in inst.priv_basis]
-    bound_coeffs = _coeffs(bound)
-    priv_coeffs = [_coeffs(v) for v in priv]
-    query_ok = [_sum_is_effective(_coeffs(w), bound_coeffs) for w in sec]
-    floor = _add(_add(_family_min(sec), _family_min(priv)), bound)
-    below = [pl for pl, n in floor.items() if n < 0]
+    bound = inst.noise_divisor()
+    sec = [w.divisor() for w in inst.sec_basis]
+    priv = [v.divisor() for v in inst.priv_basis]
+    query_ok = [(w + bound).is_effective for w in sec]
+    floor = Divisor.family_min(sec) + Divisor.family_min(priv) + bound
     oks: list[bool] = []
     for h in inst.info_basis:
-        h_div = h.divisor().as_dict()
+        h_div = h.divisor()
         oks += query_ok
-        if all(floor.get(pl, 0) >= h_div.get(pl, 0) for pl in chain(h_div, below)):
+        if h_div <= floor:
             oks += repeat(True, len(sec) * len(priv))
         else:
-            shifted = [_coeffs(_add(_add(w, bound), h_div, -1)) for w in sec]
-            oks += [_sum_is_effective(s, v) for v in priv_coeffs for s in shifted]
-    oks += [_sum_is_effective(bound_coeffs, v) for v in priv_coeffs]
+            shifted = [w + bound - h_div for w in sec]
+            oks += [(s + v).is_effective for v in priv for s in shifted]
+    oks += [(bound + v).is_effective for v in priv]
     labels = _noise_labels(inst.l, len(sec), len(priv))
     return list(zip(labels, oks, strict=True))
-
-
-def _add(a: dict, b: dict, sign: int = 1) -> dict:
-    """The divisor a + sign * b, as a place -> coefficient map."""
-    out = dict(a)
-    for pl, n in b.items():
-        out[pl] = out.get(pl, 0) + sign * n
-    return out
-
-
-def _family_min(divisors: list[dict]) -> dict:
-    """At each place, the least coefficient over a family of divisors (0 off a support)."""
-    places = set().union(*divisors)
-    return {pl: min(d.get(pl, 0) for d in divisors) for pl in places}
-
-
-def _coeffs(d: dict) -> tuple[dict, list]:
-    """A place -> coefficient map with its negative terms listed."""
-    return d, [(pl, n) for pl, n in d.items() if n < 0]
-
-
-def _sum_is_effective(a: tuple[dict, list], b: tuple[dict, list]) -> bool:
-    """Whether the sum of two `_coeffs` divisors has no negative coefficient.
-
-    A coefficient of the sum can be negative only where one of the two is.
-    """
-    (a_all, a_neg), (b_all, b_neg) = a, b
-    return all(n + b_all.get(pl, 0) >= 0 for pl, n in a_neg) and all(
-        n + a_all.get(pl, 0) >= 0 for pl, n in b_neg
-    )
 
 
 # -- serialization ----------------------------------------------------------------------

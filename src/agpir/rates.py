@@ -36,12 +36,14 @@ class SweepRow:
 
 def max_rate_g0(q: int, x: int, t: int) -> SweepRow:
     """Largest L with q + 1 >= 2L + X + T + 1; N = L + X + T."""
+    sizes.check_levels(x, t)
     PrimeField(q)
     return _best_row(q, 0, x, t, sizes.max_fragments(0, q + 1, x, t))
 
 
 def max_rate_g1(q: int, x: int, t: int, curve: tuple[int, int] | None = None) -> SweepRow:
     """Largest odd L with #points >= 2L + X + T + 11 + Z; N = L + X + T + 8."""
+    sizes.check_levels(x, t)
     model = resolve_curve(PrimeField(q), curve)
     return _g1_row(model, model.point_count(), len(model.zeros_of_y()), x, t)
 

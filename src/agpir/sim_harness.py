@@ -22,6 +22,7 @@ from .pir_scheme import (
     Database,
     SchemeInstance,
     Table,
+    check_database,
     decode,
     make_queries,
     scheme_descriptor,
@@ -99,6 +100,17 @@ def _noise_value_table(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]
     return [[sum(map(mul, combo, col)) % p for combo in combos] for col in zip(*rows)]
 
 
+def check_oracle_work(inst: SchemeInstance, dim: int, num_files: int, calls: int = 1) -> None:
+    """Refuse `calls` oracle calls of L * M * p^dim noise assignments each above the cap.
+
+    dim is the masking code's dimension: `priv_dim` for privacy, `sec_dim` for security.
+    """
+    work = calls * inst.l * num_files * inst.p**dim
+    cap = bruteforce_cap(DEFAULT_ORACLE_CAP)
+    if work > cap:
+        raise TooLarge(f"{work} noise assignments exceeds the enumeration cap {cap}")
+
+
 def _cells_agree(codes: Sequence, bases_a: Sequence, bases_b: Sequence, p: int) -> bool:
     """Whether every cell's multiset of views is the same under both bases.
 
@@ -107,12 +119,8 @@ def _cells_agree(codes: Sequence, bases_a: Sequence, bases_b: Sequence, p: int) 
     cells draw independent codewords, so the joint view is the product of the
     cells' views, and two products of distributions are equal exactly when
     each pair of factors is. So each code's codewords are enumerated once and
-    compared cell by cell: L*M*p^dim work at most, within the enumeration cap.
+    compared cell by cell, within `check_oracle_work`, which the oracles call first.
     """
-    total = sum(len(row) * p ** len(rows) for rows, row in zip(codes, bases_a))
-    cap = bruteforce_cap(DEFAULT_ORACLE_CAP)
-    if total > cap:
-        raise TooLarge(f"{total} noise assignments exceeds the enumeration cap {cap}")
 
     def views(base: Sequence[int], table) -> Counter:
         return Counter(zip(*[[(b + v) % p for v in col] for b, col in zip(base, table)]))
@@ -141,6 +149,7 @@ def exhaustive_privacy_oracle(
     """
     sizes.check_theta(theta_a, num_files)
     sizes.check_theta(theta_b, num_files)
+    check_oracle_work(inst, inst.priv_dim, num_files)
     info = _restricted(inst.info_rows, servers, inst.n)
     noise = _restricted(inst.priv_code.rows, servers, inst.n)
     a, b = (
@@ -156,10 +165,14 @@ def exhaustive_security_oracle(
     """Whether the colluders' share view distribution is identical for both databases.
 
     Fragment l's noise is the shared `sec_code` on the servers, each column
-    divided by `info_rows[l]` there (`agcode.divided_rows`).
+    divided by `info_rows[l]` there (`agcode.divided_rows`). Both databases
+    follow `store`'s rule, `pir_scheme.check_database`.
     """
+    check_database(inst, db_a)
+    check_database(inst, db_b)
     if len(db_a) != len(db_b):
         raise ShapeMismatch("databases must have the same number of files")
+    check_oracle_work(inst, inst.sec_dim, len(db_a))
     info = _restricted(inst.info_rows, servers, inst.n)
     shared = _restricted(inst.sec_code.rows, servers, inst.n)
     a, b = (

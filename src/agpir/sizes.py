@@ -27,6 +27,12 @@ def refuse_count_above(name: str, count: int, cap: int) -> None:
         raise BadParams(f"refusing {name} = {count} (cap {cap})")
 
 
+def check_levels(x: int, t: int) -> None:
+    """The security and privacy levels: X >= 1 and T >= 1."""
+    if x < 1 or t < 1:
+        raise BadParams(f"security and privacy levels must both be >= 1, got X = {x}, T = {t}")
+
+
 def check_theta(theta: int, num_files: int) -> None:
     """The range of a 1-based file index: theta in 1..num_files."""
     if not 1 <= theta <= num_files:

@@ -250,6 +250,33 @@ def test_bad_build_levels_are_a_one_line_error(capsys, levels, message):
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
+def test_genus1_build_refuses_bad_levels_before_any_curve_search(capsys, monkeypatch):
+    monkeypatch.setattr(curve_module, "find_curve", lambda *_: pytest.fail("find_curve reached"))
+    code, out, err = run_cli(capsys, "build", "--p", "1009", "--genus", "1", "--x", "0", "--t", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: security and privacy levels must both be >= 1, got X = 0, T = 1\n"
+
+
+def test_exhaustive_oracle_sweep_is_bounded_before_its_first_call(tmp_path, capsys, monkeypatch):
+    scheme = tmp_path / "scheme.json"
+    run_cli(
+        capsys,
+        "build", "--p", "13", "--genus", "0", "--x", "2", "--t", "2", "--l", "3",
+        "--out", str(scheme),
+    )
+    # Each sweep makes C(7, 2) = 21 calls of L * M * p^2 = 3 * 2 * 169 = 1014 units;
+    # one call fits under the cap, the sweep does not.
+    monkeypatch.setenv("PIR_AG_MAX_BRUTEFORCE", "5000")
+    monkeypatch.setattr(cli, "exhaustive_privacy_oracle", lambda *_, **__: pytest.fail("called"))
+    monkeypatch.setattr(cli, "exhaustive_security_oracle", lambda *_: pytest.fail("called"))
+    code, out, _ = run_cli(capsys, "verify", "--scheme", str(scheme), "--exhaustive-oracle")
+    assert code == 0
+    lines = out.splitlines()
+    cap = "21294 noise assignments exceeds the enumeration cap 5000"
+    assert f"SKIP  privacy oracle, |I| = T = 2: 21 subsets: {cap}" in lines
+    assert f"SKIP  security oracle, |I| = X = 2: 21 subsets: {cap}" in lines
+
+
 def test_sweep_cli(tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
     code, out, _ = run_cli(

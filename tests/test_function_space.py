@@ -257,6 +257,56 @@ def test_divisor_partial_order(curve43):
     assert not bound <= two_inf
 
 
+def divisor_places(curve):
+    """A few places of every kind the curve has."""
+    if curve.genus == 0:
+        return [INFINITY] + [AffinePoint(x) for x in range(5)]
+    split = [pt for x in range(curve.field.p) for pt in curve.fiber(x)][:4]
+    inert = [QuadraticPlace(x) for x in range(curve.field.p) if not curve.fiber(x)][:2]
+    return [INFINITY, Y_ZEROS, *split, *inert]
+
+
+def nonzero(coeffs):
+    return {pl: n for pl, n in coeffs.items() if n != 0}
+
+
+@pytest.mark.parametrize("name", ["line43", "curve43"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_divisor_operations_agree_with_coefficientwise_definitions(name, request, data):
+    curve = request.getfixturevalue(name)
+    coeff_maps = st.dictionaries(st.sampled_from(divisor_places(curve)), st.integers(-3, 3))
+    maps = data.draw(st.lists(coeff_maps, min_size=1, max_size=4), label="family")
+    a, b = maps[0], maps[-1]
+    da, db = Divisor.of(curve, a), Divisor.of(curve, b)
+    both = a.keys() | b.keys()
+    expected = {
+        "negation": (-da, {pl: -n for pl, n in a.items()}),
+        "sum": (da + db, {pl: a.get(pl, 0) + b.get(pl, 0) for pl in both}),
+        "difference": (da - db, {pl: a.get(pl, 0) - b.get(pl, 0) for pl in both}),
+        "family minimum": (
+            Divisor.family_min([Divisor.of(curve, m) for m in maps]),
+            {pl: min(m.get(pl, 0) for m in maps) for pl in set().union(*maps)},
+        ),
+    }
+    for op, (got, coeffs) in expected.items():
+        # The same coefficients, in the canonical form `Divisor.of` gives.
+        assert dict(got.items) == nonzero(coeffs), op
+        assert got == Divisor.of(curve, coeffs), op
+    assert da.is_effective == all(n >= 0 for n in a.values())
+    assert (da <= db) == all(a.get(pl, 0) <= b.get(pl, 0) for pl in both)
+
+
+def test_divisor_operations_refuse_mixed_curves_and_an_empty_family(curve43, line43):
+    on_curve, on_line = Divisor.of(curve43, {INFINITY: 1}), Divisor.of(line43, {INFINITY: 1})
+    for op in (on_curve.__add__, on_curve.__sub__, on_curve.__le__):
+        with pytest.raises(ValueError, match="different curves"):
+            op(on_line)
+    for family in ([on_curve, on_line], []):
+        with pytest.raises(ValueError, match="non-empty family on one curve"):
+            Divisor.family_min(family)
+
+
 # -- Riemann-Roch dimensions --------------------------------------------------------
 
 

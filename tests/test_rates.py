@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from agpir import curve as curve_module
 from agpir.curve import EllipticCurve, resolve_curve
-from agpir.errors import FieldTooLarge, Infeasible
+from agpir.errors import BadParams, FieldTooLarge, Infeasible
 from agpir.field import is_prime
 from agpir.pir_scheme import SchemeParams, build_scheme, verify_scheme
 from agpir.rates import CSV_HEADER, max_rate_g0, max_rate_g1, rows_to_csv, sweep
@@ -19,6 +20,16 @@ def test_max_rate_g0_q127():
     row = max_rate_g0(127, 26, 26)
     assert (row.l, row.n, row.rate) == (37, 89, Fraction(37, 89))
     assert not max_rate_g0(127, 64, 64).feasible
+
+
+@pytest.mark.parametrize("x, t", [(-3, 1), (0, 0), (1, 0), (0, 5)])
+def test_max_rates_refuse_levels_below_one(x, t, monkeypatch):
+    monkeypatch.setattr(curve_module, "find_curve", lambda *_: pytest.fail("find_curve reached"))
+    message = f"levels must both be >= 1, got X = {x}, T = {t}"
+    with pytest.raises(BadParams, match=message):
+        max_rate_g0(43, x, t)
+    with pytest.raises(BadParams, match=message):
+        max_rate_g1(43, x, t)
 
 
 def test_max_rate_g1_example_q43():

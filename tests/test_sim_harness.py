@@ -109,6 +109,23 @@ def test_security_oracle_shape_check(g0_q5):
         exhaustive_security_oracle(g0_q5, [0], Database(5, ((1,),)), Database(5, ((1,), (2,))))
 
 
+@pytest.mark.parametrize(
+    "db_a, db_b, message",
+    [
+        # One-fragment files on an L = 3 instance.
+        (Database(13, ((1,), (2,))), Database(13, ((3,), (4,))), "exactly L = 3 fragments"),
+        # A database over another field, with L fragments per file.
+        (Database(7, ((2, 3, 4),)), Database(13, ((1, 2, 3),)), "over F_7, scheme over F_13"),
+    ],
+)
+def test_security_oracle_refuses_a_database_that_store_refuses(db_a, db_b, message):
+    inst = build_scheme(SchemeParams(p=13, genus=0, x=2, t=2, l=3))
+    with pytest.raises(ShapeMismatch, match=message):
+        exhaustive_security_oracle(inst, (0, 1), db_a, db_b)
+    with pytest.raises(ShapeMismatch, match=message):
+        exhaustive_security_oracle(inst, (0, 1), db_b, db_a)
+
+
 def test_oracles_reject_a_server_index_out_of_range(g0_q5):
     db = Database(5, ((1,), (2,)))
     with pytest.raises(BadIndex, match=f"server index {g0_q5.n} outside"):
