@@ -16,7 +16,8 @@ this one layout and its helpers:
 - `PackedRows` evaluates many combinations sum(c_i * row_i) of one fixed
   set of `dim` rows, each followed by one unpack and a reduction mod p.
   With residues in [0, p) and room for one extra packed term, a slot
-  reaches (dim + 1) * (p - 1)**2.
+  reaches (dim + 1) * (p - 1)**2. A combination can scale column j by s_j in
+  that reduction: one product per symbol, and no scaled copy of the rows.
 - `eliminate_packed`, the one elimination loop behind `rref`, `rank`,
   `pivot_inverse` and `agcode.subset_rank_check`, holds each row of the
   matrix as one packed int and clears a pivot column with one update
@@ -213,18 +214,8 @@ class PackedRows:
     @classmethod
     def of(cls, rows: Matrix, p: int) -> PackedRows:
         """Pack a matrix, with slots wide enough for one extra packed term."""
-        return cls._packed(rows, p, ([v % p for v in row] for row in rows))
-
-    @classmethod
-    def of_residues(cls, rows: Sequence[list[int]], p: int) -> PackedRows:
-        """`of` for rows whose entries are already residues in [0, p), packed as they are."""
-        return cls._packed(rows, p, rows)
-
-    @classmethod
-    def _packed(cls, rows: Matrix, p: int, residues) -> PackedRows:
-        """Pack `residues`, the rows reduced one at a time, in slots sized for `rows`."""
         slot = _slot_bytes((len(rows) + 1) * (p - 1) ** 2)
-        return cls(p, _width(rows), slot, tuple(_pack(row, slot) for row in residues))
+        return cls(p, _width(rows), slot, tuple(_pack([v % p for v in row], slot) for row in rows))
 
     def pack(self, row: Sequence[int]) -> int:
         """One row of length n as a packed int, entries reduced to [0, p)."""
@@ -232,13 +223,20 @@ class PackedRows:
             raise ValueError(f"row has length {len(row)}, expected {self.n}")
         return _pack([v % self.p for v in row], self.slot)
 
-    def combine(self, coeffs: Sequence[int], extra: int = 0) -> tuple[int, ...]:
+    def combine(
+        self, coeffs: Sequence[int], extra: int = 0, scale: Sequence[int] | None = None
+    ) -> tuple[int, ...]:
         """sum(coeffs[i] * rows[i]) + extra, reduced mod p, as a tuple of n residues.
 
-        `extra` is 0 or one packed row (from `pack`) times a residue in [0, p).
+        `extra` is 0 or one packed row (from `pack`) times a residue in [0, p);
+        `scale`, None or n residues, multiplies column j by scale[j] as it is reduced.
         """
         if len(coeffs) != len(self.rows):
             raise ValueError(f"{len(coeffs)} coefficients for {len(self.rows)} rows")
         p, n, slot = self.p, self.n, self.slot
         acc = sum(map(mul, [c % p for c in coeffs], self.rows), extra)
-        return tuple([v % p for v in _unpack(acc, n, slot)])
+        if scale is None:
+            return tuple([v % p for v in _unpack(acc, n, slot)])
+        if len(scale) != n:  # checked here: zip's strict check costs more per call
+            raise ValueError(f"{len(scale)} column scales for rows of length {n}")
+        return tuple([v * s % p for v, s in zip(_unpack(acc, n, slot), scale)])

@@ -43,6 +43,7 @@ from .curve import (
     resolve_curve,
 )
 from .errors import (
+    BadIndex,
     BadL,
     BadParams,
     CurveTooSmall,
@@ -142,8 +143,8 @@ class SchemeInstance:
     Security space l is h_l^-1 * L(D) for the fragment basis function h_l and
     one Riemann-Roch space L(D), so the instance keeps the basis of L(D) and
     its evaluation code once. Fragment l's code divides column n by h_l there
-    (`info_rows[l][n]`): `store` packs it (`packed_sec`), and only acceptance
-    criteria 5 and 9 and the tests read it as `sec_codes`.
+    (`info_rows[l][n]`): `store` divides cells of the shared code by it
+    (`sec_units`), and only criteria 5 and 9 and the tests read `sec_codes`.
     `decode_inv` inverts `decode_rows` on the information set `decode_cols`.
     Each other column, a spare symbol, is one parity check in `decode`: none
     at genus 0, one at genus 1.
@@ -235,17 +236,15 @@ class SchemeInstance:
         return tuple(map(self.packed_priv.pack, self.info_rows))
 
     @cached_property
-    def packed_sec(self) -> tuple[linalg.PackedRows, ...]:
-        """Each fragment's security code, scaled from `sec_code` inside the pack.
+    def packed_sec(self) -> linalg.PackedRows:
+        """The shared security code, the one code every share is masked with."""
+        return linalg.PackedRows.of(self.sec_code.rows, self.p)
 
-        The residues of `agcode.divided_rows` go straight into the packed
-        slots, so `store` builds none of the L `LinearCode`s of `sec_codes`.
-        """
-        rows, p = self.sec_code.rows, self.p
-        return tuple(
-            linalg.PackedRows.of_residues(divided_rows(rows, values, p), p)
-            for values in self.info_rows
-        )
+    @cached_property
+    def sec_units(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Per fragment l: the inverses of `info_rows[l]` (`divided_rows`), and the row packed."""
+        ones, p, pack = [(1,) * self.n], self.p, self.packed_sec.pack
+        return tuple((tuple(divided_rows(ones, v, p)[0]), pack(v)) for v in self.info_rows)
 
     @cached_property
     def packed_decode_inv(self) -> linalg.PackedRows:
@@ -419,11 +418,11 @@ def check_database(inst: SchemeInstance, db: Database) -> None:
 
 
 def store(inst: SchemeInstance, db: Database, rng: random.Random) -> Table:
-    """Encode the database into per-server shares (fragment + security noise)."""
+    """Encode the database: share [l][m] is h_l^-1 * (f_{m,l} * h_l + a `sec_code` codeword)."""
     check_database(inst, db)
-    ones = inst.packed_sec[0].pack((1,) * inst.n)  # an extra term of every `packed_sec` entry
-    extras = [[file[ell] * ones for file in db.files] for ell in range(inst.l)]
-    return _masked(inst.packed_sec, extras, inst.p, rng)
+    inverses, info = zip(*inst.sec_units)
+    extras = [[file[ell] * row for file in db.files] for ell, row in enumerate(info)]
+    return _masked(inst.packed_sec, extras, inst.p, rng, inverses)
 
 
 def make_queries(
@@ -434,26 +433,27 @@ def make_queries(
     extras = [
         [base if m == theta - 1 else 0 for m in range(num_files)] for base in inst.packed_info
     ]
-    return _masked((inst.packed_priv,) * inst.l, extras, inst.p, rng)
+    return _masked(inst.packed_priv, extras, inst.p, rng)
 
 
 def _masked(
-    codes: Sequence[linalg.PackedRows],
+    code: linalg.PackedRows,
     extras: Sequence[Sequence[int]],
     p: int,
     rng: random.Random,
+    scales: Sequence[Sequence[int]] | None = None,
 ) -> Table:
-    """Cell [l][m] is extras[l][m] plus a uniformly random codeword of codes[l].
+    """Cell [l][m] is extras[l][m] plus a random codeword of `code`, times scales[l] by column.
 
     This is the one masking rule of shares and queries alike. The codeword
     coefficients over F_p are drawn in one `_draw` call and split cell by
     cell, fragment-major then file-major.
     """
-    total = sum(len(code.rows) * len(row) for code, row in zip(codes, extras))
-    draws = iter(_draw(rng, p, total))
+    dim = len(code.rows)
+    draws = iter(_draw(rng, p, dim * sum(map(len, extras))))
     return Table(
-        tuple(code.combine(list(islice(draws, len(code.rows))), extra) for extra in row)
-        for code, row in zip(codes, extras)
+        tuple(code.combine(list(islice(draws, dim)), extra, scale) for extra in row)
+        for row, scale in zip(extras, scales or repeat(None))
     )
 
 
@@ -477,13 +477,15 @@ def server_view(table: Table, server: int) -> tuple[tuple[int, ...], ...]:
 
     It is read from the table's `views`, built on the first call. The table
     is one that `store` or `make_queries` returned, or a loaded one wrapped
-    once with `Table(...)`.
+    once with `Table(...)`. A server outside 0..N-1 raises `BadIndex`.
     """
     if not isinstance(table, Table):
         raise TypeError(f"server_view reads a Table, got {type(table).__name__}")
     views = table.views
     if not any(table):
         return ((),) * len(table)  # zip folds the L empty rows of M = 0 into none
+    if not 0 <= server < len(views):
+        raise BadIndex(f"server index {server} outside 0..{len(views) - 1}")
     return views[server]
 
 

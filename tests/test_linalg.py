@@ -170,11 +170,14 @@ def test_row_space_equal():
     assert linalg.row_space_equal([[1, 0], [0, 1]], [[1, 1], [1, 2]], 5)
 
 
-def naive_combination(coeffs, rows, p, scale=0, extra_row=None):
+def naive_combination(coeffs, rows, p, scale=0, extra_row=None, columns=None):
+    """sum(coeffs[i] * rows[i]) + scale * extra_row, column j times columns[j], mod p."""
     n = len(rows[0])
     extra = extra_row or [0] * n
+    columns = columns or [1] * n
     return tuple(
-        (sum(c * row[j] for c, row in zip(coeffs, rows)) + scale * extra[j]) % p for j in range(n)
+        (sum(c * row[j] for c, row in zip(coeffs, rows)) + scale * extra[j]) * columns[j] % p
+        for j in range(n)
     )
 
 
@@ -199,11 +202,20 @@ def test_packed_combine_matches_naive(p, dim, n):
     packed = linalg.PackedRows.of(rows, p)
     assert packed.n == n and len(packed.rows) == dim
     extra = packed.pack(extra_row)
+    # Column scales are residues: zero, one, p - 1 and random ones.
+    columns = [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(n)]
     for coeffs in ([0] * dim, [p - 1] * dim, [rng.randrange(p) for _ in range(dim)]):
         for scale in (0, 1, p - 1, rng.randrange(p)):
             got = packed.combine(coeffs, scale * extra)
             assert got == naive_combination(coeffs, rows, p, scale, extra_row)
+            got = packed.combine(coeffs, scale * extra, columns)
+            assert got == naive_combination(coeffs, rows, p, scale, extra_row, columns)
         assert packed.combine(coeffs) == naive_combination(coeffs, rows, p)
+        assert packed.combine(coeffs, scale=columns) == naive_combination(
+            coeffs, rows, p, columns=columns
+        )
+    with pytest.raises(ValueError):
+        packed.combine([0] * dim, scale=columns + [1])
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
@@ -213,15 +225,6 @@ def test_packed_combine_at_the_slot_bound(p):
     packed = linalg.PackedRows.of([[p - 1] * n] * dim, p)
     extra = (p - 1) * packed.pack([-1] * n)
     assert packed.combine([p - 1] * dim, extra) == ((dim + 1) * (p - 1) ** 2 % p,) * n
-
-
-@pytest.mark.parametrize("p", KERNEL_PRIMES)
-def test_packed_rows_of_residues_packs_canonical_rows_as_of_does(p):
-    rng = random.Random(p)
-    rows = [[rng.randrange(p) for _ in range(9)] for _ in range(4)]
-    assert linalg.PackedRows.of_residues(rows, p) == linalg.PackedRows.of(rows, p)
-    with pytest.raises(ValueError):
-        linalg.PackedRows.of_residues([[1, 2], [3]], p)
 
 
 def test_packed_combine_reduces_coefficients():

@@ -29,6 +29,7 @@ from agpir.curve import (
     hasse_window,
 )
 from agpir.errors import (
+    BadIndex,
     BadL,
     BadParams,
     BadTheta,
@@ -262,10 +263,12 @@ def test_store_shapes_and_determinism(g0_tiny):
     assert type(s1) is pir_scheme.Table and type(plain) is tuple
     assert s1 == plain and plain == s1
     assert json.dumps(s1) == json.dumps(plain)
-    # A fresh instance stores without deriving the scaled security codes.
+    # A fresh instance stores on the one shared security code, scaled by
+    # nothing but the column inverses of `sec_units`.
     inst = build_scheme(G0_TINY)
     assert store(inst, db, random.Random(5)) == s1
-    assert "packed_sec" in inst.__dict__ and "sec_codes" not in inst.__dict__
+    assert "sec_codes" not in inst.__dict__
+    assert isinstance(inst.__dict__["packed_sec"], linalg.PackedRows)
 
 
 def test_store_rejects_bad_shapes(g0_tiny):
@@ -366,7 +369,9 @@ def test_response_matches_symbolic_function(g0_tiny):
     assert decoded == db.files[theta - 1]
 
 
-@pytest.mark.parametrize("name", ["g0_tiny", "g1_tiny", "g0_q43", "g1_q43", "g0_p31", "g0_p61"])
+@pytest.mark.parametrize(
+    "name", ["g0_tiny", "g1_tiny", "g0_q43", "g1_q43", "g0_p31", "g0_p61", "g1_q127"]
+)
 def test_store_and_queries_match_reference_formulas(name, request):
     inst = request.getfixturevalue(name)
     for seed in range(3):
@@ -476,7 +481,7 @@ def test_server_view_and_decode_match_references(name, request):
     with pytest.raises(TypeError, match="reads a Table"):
         server_view(loaded, 0)
     for n in (inst.n, -inst.n - 1):
-        with pytest.raises(IndexError):
+        with pytest.raises(BadIndex, match=f"server index {n} outside 0..{inst.n - 1}$"):
             server_view(shares, n)
     # Responses inside the decode row space, then arbitrary ones, which at
     # genus 1 fall outside it and must be refused alike.
@@ -523,6 +528,15 @@ def test_server_view_rejects_cells_with_different_server_counts(cells):
     # zip would cut every view to the shortest cell and hand out wrong views.
     with pytest.raises(ShapeMismatch, match="different numbers of servers"):
         server_view(Table(cells), 0)
+
+
+def test_server_view_refuses_a_server_outside_the_table(g0_tiny):
+    # -1 would read server N - 1's view and N would fall off the end.
+    db = Database(13, ((1, 2, 3), (4, 5, 6)))
+    shares = store(g0_tiny, db, random.Random(0))
+    for n in (-1, g0_tiny.n):
+        with pytest.raises(BadIndex, match=f"server index {n} outside 0..{g0_tiny.n - 1}$"):
+            server_view(shares, n)
 
 
 def test_server_view_of_a_database_without_files(g0_tiny):
@@ -595,10 +609,16 @@ def test_derived_security_codes_match_symbolic_evaluation(name, request):
     assert len(inst.sec_codes) == len(inst.sec_bases) == inst.l
     for basis, code in zip(inst.sec_bases, inst.sec_codes):
         assert code.rows == evaluation_code(basis, inst.eval_points).rows
-    # `packed_sec` scales `sec_code` itself and packs the same rows.
-    assert len(inst.packed_sec) == inst.l
-    for packed, code in zip(inst.packed_sec, inst.sec_codes):
-        assert packed == linalg.PackedRows.of(code.rows, inst.p)
+    # `packed_sec` packs `sec_code` itself; each fragment's code is it with
+    # columns scaled by the inverses in `sec_units`.
+    assert inst.packed_sec == linalg.PackedRows.of(inst.sec_code.rows, inst.p)
+    p = inst.p
+    assert len(inst.sec_units) == inst.l
+    for (inverses, info), values, code in zip(inst.sec_units, inst.info_rows, inst.sec_codes):
+        assert info == inst.packed_sec.pack(values)
+        assert all(v * u % p == 1 for v, u in zip(values, inverses, strict=True))
+        rows = inst.sec_code.rows
+        assert code.rows == tuple(tuple(a * u % p for a, u in zip(row, inverses)) for row in rows)
 
 
 def test_sec_codes_are_the_shared_code_with_divided_columns(g0_tiny, g1_tiny):
@@ -611,15 +631,25 @@ def test_sec_codes_are_the_shared_code_with_divided_columns(g0_tiny, g1_tiny):
 
 @pytest.mark.parametrize("params", [G0_TINY, G1_Q127], ids=["g0_tiny", "g1_q127"])
 def test_store_scales_security_codes_inside_the_pack(params):
-    # The first store packs every fragment's security code without building
-    # the scaled `LinearCode`s; the packed rows are those of `sec_codes`.
+    # The first store packs the one shared security code and scales each cell
+    # as it unpacks it: no scaled `LinearCode` and no per-fragment pack.
     inst = build_scheme(params)
     db = Database.random(inst.p, 3, inst.l, random.Random(1))
     store(inst, db, random.Random(2))
-    assert "packed_sec" in inst.__dict__ and "sec_codes" not in inst.__dict__
-    assert len(inst.packed_sec) == len(inst.sec_codes) == inst.l
-    for packed, code in zip(inst.packed_sec, inst.sec_codes):
-        assert packed.rows == linalg.PackedRows.of(code.rows, inst.p).rows
+    assert "sec_codes" not in inst.__dict__
+    assert inst.__dict__["packed_sec"] == linalg.PackedRows.of(inst.sec_code.rows, inst.p)
+
+
+def test_store_refuses_a_fragment_function_with_a_zero(g0_tiny):
+    # A zero of h_l at an evaluation point is a pole of h_l^-1 there: the
+    # column scaling of `divided_rows` refuses it before any share is drawn.
+    rows = [list(row) for row in g0_tiny.info_rows]
+    rows[1][2] = 0
+    broken = dataclasses.replace(g0_tiny, info_rows=tuple(map(tuple, rows)))
+    db = Database(13, ((1, 2, 3),))
+    message = "column 2 has scale 0: the inverse has a pole there"
+    with pytest.raises(PoleAtEvaluationPoint, match=f"^{message}$"):
+        store(broken, db, random.Random(0))
 
 
 @pytest.mark.parametrize("name", ORACLE_INSTANCES)
