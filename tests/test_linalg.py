@@ -227,6 +227,20 @@ def test_packed_combine_at_the_slot_bound(p):
     assert packed.combine([p - 1] * dim, extra) == ((dim + 1) * (p - 1) ** 2 % p,) * n
 
 
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_packed_combine_scales_columns_at_the_slot_bound(p):
+    # Each slot at its largest, (dim+1)(p-1)^2, is scaled before it is reduced:
+    # column j's scale reaches column j alone, whatever the other columns hold.
+    dim, n = 5, 7
+    packed = linalg.PackedRows.of([[p - 1] * n] * dim, p)
+    extra = (p - 1) * packed.pack([-1] * n)
+    columns = [0, 1, p - 1, 2 % p, (p + 1) // 2, p - 2, 1]
+    top = (dim + 1) * (p - 1) ** 2
+    want = tuple(top * s % p for s in columns)
+    assert packed.combine([p - 1] * dim, extra, columns) == want
+    assert packed.combine([p - 1] * dim, extra, [1] * n) == packed.combine([p - 1] * dim, extra)
+
+
 def test_packed_combine_reduces_coefficients():
     p = 257
     packed = linalg.PackedRows.of([[1, 2, 3], [4, 5, 6]], p)
