@@ -171,6 +171,22 @@ def _oracle_lines(inst) -> list[str]:
     return lines
 
 
+def _parity_line(inst: SchemeInstance) -> str:
+    """Where `decode` notices a changed response: an INFO line, not a check of the scheme.
+
+    A change d to response n moves parity check h by h[n] * d, so it is
+    detected exactly on the servers where some check is nonzero.
+    """
+    checks = inst.parity_checks
+    covered = {n for _, row in checks for n, v in enumerate(row) if v}
+    missed = [n for n in range(inst.n) if n not in covered]
+    return (
+        f"INFO  decode parity: {len(checks)} check{'' if len(checks) == 1 else 's'}; "
+        f"a changed response is detected on {len(covered)} of {inst.n} servers"
+        + (f" (not on: {', '.join(map(str, missed))})" if covered and missed else "")
+    )
+
+
 def cmd_verify(args) -> int:
     mode, count, seed = args.subsets
     sizes.refuse_count_above("--subsets sample COUNT", count, DEFAULT_SUBSET_CAP)
@@ -184,6 +200,7 @@ def cmd_verify(args) -> int:
         + f"  noise containment: {len(containment)} products inside the noise bound"
         + ("" if not bad else f" (first failure {bad[0]})")
     )
+    lines.append(_parity_line(inst))
     failed = not report.passed or bool(bad)
     if args.exhaustive_oracle:
         oracle_lines = _oracle_lines(inst)

@@ -282,21 +282,6 @@ class RationalFunction:
             return e, 2 * e + self.y_exp
         return e, e
 
-    def valuation(self, place: Place) -> int:
-        """Order of vanishing at a place (negative at poles).
-
-        At an affine point this is the local order rule `values_at` shares;
-        at every other place it is the coefficient of `divisor()`.
-        """
-        if isinstance(place, AffinePoint):
-            if not self.curve.contains(place):
-                raise ValueError(f"{place!r} is not on {self.curve!r}")
-            return self._order_at(place)[1]
-        place_degree(place)  # a TypeError for anything that is not a place
-        if self.curve.genus == 0 and not isinstance(place, PointAtInfinity):
-            raise WrongCurveKind(f"{place!r} only exists on an elliptic curve")
-        return self.divisor().coeff(place)
-
     def divisor(self) -> Divisor:
         """Zeros minus poles; y-atom mass sits on the aggregate (y)_0 place."""
         coeffs: dict[Place, int] = {}

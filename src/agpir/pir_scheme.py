@@ -145,9 +145,10 @@ class SchemeInstance:
     its evaluation code once. Fragment l's code divides column n by h_l there
     (`info_rows[l][n]`): `store` divides cells of the shared code by it
     (`sec_units`), and only criteria 5 and 9 and the tests read `sec_codes`.
-    `decode_inv` inverts `decode_rows` on the information set `decode_cols`.
-    Each other column, a spare symbol, is one parity check in `decode`: none
-    at genus 0, one at genus 1.
+    `decode` reads `fragment_rows`, whose row l gives fragment l of any
+    response vector in the row space of `decode_rows`, and `parity_checks`,
+    one row (n, h) orthogonal to that space per spare symbol n (none at
+    genus 0, one at genus 1), with h 1 at n and 0 at the other spares.
     """
 
     params: SchemeParams
@@ -162,8 +163,8 @@ class SchemeInstance:
     noise_rows: tuple[tuple[int, ...], ...]
     priv_code: LinearCode
     sec_code: LinearCode
-    decode_cols: tuple[int, ...]
-    decode_inv: tuple[tuple[int, ...], ...]
+    fragment_rows: tuple[tuple[int, ...], ...]
+    parity_checks: tuple[tuple[int, tuple[int, ...]], ...]
 
     @property
     def p(self) -> int:
@@ -247,9 +248,9 @@ class SchemeInstance:
         return tuple((tuple(divided_rows(ones, v, p)[0]), pack(v)) for v in self.info_rows)
 
     @cached_property
-    def packed_decode_inv(self) -> linalg.PackedRows:
-        """The columns of `decode_inv`: combining them solves the decode system."""
-        return linalg.PackedRows.of(tuple(zip(*self.decode_inv)), self.p)
+    def packed_fragments(self) -> linalg.PackedRows:
+        """The N columns of `fragment_rows`: their combination by the responses is the fragments."""
+        return linalg.PackedRows.of(tuple(zip(*self.fragment_rows)), self.p)
 
     def noise_divisor(self) -> Divisor:
         """Upper bound on every noise-product divisor."""
@@ -271,12 +272,13 @@ def build_scheme(params: SchemeParams) -> SchemeInstance:
     The genus decides only the geometry; the rest is one pipeline. One
     elimination of the decode rows on the candidate points checks the
     information rank, the noise rank and their direct sum at once, and
-    yields the leftmost information set with the inverse of the decode
-    matrix on it. The build keeps those pivots and fills up to N with the
-    leftmost other candidates (genus 0 has none to spare). Dropping columns
-    that are not pivots keeps the pivots and the block on them, so the same
-    pivots, re-indexed to the kept points, and the same inverse solve the
-    decode system there.
+    yields the leftmost pivots with the inverse B^-1 of the block on them.
+    The build keeps those pivots and fills up to N with the leftmost other
+    candidates (genus 0 has none to spare). Dropping columns that are not
+    pivots keeps the pivots and the block on them, so B^-1 still solves the
+    decode system. With row j of B^-1 at the j-th pivot and 0 at the spare
+    symbols (`solve`), `fragment_rows` is its first L columns, and the check
+    of spare symbol n is 1 at n minus `solve` times decode column n.
     """
     genus, p, big_l = params.genus, params.p, params.l
     n = sizes.num_servers(genus, big_l, params.x, params.t)
@@ -292,7 +294,8 @@ def build_scheme(params: SchemeParams) -> SchemeInstance:
     eval_points = tuple(candidates[idx] for idx in keep)
     decode_rows = tuple(tuple([row[idx] for idx in keep]) for row in rows)
     _check_units(info, decode_rows[:big_l], eval_points)
-    position = {idx: k for k, idx in enumerate(keep)}
+    inverse = dict(zip(pivots, sub_inv))
+    solve = [inverse.get(idx, [0] * len(pivots)) for idx in keep]
     priv = basis_poles_at_infinity(curve, sizes.masking_poles(genus, params.t))
     # The shared security space; each fragment's is a unit multiple of it.
     sec = basis_poles_at_infinity(curve, sizes.masking_poles(genus, params.x))
@@ -309,8 +312,11 @@ def build_scheme(params: SchemeParams) -> SchemeInstance:
         noise_rows=decode_rows[big_l:],
         priv_code=evaluation_code(priv, eval_points),
         sec_code=evaluation_code(sec, eval_points),
-        decode_cols=tuple(position[c] for c in pivots),
-        decode_inv=tuple(map(tuple, zip(*sub_inv))),
+        fragment_rows=tuple(zip(*(row[:big_l] for row in solve))),
+        parity_checks=tuple(
+            (m, tuple((int(c == m) - sum(map(mul, s, col))) % p for c, s in enumerate(solve)))
+            for m, col in enumerate(zip(*decode_rows)) if keep[m] not in inverse
+        ),
     )
 
 
@@ -499,19 +505,13 @@ def server_respond(
 
 
 def decode(inst: SchemeInstance, responses: Sequence[int]) -> tuple[int, ...]:
-    """Solve on `decode_cols` for the fragments, then check each spare symbol.
-
-    A spare symbol must equal the coefficients times its `decode_rows` column.
-    """
+    """The fragments, `fragment_rows` times the responses, once every parity check holds."""
     if len(responses) != inst.n:
         raise ShapeMismatch(f"expected {inst.n} response symbols, got {len(responses)}")
-    p, rows = inst.p, inst.decode_rows
-    picked = [responses[c] % p for c in inst.decode_cols]
-    coeffs = inst.packed_decode_inv.combine(picked)
-    for n in sorted(set(range(inst.n)).difference(inst.decode_cols)):
-        if sum(c * row[n] for c, row in zip(coeffs, rows)) % p != responses[n] % p:
+    for n, row in inst.parity_checks:
+        if sum(map(mul, row, responses)) % inst.p:
             raise InconsistentSystem(f"response symbol {n} is outside the decode row space")
-    return tuple(coeffs[: inst.l])
+    return inst.packed_fragments.combine(responses)
 
 
 # -- verification ---------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from agpir import linalg
 from agpir.agcode import DEFAULT_SUBSET_CAP, LinearCode, SubsetRankReport, bruteforce_cap
-from agpir.curve import EllipticCurve, PointAtInfinity, ProjectiveLine
+from agpir.curve import AffinePoint, EllipticCurve, PointAtInfinity, ProjectiveLine
 from agpir.errors import (
     DuplicatePoint,
     InconsistentSystem,
@@ -16,8 +16,10 @@ from agpir.errors import (
     PoleAtEvaluationPoint,
     PoleAtPoint,
     ShapeMismatch,
+    WrongCurveKind,
 )
 from agpir.field import PrimeField
+from agpir.function_space import place_degree
 
 
 @pytest.fixture(scope="session")
@@ -89,6 +91,24 @@ def eval_at_reference(f, point):
     return value
 
 
+def valuation_reference(f, place):
+    """Order of vanishing of f at a place (negative at poles).
+
+    At an affine point (x0, y0) it is the exponent e of x - x0, or 2e + k at
+    a two-torsion point (y0 = 0), where k is the power of y; at every other
+    place it is the coefficient of `f.divisor()`.
+    """
+    if isinstance(place, AffinePoint):
+        if not f.curve.contains(place):
+            raise ValueError(f"{place!r} is not on {f.curve!r}")
+        e = dict(f.x_factors).get(place.x, 0)
+        return 2 * e + f.y_exp if place.y == 0 else e
+    place_degree(place)  # a TypeError for anything that is not a place
+    if f.curve.genus == 0 and not isinstance(place, PointAtInfinity):
+        raise WrongCurveKind(f"{place!r} only exists on an elliptic curve")
+    return f.divisor().coeff(place)
+
+
 def evaluation_code_reference(basis, points):
     """`evaluation_code` with one `eval_at_reference` call per (function, point) entry."""
     if not basis:
@@ -107,12 +127,17 @@ def evaluation_code_reference(basis, points):
 
 
 def decode_reference(inst, responses):
-    """`decode` by the matrix-vector product of `decode_inv` with the picked responses."""
+    """`decode` by a solve on its own information set and a re-encode of every symbol.
+
+    The information set and the inverse there come from `decode_rows`
+    alone, not from the instance's decode state.
+    """
     if len(responses) != inst.n:
         raise ShapeMismatch(f"expected {inst.n} response symbols, got {len(responses)}")
     p = inst.p
-    picked = [responses[c] % p for c in inst.decode_cols]
-    coeffs = linalg.mat_vec(inst.decode_inv, picked, p)
+    cols, sub_inv = linalg.pivot_inverse(inst.decode_rows, p)
+    picked = [responses[c] % p for c in cols]
+    coeffs = linalg.mat_vec(list(zip(*sub_inv)), picked, p)
     expected = linalg.mat_vec(list(zip(*inst.decode_rows)), coeffs, p)
     for n, (want, got) in enumerate(zip(expected, responses)):
         if want != got % p:

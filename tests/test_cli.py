@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -7,6 +8,9 @@ from agpir import curve as curve_module
 from agpir import pir_scheme
 from agpir.agcode import DEFAULT_SUBSET_CAP
 from agpir.cli import main
+from agpir.errors import InconsistentSystem
+from agpir.pir_scheme import Database, SchemeParams, build_scheme, decode
+from agpir.sim_harness import run_retrieval
 
 
 def run_cli(capsys, *argv):
@@ -121,6 +125,72 @@ def test_verify_sample_of_more_than_every_subset_runs_them_all(tmp_path, capsys)
     code, out, _ = run_cli(capsys, "verify", "--scheme", scheme, "--subsets", "sample:100:0")
     assert code == 0
     assert "PASS  privacy: 1-subsets independent (all, 3/3)" in out.splitlines()
+
+
+def servers_where_a_change_is_refused(inst):
+    """The servers at which `decode` refuses every change to one honest response.
+
+    Every change d = 1..p-1 to every response is tried; at each server
+    either all of them are refused or none is.
+    """
+    p = inst.p
+    db = Database.random(p, 2, inst.l, random.Random(0))
+    responses = run_retrieval(inst, db, 1, 0).responses
+    refused = set()
+    for n in range(inst.n):
+        outcomes = set()
+        for d in range(1, p):
+            bad = list(responses)
+            bad[n] = (bad[n] + d) % p
+            try:
+                decode(inst, bad)
+                outcomes.add(False)
+            except InconsistentSystem:
+                outcomes.add(True)
+        assert len(outcomes) == 1
+        if True in outcomes:
+            refused.add(n)
+    return refused
+
+
+@pytest.mark.parametrize(
+    "params, expected",
+    [
+        (
+            SchemeParams(p=13, genus=0, x=2, t=2, l=3),
+            "0 checks; a changed response is detected on 0 of 7 servers",
+        ),
+        (
+            SchemeParams(p=13, genus=1, x=1, t=1, l=1),
+            "1 check; a changed response is detected on 11 of 11 servers",
+        ),
+        (
+            SchemeParams(p=43, genus=0, x=16, t=16, l=5),
+            "0 checks; a changed response is detected on 0 of 37 servers",
+        ),
+        (
+            SchemeParams(p=43, genus=1, x=16, t=16, l=7, curve=(0, 9)),
+            "1 check; a changed response is detected on 46 of 47 servers (not on: 2)",
+        ),
+    ],
+    ids=["g0_tiny", "g1_tiny", "g0_q43", "g1_q43"],
+)
+def test_verify_reports_where_decode_detects_a_changed_response(tmp_path, capsys, params, expected):
+    # The line follows the containment line and names the servers it misses
+    # only when it detects a change on some server; it never fails `verify`.
+    inst = build_scheme(params)
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps(pir_scheme.scheme_descriptor(inst)))
+    code, out, _ = run_cli(capsys, "verify", "--scheme", str(scheme), "--subsets", "sample:5:0")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-2].startswith("PASS  noise containment:")
+    assert lines[-1] == f"INFO  decode parity: {expected}"
+    refused = servers_where_a_change_is_refused(inst)
+    missed = [n for n in range(inst.n) if n not in refused]
+    assert f"detected on {len(refused)} of {inst.n} servers" in expected
+    tail = f" (not on: {', '.join(map(str, missed))})" if refused and missed else "servers"
+    assert expected.endswith(tail)
 
 
 def test_verify_rejects_tampered_scheme(tmp_path, capsys):

@@ -555,6 +555,18 @@ def test_decode_zero_response_is_zero(g0_tiny):
     assert decode(g0_tiny, [0] * g0_tiny.n) == (0,) * g0_tiny.l
 
 
+@pytest.mark.parametrize("params", [G0_TINY, G1_TINY], ids=["g0_tiny", "g1_tiny"])
+def test_a_retrieval_round_reads_no_decode_rows(params):
+    # `decode` combines N packed columns of L slots and runs the parity
+    # checks: it solves on no information set and re-encodes nothing.
+    inst = build_scheme(params)
+    db = Database.random(inst.p, 2, inst.l, random.Random(0))
+    assert run_round(inst, db, 2, 0)[-1] == db.files[1]
+    assert "decode_rows" not in inst.__dict__
+    packed = inst.__dict__["packed_fragments"]
+    assert (len(packed.rows), packed.n) == (inst.n, inst.l)
+
+
 def test_descriptor_round_trip(g1_q43, g0_q43):
     for inst in (g1_q43, g0_q43):
         d = scheme_descriptor(inst)
@@ -659,14 +671,36 @@ def test_single_elimination_matches_information_set_and_inverse(name, request):
     cols, achieved = information_set(rows, p, want=len(rows))
     assert achieved == len(rows)
     sub_t = [[row[c] for row in rows] for c in cols]
-    assert inst.decode_cols == cols
-    assert inst.decode_inv == tuple(map(tuple, linalg.invert(sub_t, p)))
-    k = len(rows)
-    product = [
-        [sum(a * b for a, b in zip(inst.decode_inv[i], col)) % p for col in zip(*sub_t)]
-        for i in range(k)
-    ]
-    assert product == [[int(i == j) for j in range(k)] for i in range(k)]
+    assert_decode_state(inst, cols, linalg.invert(sub_t, p))
+
+
+def assert_decode_state(inst, cols, inv_t):
+    """`fragment_rows` and `parity_checks` against an information set and its inverse.
+
+    `cols` is an information set of the decode rows R, and `inv_t` the
+    transposed inverse of R's block B there. Fragment l is column l of B^-1 at the pivots and 0 at the spares, so
+    `fragment_rows` * R^T = [I_L | 0]. Each spare n has one check, in
+    ascending n: 1 at n, 0 at the other spares and -(B^-1 R)[j][n] at
+    pivot j, so H * R^T = 0.
+    """
+    p, n, rows = inst.p, inst.n, inst.decode_rows
+    pivot = {c: j for j, c in enumerate(cols)}
+    assert inst.fragment_rows == tuple(
+        tuple(inv_t[ell][pivot[m]] if m in pivot else 0 for m in range(n)) for ell in range(inst.l)
+    )
+    identity = [[int(i == ell) for i in range(len(rows))] for ell in range(inst.l)]
+    assert [[dot(f, row, p) for row in rows] for f in inst.fragment_rows] == identity
+    spares = [m for m in range(n) if m not in pivot]
+    assert [m for m, _ in inst.parity_checks] == spares
+    for m, h in inst.parity_checks:
+        assert [h[s] for s in spares] == [int(s == m) for s in spares]
+        for c, j in pivot.items():
+            assert h[c] == -sum(inv_t[i][j] * row[m] for i, row in enumerate(rows)) % p
+        assert [dot(h, row, p) for row in rows] == [0] * len(rows)
+
+
+def dot(a, b, p):
+    return sum(map(operator.mul, a, b)) % p
 
 
 @pytest.mark.parametrize("mode", ["all", "sample"])
@@ -1119,16 +1153,15 @@ def two_step_genus1_reduction(inst, alias):
         chosen.add(idx)
     eval_points = tuple(candidates[idx] for idx in sorted(chosen))
     rows = evaluate(basis, eval_points, alias)
-    decode_cols, sub_inv = linalg.pivot_inverse(rows, p)
-    return eval_points, rows, decode_cols, tuple(map(tuple, zip(*sub_inv)))
+    cols, sub_inv = linalg.pivot_inverse(rows, p)
+    return eval_points, rows, cols, list(zip(*sub_inv))
 
 
 def assert_matches_two_step_reduction(inst, alias):
-    eval_points, rows, decode_cols, decode_inv = two_step_genus1_reduction(inst, alias)
+    eval_points, rows, cols, inv_t = two_step_genus1_reduction(inst, alias)
     assert inst.eval_points == eval_points
     assert inst.decode_rows == rows
-    assert inst.decode_cols == decode_cols
-    assert inst.decode_inv == decode_inv
+    assert_decode_state(inst, cols, inv_t)
 
 
 @pytest.mark.parametrize("name", ["g1_tiny", "g1_q43", "g1_q127"])
@@ -1154,5 +1187,6 @@ def test_one_elimination_genus1_build_reindexes_pivots_past_a_dropped_point(
     )
     inst = build_scheme(G1_Q43)
     assert candidates[2] not in inst.eval_points
-    assert inst.decode_cols[-1] == inst.n - 1
+    # Candidate 1 is the one spare, so the last kept point is a pivot.
+    assert [n for n, _ in inst.parity_checks] == [1]
     assert_matches_two_step_reduction(inst, alias)
