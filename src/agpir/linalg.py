@@ -19,7 +19,7 @@ this one layout and its helpers:
   reaches (dim + 1) * (p - 1)**2. A combination can scale column j by s_j in
   that reduction: one product per symbol, and no scaled copy of the rows.
 - `eliminate_packed`, the one elimination loop behind `rref`, `rank`,
-  `pivot_inverse` and `agcode.subset_rank_check`, holds each row of the
+  `pivot_solve` and `agcode.subset_rank_check`, holds each row of the
   matrix as one packed int and clears a pivot column with one update
   m_i += (p - f) * lead per row, where f is the row's entry in that column
   and lead the normalised pivot row. The lead is canonical, so an update
@@ -161,23 +161,23 @@ def rank(rows: Matrix, p: int) -> int:
     return len(_eliminate(rows, p, full=False)[2])
 
 
-def pivot_inverse(rows: Matrix, p: int) -> tuple[tuple[int, ...], list[list[int]]] | None:
-    """Leftmost pivot columns of a k x n matrix and the inverse of its k x k block there.
+def pivot_solve(rows: Matrix, p: int, width: int) -> tuple[tuple[int, ...], Matrix] | None:
+    """Leftmost pivots of a k x n matrix R and B^-1 [R | E], by one elimination of [R | E].
 
-    One elimination of [rows | I_k]: when the rows are independent all k
-    pivots fall among the first n columns, and the row operations that turn
-    those columns into I_k turn I_k into their inverse. Returns None when the
-    rank is below k.
+    B is R's block on the pivots and E the first `width` columns of I_k.
+    When the rows are independent all k pivots fall among the first n
+    columns, and the row operations that turn those into I_k turn E into the
+    first `width` columns of B^-1. Returns None when the rank is below k.
     """
     k = len(rows)
     if not k:
         return (), []
     n = len(rows[0])
-    aug = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    aug = [list(row) + [int(i == j) for j in range(width)] for i, row in enumerate(rows)]
     reduced, pivots = rref(aug, p)
     if len(pivots) < k or pivots[-1] >= n:
         return None
-    return pivots, [row[n:] for row in reduced]
+    return pivots, reduced
 
 
 def invert(rows: Matrix, p: int) -> list[list[int]]:
@@ -185,10 +185,10 @@ def invert(rows: Matrix, p: int) -> list[list[int]]:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    solved = pivot_inverse(rows, p)
+    solved = pivot_solve(rows, p, n)
     if solved is None:
         raise ValueError("matrix is singular")
-    return solved[1]
+    return [row[n:] for row in solved[1]]
 
 
 def mat_vec(rows: Matrix, vec: Sequence[int], p: int) -> list[int]:

@@ -77,7 +77,7 @@ class Table(tuple):
     def views(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Every server's column of the table, indexed [server][fragment][file].
 
-        Empty when the table has no cells (L = 0 or M = 0).
+        Empty when the table has no cells (L = 0 or M = 0): `server_view` then refuses every server.
         """
         if len(set(map(len, self))) > 1:
             raise ShapeMismatch("table rows hold different numbers of files")
@@ -145,10 +145,13 @@ class SchemeInstance:
     its evaluation code once. Fragment l's code divides column n by h_l there
     (`info_rows[l][n]`): `store` divides cells of the shared code by it
     (`sec_units`), and only criteria 5 and 9 and the tests read `sec_codes`.
+    At genus 0 the rows of `priv_code` and `sec_code` are the first T and X
+    of `noise_rows`.
     `decode` reads `fragment_rows`, whose row l gives fragment l of any
     response vector in the row space of `decode_rows`, and `parity_checks`,
     one row (n, h) orthogonal to that space per spare symbol n (none at
-    genus 0, one at genus 1), with h 1 at n and 0 at the other spares.
+    genus 0, one at genus 1), with h 1 at n, 0 at the other spares and
+    -(B^-1 R)[j][n] at the j-th pivot (see `build_scheme`).
     """
 
     params: SchemeParams
@@ -210,7 +213,7 @@ class SchemeInstance:
     def sec_bases(self) -> tuple[tuple[RationalFunction, ...], ...]:
         """Fragment l's security basis, h_l^-1 times each shared basis function.
 
-        `scheme_descriptor` is its one reader in the library; the noise
+        `scheme_descriptor` and `noise_products` read it; the noise
         containment check reads the factors h_l and w_i instead.
         """
         inverses = map(RationalFunction.inverse, self.info_basis)
@@ -270,35 +273,43 @@ def build_scheme(params: SchemeParams) -> SchemeInstance:
     """Build and sanity-check a deterministic scheme instance.
 
     The genus decides only the geometry; the rest is one pipeline. One
-    elimination of the decode rows on the candidate points checks the
-    information rank, the noise rank and their direct sum at once, and
-    yields the leftmost pivots with the inverse B^-1 of the block on them.
-    The build keeps those pivots and fills up to N with the leftmost other
-    candidates (genus 0 has none to spare). Dropping columns that are not
-    pivots keeps the pivots and the block on them, so B^-1 still solves the
-    decode system. With row j of B^-1 at the j-th pivot and 0 at the spare
-    symbols (`solve`), `fragment_rows` is its first L columns, and the check
-    of spare symbol n is 1 at n minus `solve` times decode column n.
+    `evaluation_code` call evaluates info, noise, and the privacy and security
+    functions not among them (all are at genus 0, the x-powers at genus 1)
+    on the candidates. One elimination of [R | E], for the decode rows R
+    and the first L columns E of I_k, checks the information rank, the noise
+    rank and their direct sum at once, and yields the leftmost pivots and
+    B^-1 [R | E] for the block B of R on them. The build keeps those pivots,
+    fills up to N with the leftmost other candidates (genus 0 has none to
+    spare) and restricts every row to the kept points. B is kept too, so
+    `fragment_rows` is the L appended columns at the pivots and 0 at a spare,
+    and the check of spare symbol n is -(B^-1 R)[j][n] at the j-th pivot, 1
+    at n and 0 at the other spares.
     """
     genus, p, big_l = params.genus, params.p, params.l
     n = sizes.num_servers(genus, big_l, params.x, params.t)
     geometry = _line_geometry if genus == 0 else _elliptic_geometry
     curve, fragment, candidates, info, noise = geometry(params, PrimeField(p), n)
-    rows = evaluation_code(info + noise, candidates).rows
-    solved = linalg.pivot_inverse(rows, p)
-    if solved is None:
-        _raise_rank_defect(big_l, rows[:big_l], rows[big_l:], p)
-    pivots, sub_inv = solved
-    spare = sorted(set(range(len(candidates))) - set(pivots))
-    keep = sorted(pivots + tuple(spare[: n - len(pivots)]))
-    eval_points = tuple(candidates[idx] for idx in keep)
-    decode_rows = tuple(tuple([row[idx] for idx in keep]) for row in rows)
-    _check_units(info, decode_rows[:big_l], eval_points)
-    inverse = dict(zip(pivots, sub_inv))
-    solve = [inverse.get(idx, [0] * len(pivots)) for idx in keep]
     priv = basis_poles_at_infinity(curve, sizes.masking_poles(genus, params.t))
     # The shared security space; each fragment's is a unit multiple of it.
     sec = basis_poles_at_infinity(curve, sizes.masking_poles(genus, params.x))
+    decoded = info + noise
+    known = set(decoded)
+    masking = tuple(dict.fromkeys(f for f in priv + sec if f not in known))
+    rows = evaluation_code(decoded + masking, candidates).rows
+    k = len(decoded)
+    solved = linalg.pivot_solve(rows[:k], p, big_l)
+    if solved is None:
+        _raise_rank_defect(big_l, rows[:big_l], rows[big_l:k], p)
+    pivots, reduced = solved
+    spare = sorted(set(range(len(candidates))) - set(pivots))
+    keep = sorted(pivots + tuple(spare[: n - len(pivots)]))
+    eval_points = tuple(candidates[idx] for idx in keep)
+    restricted = tuple(tuple([row[idx] for idx in keep]) for row in rows)
+    _check_units(info, restricted[:big_l], eval_points)
+    row_of = dict(zip(decoded + masking, restricted))
+    # Kept symbol m's row of B^-1 [R | E] at a pivot, None at a spare.
+    lead = iter(reduced)
+    solve = [None if idx in spare else next(lead) for idx in keep]
     return SchemeInstance(
         params=params,
         curve=curve,
@@ -308,14 +319,14 @@ def build_scheme(params: SchemeParams) -> SchemeInstance:
         noise_basis=noise,
         priv_basis=priv,
         sec_basis=sec,
-        info_rows=decode_rows[:big_l],
-        noise_rows=decode_rows[big_l:],
-        priv_code=evaluation_code(priv, eval_points),
-        sec_code=evaluation_code(sec, eval_points),
-        fragment_rows=tuple(zip(*(row[:big_l] for row in solve))),
+        info_rows=restricted[:big_l],
+        noise_rows=restricted[big_l:k],
+        priv_code=LinearCode(p, n, tuple(row_of[f] for f in priv)),
+        sec_code=LinearCode(p, n, tuple(row_of[f] for f in sec)),
+        fragment_rows=tuple(zip(*(r[len(candidates) :] if r else (0,) * big_l for r in solve))),
         parity_checks=tuple(
-            (m, tuple((int(c == m) - sum(map(mul, s, col))) % p for c, s in enumerate(solve)))
-            for m, col in enumerate(zip(*decode_rows)) if keep[m] not in inverse
+            (m, tuple(-r[keep[m]] % p if r else int(c == m) for c, r in enumerate(solve)))
+            for m, row in enumerate(solve) if not row
         ),
     )
 
@@ -416,9 +427,11 @@ def _raise_rank_defect(big_l: int, info_rows, noise_rows, p: int) -> NoReturn:
 
 
 def check_database(inst: SchemeInstance, db: Database) -> None:
-    """The database rule: over the scheme's field, with L fragments in every file."""
+    """The rule of `store` and the security oracle: F_p as the scheme's, M >= 1 files of L."""
     if db.p != inst.p:
         raise ShapeMismatch(f"database is over F_{db.p}, scheme over F_{inst.p}")
+    if not db.files:
+        raise ShapeMismatch("a database holds at least one file")
     if any(len(f) != inst.l for f in db.files):
         raise ShapeMismatch(f"every file must have exactly L = {inst.l} fragments")
 
@@ -483,13 +496,12 @@ def server_view(table: Table, server: int) -> tuple[tuple[int, ...], ...]:
 
     It is read from the table's `views`, built on the first call. The table
     is one that `store` or `make_queries` returned, or a loaded one wrapped
-    once with `Table(...)`. A server outside 0..N-1 raises `BadIndex`.
+    once with `Table(...)`. A server outside 0..N-1 raises `BadIndex`, and so
+    does every server of a table without cells, which has no views.
     """
     if not isinstance(table, Table):
         raise TypeError(f"server_view reads a Table, got {type(table).__name__}")
     views = table.views
-    if not any(table):
-        return ((),) * len(table)  # zip folds the L empty rows of M = 0 into none
     if not 0 <= server < len(views):
         raise BadIndex(f"server index {server} outside 0..{len(views) - 1}")
     return views[server]
@@ -625,14 +637,12 @@ def _noise_labels(l: int, sec_dim: int, priv_dim: int) -> Iterator[str]:
 def noise_products(inst: SchemeInstance) -> list[tuple[str, RationalFunction]]:
     """Every cross-term product that must stay inside the noise space, formed symbolically.
 
-    Fragment l's security functions are h_l^-1 * w_i, formed as `sec_bases`
-    forms them.
+    Fragment l's security functions h_l^-1 * w_i are read from `sec_bases`.
     """
     one = RationalFunction.one(inst.curve)
     priv = inst.priv_basis
     products = []
-    for h in inst.info_basis:
-        sec = [h.inverse() * w for w in inst.sec_basis]
+    for h, sec in zip(inst.info_basis, inst.sec_bases):
         products += [s * h for s in sec]
         products += [s * v for v in priv for s in sec]
     products += [one * v for v in priv]

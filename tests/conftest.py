@@ -135,7 +135,9 @@ def decode_reference(inst, responses):
     if len(responses) != inst.n:
         raise ShapeMismatch(f"expected {inst.n} response symbols, got {len(responses)}")
     p = inst.p
-    cols, sub_inv = linalg.pivot_inverse(inst.decode_rows, p)
+    k = len(inst.decode_rows)
+    cols, reduced = linalg.pivot_solve(inst.decode_rows, p, k)
+    sub_inv = [row[inst.n :] for row in reduced]
     picked = [responses[c] % p for c in cols]
     coeffs = linalg.mat_vec(list(zip(*sub_inv)), picked, p)
     expected = linalg.mat_vec(list(zip(*inst.decode_rows)), coeffs, p)

@@ -540,10 +540,14 @@ def test_server_view_refuses_a_server_outside_the_table(g0_tiny):
 
 
 def test_server_view_of_a_database_without_files(g0_tiny):
-    shares = store(g0_tiny, Database(13, ()), random.Random(0))
-    assert shares == ((),) * g0_tiny.l
-    for n in range(g0_tiny.n):
-        assert server_view(shares, n) == ((),) * g0_tiny.l
+    # `store` refuses M = 0, and a table without cells, made by hand, has no views.
+    with pytest.raises(ShapeMismatch, match="^a database holds at least one file$"):
+        store(g0_tiny, Database(13, ()), random.Random(0))
+    empty = Table(((),) * g0_tiny.l)
+    assert empty.views == ()
+    for n in (-1, 0, g0_tiny.n - 1, g0_tiny.n):
+        with pytest.raises(BadIndex, match=f"^server index {n} outside 0..-1$"):
+            server_view(empty, n)
 
 
 def test_decode_rejects_wrong_length(g0_tiny):
@@ -639,6 +643,47 @@ def test_sec_codes_are_the_shared_code_with_divided_columns(g0_tiny, g1_tiny):
         for values, code in zip(inst.info_rows, inst.sec_codes):
             assert (code.p, code.n) == (inst.p, inst.n)
             assert code.rows == tuple(map(tuple, divided_rows(inst.sec_code.rows, values, inst.p)))
+
+
+def assert_masking_codes_are_evaluation_codes(inst):
+    """`priv_code` and `sec_code` against their bases evaluated afresh on the eval points.
+
+    At genus 0 the masking functions are the first T and X noise functions,
+    so the build reads their rows off `noise_rows`: the same tuples.
+    """
+    for basis, code in ((inst.priv_basis, inst.priv_code), (inst.sec_basis, inst.sec_code)):
+        assert code == evaluation_code(basis, inst.eval_points)
+    if inst.genus == 0:
+        for code, level in ((inst.priv_code, inst.t), (inst.sec_code, inst.x)):
+            assert code.rows == inst.noise_rows[:level]
+            assert all(map(operator.is_, code.rows, inst.noise_rows[:level]))
+
+
+@pytest.mark.parametrize("name", ORACLE_INSTANCES + ["g0_p31", "g0_p61"])
+def test_masking_codes_are_read_off_the_one_evaluation(name, request):
+    assert_masking_codes_are_evaluation_codes(request.getfixturevalue(name))
+
+
+@pytest.mark.parametrize(
+    "params", [G0_TINY, G1_TINY, G1_Q43], ids=["g0_tiny", "g1_tiny", "g1_q43"]
+)
+def test_build_evaluates_once_and_eliminates_once(params, monkeypatch):
+    # The masking codes are read off the decode evaluation, and the decode
+    # state off the one reduced form: no second evaluation, inverse or product.
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(pir_scheme, "evaluation_code", counted("evaluate", evaluation_code))
+    monkeypatch.setattr(linalg, "eliminate_packed", counted("eliminate", linalg.eliminate_packed))
+    inst = build_scheme(params)
+    assert calls == ["evaluate", "eliminate"]
+    assert_masking_codes_are_evaluation_codes(inst)
 
 
 @pytest.mark.parametrize("params", [G0_TINY, G1_Q127], ids=["g0_tiny", "g1_q127"])
@@ -761,6 +806,12 @@ def test_descriptor_round_trips_through_json(params):
     text = json.dumps(scheme_descriptor(build_scheme(params)))
     rebuilt = scheme_from_descriptor(json.loads(text))
     assert json.dumps(scheme_descriptor(rebuilt)) == text
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=small_feasible_params())
+def test_built_masking_codes_are_the_evaluation_codes_of_their_bases(params):
+    assert_masking_codes_are_evaluation_codes(build_scheme(params))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1153,8 +1204,8 @@ def two_step_genus1_reduction(inst, alias):
         chosen.add(idx)
     eval_points = tuple(candidates[idx] for idx in sorted(chosen))
     rows = evaluate(basis, eval_points, alias)
-    cols, sub_inv = linalg.pivot_inverse(rows, p)
-    return eval_points, rows, cols, list(zip(*sub_inv))
+    cols, reduced = linalg.pivot_solve(rows, p, len(rows))
+    return eval_points, rows, cols, list(zip(*(row[n:] for row in reduced)))
 
 
 def assert_matches_two_step_reduction(inst, alias):
