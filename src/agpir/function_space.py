@@ -159,8 +159,13 @@ class Divisor:
         return self + -other
 
     def __le__(self, other: "Divisor") -> bool:
-        """Coefficientwise comparison over the union of supports."""
-        return (other - self).is_effective
+        """Coefficientwise comparison over the union of supports, with no difference formed."""
+        if self.curve != other.curve:
+            raise ValueError("divisors on different curves")
+        theirs = other.as_dict()
+        if any(theirs.pop(pl, 0) < n for pl, n in self.items):
+            return False
+        return all(n >= 0 for n in theirs.values())
 
     @classmethod
     def family_min(cls, family: Sequence["Divisor"]) -> "Divisor":

@@ -151,7 +151,9 @@ class SchemeInstance:
     response vector in the row space of `decode_rows`, and `parity_checks`,
     one row (n, h) orthogonal to that space per spare symbol n (none at
     genus 0, one at genus 1), with h 1 at n, 0 at the other spares and
-    -(B^-1 R)[j][n] at the j-th pivot (see `build_scheme`).
+    -(B^-1 R)[j][n] at the j-th pivot. At genus 0 `fragment_rows` is the
+    Cauchy-Vandermonde closed form, at genus 1 it is read off the build's
+    one elimination (see `build_scheme`).
     """
 
     params: SchemeParams
@@ -275,15 +277,13 @@ def build_scheme(params: SchemeParams) -> SchemeInstance:
     The genus decides only the geometry; the rest is one pipeline. One
     `evaluation_code` call evaluates info, noise, and the privacy and security
     functions not among them (all are at genus 0, the x-powers at genus 1)
-    on the candidates. One elimination of [R | E], for the decode rows R
-    and the first L columns E of I_k, checks the information rank, the noise
-    rank and their direct sum at once, and yields the leftmost pivots and
-    B^-1 [R | E] for the block B of R on them. The build keeps those pivots,
-    fills up to N with the leftmost other candidates (genus 0 has none to
-    spare) and restricts every row to the kept points. B is kept too, so
-    `fragment_rows` is the L appended columns at the pivots and 0 at a spare,
-    and the check of spare symbol n is -(B^-1 R)[j][n] at the j-th pivot, 1
-    at n and 0 at the other spares.
+    on the candidates. At genus 0, when the evaluated decode rows pass the
+    certificate of `_line_fragment_rows`, `fragment_rows` is their inverse's
+    closed form, every candidate is kept and no elimination runs. Otherwise
+    one elimination of the decode rows (`_solve_decode`) checks the
+    information rank, the noise rank and their direct sum at once, picks the
+    kept points and yields `fragment_rows` and the parity checks. Every row
+    is then restricted to the kept points once.
     """
     genus, p, big_l = params.genus, params.p, params.l
     n = sizes.num_servers(genus, big_l, params.x, params.t)
@@ -297,19 +297,15 @@ def build_scheme(params: SchemeParams) -> SchemeInstance:
     masking = tuple(dict.fromkeys(f for f in priv + sec if f not in known))
     rows = evaluation_code(decoded + masking, candidates).rows
     k = len(decoded)
-    solved = linalg.pivot_solve(rows[:k], p, big_l)
-    if solved is None:
-        _raise_rank_defect(big_l, rows[:big_l], rows[big_l:k], p)
-    pivots, reduced = solved
-    spare = sorted(set(range(len(candidates))) - set(pivots))
-    keep = sorted(pivots + tuple(spare[: n - len(pivots)]))
+    closed = None if genus else _line_fragment_rows(candidates, rows[:big_l], rows[big_l:k], p)
+    if closed is None:
+        keep, fragment_rows, parity_checks = _solve_decode(rows[:k], p, big_l, n)
+    else:
+        keep, fragment_rows, parity_checks = range(n), closed, ()
     eval_points = tuple(candidates[idx] for idx in keep)
     restricted = tuple(tuple([row[idx] for idx in keep]) for row in rows)
     _check_units(info, restricted[:big_l], eval_points)
     row_of = dict(zip(decoded + masking, restricted))
-    # Kept symbol m's row of B^-1 [R | E] at a pivot, None at a spare.
-    lead = iter(reduced)
-    solve = [None if idx in spare else next(lead) for idx in keep]
     return SchemeInstance(
         params=params,
         curve=curve,
@@ -323,11 +319,92 @@ def build_scheme(params: SchemeParams) -> SchemeInstance:
         noise_rows=restricted[big_l:k],
         priv_code=LinearCode(p, n, tuple(row_of[f] for f in priv)),
         sec_code=LinearCode(p, n, tuple(row_of[f] for f in sec)),
-        fragment_rows=tuple(zip(*(r[len(candidates) :] if r else (0,) * big_l for r in solve))),
-        parity_checks=tuple(
-            (m, tuple(-r[keep[m]] % p if r else int(c == m) for c, r in enumerate(solve)))
-            for m, row in enumerate(solve) if not row
-        ),
+        fragment_rows=fragment_rows,
+        parity_checks=parity_checks,
+    )
+
+
+def _solve_decode(rows, p: int, big_l: int, n: int) -> tuple:
+    """(kept candidates, fragment rows, parity checks) from one elimination of [R | E].
+
+    R is the decode rows on the candidates and E the first L columns of I_k.
+    The kept candidates are the pivots, filled up to N with the leftmost
+    other candidates. B is R's block on the pivots, so fragment row l is
+    column l of B^-1 at the pivots and 0 at a spare, and the check of spare
+    symbol n is -(B^-1 R)[j][n] at the j-th pivot, 1 at n and 0 at the other
+    spares. Dependent rows raise the build condition they break.
+    """
+    solved = linalg.pivot_solve(rows, p, big_l)
+    if solved is None:
+        _raise_rank_defect(big_l, rows[:big_l], rows[big_l:], p)
+    pivots, reduced = solved
+    width = len(rows[0])
+    spare = sorted(set(range(width)) - set(pivots))
+    keep = sorted(pivots + tuple(spare[: n - len(pivots)]))
+    # Kept symbol m's row of B^-1 [R | E] at a pivot, None at a spare.
+    lead = iter(reduced)
+    solve = [None if idx in spare else next(lead) for idx in keep]
+    fragment_rows = tuple(zip(*(r[width:] if r else (0,) * big_l for r in solve)))
+    parity_checks = tuple(
+        (m, tuple(-r[keep[m]] % p if r else int(c == m) for c, r in enumerate(solve)))
+        for m, row in enumerate(solve) if not row
+    )
+    return keep, fragment_rows, parity_checks
+
+
+def _line_fragment_rows(candidates, info_rows, noise_rows, p: int) -> tuple | None:
+    """The genus-0 `fragment_rows` in closed form, or None when the rows are not the line's.
+
+    The certificate reads the evaluated rows themselves: the candidates are
+    beta_n = L + n for n < N with L + N <= p, info row l is 1/(beta_n - l)
+    and noise row j is beta_n^j. The decode matrix is then the
+    Cauchy-Vandermonde matrix of cross-subspace alignment on the disjoint
+    points alpha_l = l and beta_n, which is nonsingular: no pivot is spared
+    and there is no parity check. Times A(beta_n), response n is a
+    polynomial of degree below N read at beta_n, and fragment l is its value
+    at alpha_l over A'(alpha_l), for A(x) = prod_l (x - alpha_l). By
+    barycentric interpolation, with w_n the weights of the beta and
+    ell(x) = prod_n (x - beta_n), entry (l, n) is
+    A(beta_n) w_n ell(alpha_l) / ((alpha_l - beta_n) A'(alpha_l)): the info
+    row times one factor per row and one per column. Each factor is a
+    signed ratio of factorials below p, so one factorial table and one
+    inversion give every one of them.
+    """
+    big_l, n = len(info_rows), len(candidates)
+    top = big_l + n - 1
+    if top >= p or big_l + len(noise_rows) != n:
+        return None
+    if [pt.x for pt in candidates] != list(range(big_l, big_l + n)):
+        return None
+    fact = [1] * (top + 1)
+    for m in range(1, top + 1):
+        fact[m] = fact[m - 1] * m % p
+    inv_fact = [1] * (top + 1)
+    inv_fact[top] = pow(fact[top], -1, p)
+    for m in range(top, 0, -1):
+        inv_fact[m - 1] = inv_fact[m] * m % p
+    # inverse[m] = 1/m, so info row l is the slice from L - l.
+    inverse = [0] + [fact[m - 1] * inv_fact[m] % p for m in range(1, top + 1)]
+    if any(list(row) != inverse[big_l - l : top + 1 - l] for l, row in enumerate(info_rows)):
+        return None
+    power = [1] * n
+    for row in noise_rows:
+        if list(row) != power:
+            return None
+        power = [v * x % p for x, v in enumerate(power, big_l)]
+    # A(beta_n) w_n = (L+n)!/n! * (-1)^(N-1-n) / (n! (N-1-n)!).
+    cols = [
+        (-1) ** (n - 1 - m) * fact[big_l + m] * inv_fact[m] ** 2 * inv_fact[n - 1 - m] % p
+        for m in range(n)
+    ]
+    # ell(alpha_l) / ((alpha_l - beta_n) A'(alpha_l)) times (beta_n - alpha_l), with
+    # ell(alpha_l) = (-1)^N (L+N-1-l)!/(L-1-l)! and A'(alpha_l) = (-1)^(L-1-l) l! (L-1-l)!.
+    scales = [
+        (-1) ** (n + big_l - l) * fact[top - l] * inv_fact[big_l - 1 - l] ** 2 * inv_fact[l] % p
+        for l in range(big_l)
+    ]
+    return tuple(
+        tuple([s * c * v % p for c, v in zip(cols, row)]) for s, row in zip(scales, info_rows)
     )
 
 
@@ -502,6 +579,8 @@ def server_view(table: Table, server: int) -> tuple[tuple[int, ...], ...]:
     if not isinstance(table, Table):
         raise TypeError(f"server_view reads a Table, got {type(table).__name__}")
     views = table.views
+    if not views:
+        raise BadIndex(f"server index {server}: the table has no cells, so it has no servers")
     if not 0 <= server < len(views):
         raise BadIndex(f"server index {server} outside 0..{len(views) - 1}")
     return views[server]

@@ -299,6 +299,39 @@ def test_divisor_operations_agree_with_coefficientwise_definitions(name, request
     assert (da <= db) == all(a.get(pl, 0) <= b.get(pl, 0) for pl in both)
 
 
+@pytest.mark.parametrize("name", ["line43", "curve43"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_divisor_order_is_effectiveness_of_the_difference(name, request, data):
+    # Half the draws raise a by a non-negative map, so that a <= b holds often.
+    curve = request.getfixturevalue(name)
+    places = st.sampled_from(divisor_places(curve))
+    a = data.draw(st.dictionaries(places, st.integers(-3, 3)), label="a")
+    raise_by = data.draw(st.dictionaries(places, st.integers(0, 2)), label="raise")
+    if data.draw(st.booleans(), label="raised"):
+        b = {pl: a.get(pl, 0) + raise_by.get(pl, 0) for pl in a.keys() | raise_by.keys()}
+    else:
+        b = data.draw(st.dictionaries(places, st.integers(-3, 3)), label="b")
+    da, db = Divisor.of(curve, a), Divisor.of(curve, b)
+    assert (da <= db) == (db - da).is_effective
+    assert (db <= da) == (da - db).is_effective
+
+
+def test_divisor_order_forms_no_divisor(curve43, monkeypatch):
+    # `<=` reads both supports; it never builds and sorts the difference.
+    split = [pt for x in range(43) for pt in curve43.fiber(x)][:2]
+    small = Divisor.of(curve43, {INFINITY: 2, split[0]: -1})
+    large = Divisor.of(curve43, {INFINITY: 3, Y_ZEROS: 1, split[1]: 0})
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a divisor was formed")
+
+    monkeypatch.setattr(Divisor, "of", refused)
+    monkeypatch.setattr(Divisor, "__add__", refused)
+    assert small <= large and not large <= small
+    assert small <= small and Divisor.zero(curve43) <= large
+
+
 def test_divisor_operations_refuse_mixed_curves_and_an_empty_family(curve43, line43):
     on_curve, on_line = Divisor.of(curve43, {INFINITY: 1}), Divisor.of(line43, {INFINITY: 1})
     for op in (on_curve.__add__, on_curve.__sub__, on_curve.__le__):

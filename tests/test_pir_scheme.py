@@ -22,6 +22,7 @@ from agpir.agcode import (
 )
 from agpir.cli import PACKAGE_ERRORS
 from agpir.curve import (
+    AffinePoint,
     EllipticCurve,
     PointAtInfinity,
     _point_counts,
@@ -68,6 +69,8 @@ G1_TINY = SchemeParams(p=13, genus=1, x=1, t=1, l=1)
 # Large primes put the packed kernel on its 8-byte and wide slots.
 G0_P31 = SchemeParams(p=2**31 - 1, genus=0, x=3, t=3, l=4)
 G0_P61 = SchemeParams(p=2**61 - 1, genus=0, x=3, t=3, l=4)
+# The serve instance of the benchmark.
+G0_Q257 = SchemeParams(p=257, genus=0, x=40, t=40, l=88)
 # The genus-1 crossover instance at q = 127 (curve y^2 = x^3 + x + 33).
 G1_Q127 = SchemeParams(p=127, genus=1, x=30, t=30, l=33, curve=(1, 33))
 
@@ -114,6 +117,11 @@ def g0_p31():
 @pytest.fixture(scope="module")
 def g0_p61():
     return build_scheme(G0_P61)
+
+
+@pytest.fixture(scope="module")
+def g0_q257():
+    return build_scheme(G0_Q257)
 
 
 @pytest.fixture(scope="module")
@@ -546,7 +554,8 @@ def test_server_view_of_a_database_without_files(g0_tiny):
     empty = Table(((),) * g0_tiny.l)
     assert empty.views == ()
     for n in (-1, 0, g0_tiny.n - 1, g0_tiny.n):
-        with pytest.raises(BadIndex, match=f"^server index {n} outside 0..-1$"):
+        message = f"^server index {n}: the table has no cells, so it has no servers$"
+        with pytest.raises(BadIndex, match=message):
             server_view(empty, n)
 
 
@@ -665,11 +674,19 @@ def test_masking_codes_are_read_off_the_one_evaluation(name, request):
 
 
 @pytest.mark.parametrize(
-    "params", [G0_TINY, G1_TINY, G1_Q43], ids=["g0_tiny", "g1_tiny", "g1_q43"]
+    "params, expected",
+    [
+        (G0_TINY, ["evaluate"]),
+        (G0_Q43, ["evaluate"]),
+        (G1_TINY, ["evaluate", "eliminate"]),
+        (G1_Q43, ["evaluate", "eliminate"]),
+    ],
+    ids=["g0_tiny", "g0_q43", "g1_tiny", "g1_q43"],
 )
-def test_build_evaluates_once_and_eliminates_once(params, monkeypatch):
-    # The masking codes are read off the decode evaluation, and the decode
-    # state off the one reduced form: no second evaluation, inverse or product.
+def test_build_evaluates_once_and_eliminates_only_at_genus1(params, expected, monkeypatch):
+    # The masking codes are read off the decode evaluation. The genus-0 decode
+    # state is the closed form, and the genus-1 one is read off the one reduced
+    # form: no second evaluation, inverse or product.
     calls = []
 
     def counted(name, real):
@@ -682,7 +699,7 @@ def test_build_evaluates_once_and_eliminates_once(params, monkeypatch):
     monkeypatch.setattr(pir_scheme, "evaluation_code", counted("evaluate", evaluation_code))
     monkeypatch.setattr(linalg, "eliminate_packed", counted("eliminate", linalg.eliminate_packed))
     inst = build_scheme(params)
-    assert calls == ["evaluate", "eliminate"]
+    assert calls == expected
     assert_masking_codes_are_evaluation_codes(inst)
 
 
@@ -717,6 +734,89 @@ def test_single_elimination_matches_information_set_and_inverse(name, request):
     assert achieved == len(rows)
     sub_t = [[row[c] for row in rows] for c in cols]
     assert_decode_state(inst, cols, linalg.invert(sub_t, p))
+
+
+def assert_closed_form_is_the_elimination(inst):
+    """Genus-0 `fragment_rows` is the L columns `pivot_solve` appends, with no parity check.
+
+    The elimination is the reference: it sees only `decode_rows`, finds all N
+    columns as pivots, and appends the first L columns of the inverse.
+    """
+    pivots, reduced = linalg.pivot_solve(inst.decode_rows, inst.p, inst.l)
+    assert pivots == tuple(range(inst.n))
+    assert inst.fragment_rows == tuple(zip(*(row[inst.n :] for row in reduced)))
+    assert inst.parity_checks == ()
+
+
+@pytest.mark.parametrize("name", ["g0_tiny", "g0_q43", "g0_p31", "g0_p61", "g0_q257"])
+def test_genus0_fragment_rows_are_the_closed_form_of_the_elimination(name, request):
+    assert_closed_form_is_the_elimination(request.getfixturevalue(name))
+
+
+@st.composite
+def genus0_params(draw):
+    """Genus-0 parameters with X and T drawn apart, and the largest L in half the draws."""
+    p = draw(st.sampled_from([5, 7, 11, 13, 17, 23, 31, 43, 61, 97, 131]))
+    x = draw(st.integers(1, p - 3))
+    t = draw(st.integers(1, p - 2 - x))
+    top = sizes.max_fragments(0, p + 1, x, t)
+    assert 2 * top + x + t in (p - 1, p)
+    l = top if draw(st.booleans()) else draw(st.integers(1, top))
+    return SchemeParams(p=p, genus=0, x=x, t=t, l=l)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=genus0_params())
+def test_closed_form_equals_the_elimination(params):
+    assert_closed_form_is_the_elimination(build_scheme(params))
+
+
+def test_closed_form_certificate_reads_every_row(g0_tiny):
+    # Each change to the points or the evaluated rows fails the certificate,
+    # so the build would eliminate instead of trusting the closed form.
+    fragments = pir_scheme._line_fragment_rows
+    p, big_l = g0_tiny.p, g0_tiny.l
+    points, info, noise = g0_tiny.eval_points, g0_tiny.info_rows, g0_tiny.noise_rows
+    assert fragments(points, info, noise, p) == g0_tiny.fragment_rows
+
+    def changed(rows, i, j):
+        out = [list(row) for row in rows]
+        out[i][j] = (out[i][j] + 1) % p
+        return tuple(map(tuple, out))
+
+    shifted = tuple(AffinePoint(pt.x + 1) for pt in points)
+    assert fragments(shifted, info, noise, p) is None
+    assert fragments(points, info, noise[:-1], p) is None
+    assert fragments(points, changed(info, 0, 3), noise, p) is None
+    assert fragments(points, changed(info, big_l - 1, 0), noise, p) is None
+    assert fragments(points, info, changed(noise, 0, 3), p) is None
+    assert fragments(points, info, changed(noise, len(noise) - 1, g0_tiny.n - 1), p) is None
+    # The factorials must be units: L + N <= p.
+    assert fragments(points, info, noise, big_l + g0_tiny.n - 1) is None
+
+
+def test_a_failed_certificate_falls_through_to_the_elimination(monkeypatch):
+    # 2 / x spans the same line as 1 / x, so the fragment basis stays
+    # independent, but info row 0 is no longer 1 / beta: the build eliminates,
+    # reports no rank defect, and a retrieval round still decodes.
+    def scaled_basis(line, alphas):
+        basis = interp_basis_g0(line, alphas)
+        return (basis[0] * RationalFunction.make(line, 2),) + basis[1:]
+
+    plain = build_scheme(G0_TINY)
+    eliminations = []
+    real = linalg.eliminate_packed
+    monkeypatch.setattr(pir_scheme, "interp_basis_g0", scaled_basis)
+    monkeypatch.setattr(
+        linalg, "eliminate_packed", lambda *a, **kw: eliminations.append(1) or real(*a, **kw)
+    )
+    inst = build_scheme(G0_TINY)
+    assert eliminations == [1]
+    assert inst.info_rows[0] == tuple(2 * v % 13 for v in plain.info_rows[0])
+    assert inst.parity_checks == ()
+    db = Database.random(13, 3, inst.l, random.Random(4))
+    assert run_round(inst, db, 2, seed=5)[3] == db.files[1]
+    assert verify_scheme(inst).passed
 
 
 def assert_decode_state(inst, cols, inv_t):
