@@ -148,8 +148,12 @@ class Divisor:
         if self.curve != other.curve:
             raise ValueError("divisors on different curves")
         out = self.as_dict()
+        size = len(out)
         for pl, n in other.items:
             out[pl] = out.get(pl, 0) + n
+        if len(out) == size:
+            # No new place: the sum keeps self's order, which `of` sorted.
+            return Divisor(self.curve, tuple((pl, n) for pl, n in out.items() if n))
         return Divisor.of(self.curve, out)
 
     def __neg__(self) -> "Divisor":

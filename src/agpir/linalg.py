@@ -21,15 +21,27 @@ this one layout and its helpers:
 - `eliminate_packed`, the one elimination loop behind `rref`, `rank`,
   `pivot_solve` and `agcode.subset_rank_check`, holds each row of the
   matrix as one packed int and clears a pivot column with one update
-  m_i += (p - f) * lead per row, where f is the row's entry in that column
-  and lead the normalised pivot row. The lead is canonical, so an update
-  adds at most (p - 1)**2 to a slot, and a row takes at most one update per
-  pivot: a slot stays below min(rows, cols) * (p - 1)**2 + p. An entry is
-  read by shift, mask and % p; a pivot row is normalised by one unpack,
-  scale and repack of its slots from the pivot column on, and `rref`
-  unpacks every row once at the end. The loop takes rows already packed
-  (`pack_for_elimination`), so a caller that ranks many subsets of one set
-  of rows packs them once.
+  m_i += g * lead per row. An entry is read by shift, mask and % p, and a
+  row takes at most one update per pivot. The loop takes rows already
+  packed (`pack_for_elimination`), in slots that hold
+  min(rows, cols) * (p - 1)**2 + p, so a caller that ranks many subsets of
+  one set of rows packs them once. The slot bound depends on the mode:
+  - Full (`rref`, `pivot_solve`): lead is the normalised pivot row, by one
+    unpack, scale and repack of its slots from the pivot column on, and
+    g = p - f for the row's entry f. The lead is canonical, so an update
+    adds at most (p - 1)**2 to a slot, and a slot stays below
+    min(rows, cols) * (p - 1)**2 + p. `rref` unpacks every row once at the
+    end.
+  - Rank-only (`rank`, the subset check): one bound holds for every slot
+    of every row, p - 1 at the start since packed rows are reduced. While
+    bound * p stays below the slot's capacity less (p - 1)**2 for each
+    possible pivot, lead is the pivot row as it stands, g is
+    (p - f) / lead's entry mod p, and the bound becomes bound * p: no
+    unpack, no repack. Otherwise the pivot row is normalised as in the full
+    mode and the bound grows by (p - 1)**2, which the room kept back covers
+    at every later pivot. On rows of at most 16 entries, whose slots are
+    at least 8 bytes, a rank never normalises at p < 89 with at most 10
+    rows, or at p = 257 with at most 7.
 
 Slots of 4 or 8 bytes are written with `array` and read with
 `memoryview.cast` in native formats; wider slots, needed only once p
@@ -91,10 +103,15 @@ def pack_for_elimination(rows: Matrix, p: int, pivots: int) -> tuple[list[int], 
     """The rows packed for `eliminate_packed`, and their slot width in bytes.
 
     The slots hold pivots * (p - 1)**2 + p, enough for an elimination that
-    finds at most `pivots` pivots. Any subset of the packed rows, up to
-    `pivots` of them, can be eliminated in these slots without packing again.
+    finds at most `pivots` pivots and normalises every pivot row. Any subset
+    of the packed rows, up to `pivots` of them, can be eliminated in these
+    slots without packing again. Rows of at most 16 entries get slots of at
+    least 8 bytes: the wider slot costs little on so short a row, and leaves
+    a rank-only elimination room to clear many pivots without normalising.
     """
     slot = _slot_bytes(pivots * (p - 1) ** 2 + p)
+    if rows and len(rows[0]) <= 16:
+        slot = max(slot, 8)
     return [_pack([v % p for v in row], slot) for row in rows], slot
 
 
@@ -105,14 +122,21 @@ def eliminate_packed(
 
     `m` holds rows of length `ncols` from `pack_for_elimination`, in slots
     sized for at least min(len(m), ncols) pivots. Returns the pivot columns.
-    Each pivot row is normalised and its column cleared below it, and also
-    above it when `full` is set, which gives the reduced row echelon form.
-    Without it the result is only an echelon form, enough to count pivots.
+    With `full` set, each pivot row is normalised and its column cleared
+    above and below it, which gives the reduced row echelon form. Without
+    it the column is cleared below the pivot only, and the pivot row is
+    normalised only when the slot bound leaves no room to clear with it as
+    it stands: the result is an echelon form, enough to count pivots.
     Slot values are left unreduced: read them with `_unpack` and % p.
     """
     nrows = len(m)
     bits = 8 * slot
     mask = (1 << bits) - 1
+    # The rank-only bound on every slot of every row; the full mode normalises
+    # every pivot row and never reads it. A normalised clear adds at most
+    # (p - 1)**2 to a slot, and the limit keeps room for one at every pivot.
+    bound = p - 1
+    limit = (1 << bits) - min(nrows, ncols) * (p - 1) ** 2
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -128,11 +152,24 @@ def eliminate_packed(
         pivots.append(c)
         if not full and r + 1 == nrows:
             break  # no row left to clear
+        if not full and bound * p < limit:
+            # The pivot row as it stands: an update adds it times
+            # (p - f) / its entry mod p, so a slot reaches at most bound * p.
+            lead = m[r]
+            scale = pow((lead >> shift & mask) % p, -1, p)
+            for i in range(r + 1, nrows):
+                f = (m[i] >> shift & mask) % p
+                if f:
+                    m[i] += (p - f) * scale % p * lead
+            bound *= p
+            r += 1
+            continue
         # Row r comes from rows r.. and so reads 0 mod p left of c: only its
         # slots from c on are read, normalised and packed back in place.
         row = _unpack(m[r] >> shift, ncols - c, slot)
         inv = pow(row[0], -1, p)
         lead = m[r] = _pack([v * inv % p for v in row], slot) << shift
+        bound += (p - 1) ** 2
         for i in range(0 if full else r + 1, nrows):
             if i != r:
                 f = (m[i] >> shift & mask) % p

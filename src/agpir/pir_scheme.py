@@ -675,16 +675,21 @@ def verify_scheme(
     by a fragment basis function's values. Those values are units exactly
     when `units_ok` holds, and scaling columns by units keeps the rank of
     every column subset, so the shared code's subset check is each security
-    code's check.
+    code's check. When the shared security code and X are the privacy code
+    and T, as they are at X = T, the two checks are one: the report depends
+    only on the code, the level and the sampling, so it is taken once.
     """
     p = inst.p
     info_rank, noise_rank, combined = _decode_ranks(inst.info_rows, inst.noise_rows, p)
     privacy = subset_rank_check(
         inst.priv_code, inst.t, mode=subsets, sample_count=sample_count, seed=sample_seed
     )
-    security = subset_rank_check(
-        inst.sec_code, inst.x, mode=subsets, sample_count=sample_count, seed=sample_seed
-    )
+    if (inst.sec_code.rows, inst.x) == (inst.priv_code.rows, inst.t):
+        security = privacy
+    else:
+        security = subset_rank_check(
+            inst.sec_code, inst.x, mode=subsets, sample_count=sample_count, seed=sample_seed
+        )
     return SchemeReport(
         units_ok=all(v % p for row in inst.info_rows for v in row),
         info_rank=info_rank,

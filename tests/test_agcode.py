@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -193,6 +194,44 @@ def codes_with_dependent_columns(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=codes_with_dependent_columns(), count=st.integers(1, 20), seed=st.integers(0, 99))
 def test_subset_rank_check_matches_the_per_subset_reference(case, count, seed):
+    code, t = case
+    for mode in ("all", "sample"):
+        expected = subset_rank_check_reference(code, t, mode, sample_count=count, seed=seed)
+        assert subset_rank_check(code, t, mode, sample_count=count, seed=seed) == expected
+
+
+@st.composite
+def codes_of_either_height(draw):
+    """(code, t): G = A @ B as above, at most 16 rows or more, entries shifted by multiples of p.
+
+    A code of at most 16 rows has columns of at most 16 entries, which the
+    check packs in slots of 8 bytes or more; taller codes get 4-byte slots
+    at small p. Inner dimension r and repeated columns of B make dependent
+    subsets common, so many draws stop after five failures. Half the draws
+    take t = rank, the largest subsets and the most clears per subset.
+    """
+    p = draw(st.sampled_from((2, 5, 43, 257, 2**31 - 1, 2**61 - 1)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    k = rng.randint(17, 24) if draw(st.booleans()) else rng.randint(1, 16)
+    r, n = rng.randint(1, 12), rng.randint(1, 20)
+
+    def entries(count):
+        return [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(count)]
+
+    a = [entries(r) for _ in range(k)]
+    b_cols = [entries(r) for _ in range(rng.randint(min(r, n), n))]
+    b_cols = [rng.choice(b_cols) for _ in range(n)]
+    rows = tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) % p + p * rng.randint(-2, 2) for col in b_cols)
+        for row in a
+    )
+    code = LinearCode(p, n, rows)
+    return code, code.k if draw(st.booleans()) else rng.randint(0, code.k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=codes_of_either_height(), count=st.integers(1, 40), seed=st.integers(0, 99))
+def test_subset_rank_check_matches_the_reference_at_either_slot_width(case, count, seed):
     code, t = case
     for mode in ("all", "sample"):
         expected = subset_rank_check_reference(code, t, mode, sample_count=count, seed=seed)

@@ -302,6 +302,35 @@ def test_divisor_operations_agree_with_coefficientwise_definitions(name, request
 @pytest.mark.parametrize("name", ["line43", "curve43"])
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
+def test_divisor_sum_equals_the_sorted_sum(name, request, data):
+    # In half the draws b's places all lie in a's support, the sum that skips
+    # the sort; coefficients may cancel there, and b may be zero.
+    curve = request.getfixturevalue(name)
+    a = data.draw(st.dictionaries(st.sampled_from(divisor_places(curve)), st.integers(-3, 3)))
+    da = Divisor.of(curve, a)
+    places = list(dict(da.items)) if data.draw(st.booleans()) else divisor_places(curve)
+    b = data.draw(st.dictionaries(st.sampled_from(places), st.integers(-3, 3))) if places else {}
+    db = Divisor.of(curve, b)
+    coeffs = {pl: a.get(pl, 0) + b.get(pl, 0) for pl in a.keys() | b.keys()}
+    assert da + db == Divisor.of(curve, coeffs)
+    assert da - db == Divisor.of(curve, {pl: a.get(pl, 0) - b.get(pl, 0) for pl in coeffs})
+
+
+def test_divisor_sum_within_the_support_sorts_nothing(curve43, monkeypatch):
+    split = [pt for x in range(43) for pt in curve43.fiber(x)][:2]
+    big = Divisor.of(curve43, {INFINITY: 3, Y_ZEROS: 1, split[0]: -2, split[1]: 1})
+    small = Divisor.of(curve43, {Y_ZEROS: -1, split[0]: 2})
+    want = Divisor.of(curve43, {INFINITY: 3, split[1]: 1})
+    monkeypatch.setattr(Divisor, "of", lambda *args: pytest.fail("the sum was sorted"))
+    # Y_ZEROS and split[0] cancel: the sum keeps big's order without them.
+    assert big + small == want
+    assert (big - small).items == tuple((pl, n - small.coeff(pl)) for pl, n in big.items)
+    assert big + Divisor.zero(curve43) == big
+
+
+@pytest.mark.parametrize("name", ["line43", "curve43"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
 def test_divisor_order_is_effectiveness_of_the_difference(name, request, data):
     # Half the draws raise a by a non-negative map, so that a <= b holds often.
     curve = request.getfixturevalue(name)

@@ -146,6 +146,103 @@ def test_packed_elimination_at_the_slot_bound():
     assert linalg.pivot_solve(rows[:k], p, k)[0] == tuple(range(k))
 
 
+def staircase(p, k, extra, repeat):
+    """Rows i < k of [1] * (i + 1) + [0] * (k - 1 - i) + [p - 1] * extra, and row k - 1 again.
+
+    Forward elimination pivots on columns 0..k-1. At each pivot every row
+    below reads 1, as the pivot row does, so the multiplier is p - 1 and
+    clearing with the pivot row as it stands multiplies the last `extra`
+    slots of every row below by p: after j such clears they hold
+    (p - 1) * p**j, the rank-only slot bound exactly. A normalised pivot row
+    reads 0 mod p in those slots and leaves them as they are.
+    """
+    rows = [[1] * (i + 1) + [0] * (k - 1 - i) + [p - 1] * extra for i in range(k)]
+    return rows + rows[-1:] if repeat else rows
+
+
+def guard_clear(p, slot, pivots):
+    """The first clear at which the bound times p reaches the limit, 1-based."""
+    limit = (1 << (8 * slot)) - pivots * (p - 1) ** 2
+    j = 1
+    while (p - 1) * p**j < limit:
+        j += 1
+    return j
+
+
+def leading_one(row, p):
+    """The row over F_p divided by its first nonzero entry."""
+    row = [v % p for v in row]
+    lead = next((v for v in row if v), 1)
+    inv = pow(lead, -1, p)
+    return [v * inv % p for v in row]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@pytest.mark.parametrize("short", [True, False], ids=["16 entries or fewer", "over 16 entries"])
+@pytest.mark.parametrize("repeat", [False, True], ids=["full rank", "rank deficient"])
+def test_rank_only_elimination_normalises_first_at_the_guard(p, short, repeat, monkeypatch):
+    """A rank-only elimination clears with unnormalised pivot rows until the slot
+    bound times p would pass the limit, and normalises the pivot row there.
+
+    The staircase has just enough pivots for its last clear to be the first
+    one at the guard, with 16 entries or fewer (8-byte slots or wider) or
+    more (4-byte slots at small p). The rows below reach the bound exactly,
+    so a guard that allowed one more factor of p would carry out of their
+    last slots. At p = 5 on 16 entries no staircase reaches the guard: 16
+    pivots multiply the slots by 5**15 at most, far below 2**64.
+    """
+    k = 1
+    while True:
+        extra = 2 if short else max(2, 17 - k)
+        rows = staircase(p, k, extra, repeat)
+        n, clears = k + extra, k if repeat else k - 1
+        packed, slot = linalg.pack_for_elimination(rows, p, min(len(rows), n))
+        guard = guard_clear(p, slot, min(len(rows), n))
+        if clears >= guard or (short and n == 16):
+            break
+        k += 1
+    assert (n <= 16) == short and slot >= (8 if short else 4)
+    normalised = []
+    real_pack = linalg._pack
+    monkeypatch.setattr(linalg, "_pack", lambda *a: normalised.append(1) or real_pack(*a))
+    pivots = linalg.eliminate_packed(packed, n, p, slot, full=False)
+    reduced, want = eliminate_reference(rows, p, full=False)
+    assert pivots == want == tuple(range(k))
+    values = [list(linalg._unpack(row, n, slot)) for row in packed]
+    assert [leading_one(row, p) for row in values] == reduced
+    if clears < guard:
+        assert p == 5 and short and not normalised
+        assert values[-1][k:] == [(p - 1) * p**clears] * extra
+        return
+    assert clears == guard and len(normalised) == 1
+    # The rows below the guard's pivot hold the bound that stopped it.
+    bound = (p - 1) * p ** (guard - 1)
+    assert values[-1][k:] == [bound] * extra
+    assert bound * p >= (1 << (8 * slot)) - min(len(rows), n) * (p - 1) ** 2
+    assert linalg.rank(rows, p) == k
+
+
+def test_rank_only_elimination_keeps_room_for_the_normalised_clears():
+    """Clearing unnormalised is refused while the normalised clears after it could carry.
+
+    Row i is lead_0 + ... + lead_i with lead_c = e_c and p - 1 in the two
+    last columns, so every clear has multiplier p - 1 and every normalised
+    pivot row holds p - 1 in those slots. At p = 1609 with 56 pivots the
+    slots are 4 bytes: (p - 1) * p**2 fits in them, but after two
+    unnormalised clears the 53 normalised ones would add (p - 1)**2 each and
+    carry. The limit keeps room for all of them, so only the first clear is
+    unnormalised.
+    """
+    p, k = 1609, 56
+    rows = [[int(j <= i) for j in range(k)] + [(i + 1) * (p - 1) % p] * 2 for i in range(k)]
+    packed, slot = linalg.pack_for_elimination(rows, p, k)
+    assert slot == 4 and (p - 1) * p**2 < 1 << 32
+    assert (p - 1) * p**2 + (k - 3) * (p - 1) ** 2 >= 1 << 32
+    assert linalg.eliminate_packed(packed, k + 2, p, slot, full=False) == tuple(range(k))
+    values = [list(linalg._unpack(row, k + 2, slot)) for row in packed]
+    assert [leading_one(row, p) for row in values] == eliminate_reference(rows, p, full=False)[0]
+
+
 @pytest.mark.parametrize(
     "entry", [linalg.rref, linalg.rank, functools.partial(linalg.pivot_solve, width=1)]
 )

@@ -859,6 +859,56 @@ def test_verify_security_equals_per_code_checks(name, mode, request):
         assert rep == subset_rank_check(code, inst.x, mode=mode, sample_count=10, seed=7)
 
 
+@pytest.mark.parametrize(
+    "params, calls",
+    [
+        (G0_TINY, 1),
+        (G1_TINY, 1),
+        (G0_Q43, 1),
+        (G1_Q43, 1),
+        (SchemeParams(p=43, genus=0, x=12, t=16, l=5), 2),
+        (SchemeParams(p=43, genus=0, x=16, t=12, l=5), 2),
+        (SchemeParams(p=43, genus=1, x=3, t=5, l=7, curve=(0, 9)), 2),
+    ],
+)
+@pytest.mark.parametrize("mode", ["all", "sample"])
+def test_verify_checks_a_shared_privacy_and_security_code_once(params, calls, mode, monkeypatch):
+    # At X = T the shared security code is the privacy code, so one subset
+    # check is both reports; otherwise each code has its own check.
+    inst = build_scheme(params)
+    assert (inst.sec_code.rows == inst.priv_code.rows) == (calls == 1)
+    privacy = subset_rank_check(inst.priv_code, inst.t, mode=mode, sample_count=10, seed=7)
+    security = subset_rank_check(inst.sec_code, inst.x, mode=mode, sample_count=10, seed=7)
+    seen = []
+    monkeypatch.setattr(
+        pir_scheme,
+        "subset_rank_check",
+        lambda code, t, **kw: seen.append((code, t)) or subset_rank_check(code, t, **kw),
+    )
+    report = verify_scheme(inst, subsets=mode, sample_count=10, sample_seed=7)
+    assert len(seen) == calls
+    assert report.privacy == privacy
+    assert report.security == (security,) * inst.l
+    assert report.passed
+
+
+def test_verify_checks_a_broken_security_code_on_its_own(g0_tiny, monkeypatch):
+    # Equal levels alone do not share the check: a security code that differs
+    # from the privacy code is checked, and its failure reported, by itself.
+    rows = tuple((row[0], row[0]) + row[2:] for row in g0_tiny.sec_code.rows)
+    broken = dataclasses.replace(g0_tiny, sec_code=LinearCode(13, g0_tiny.n, rows))
+    assert broken.x == broken.t
+    seen = []
+    monkeypatch.setattr(
+        pir_scheme,
+        "subset_rank_check",
+        lambda code, t, **kw: seen.append(code) or subset_rank_check(code, t, **kw),
+    )
+    report = verify_scheme(broken, subsets="all")
+    assert seen == [broken.priv_code, broken.sec_code]
+    assert report.privacy.passed and not report.security[0].passed
+
+
 def test_verify_security_failures_carry_over_to_every_fragment(g0_tiny):
     # Repeat column 0 in column 1: the pair is dependent in every scaled copy too.
     rows = tuple((row[0], row[0]) + row[2:] for row in g0_tiny.sec_code.rows)
@@ -1092,6 +1142,32 @@ def assert_containment_matches_reference(inst):
 def test_containment_by_divisor_sums_matches_symbolic_products(name, request):
     got = assert_containment_matches_reference(request.getfixturevalue(name))
     assert all(ok for _, ok in got)
+
+
+def sorted_divisor_sum(self, other):
+    """`Divisor.__add__` that sorts every sum through `Divisor.of`."""
+    out = self.as_dict()
+    for pl, n in other.items:
+        out[pl] = out.get(pl, 0) + n
+    return Divisor.of(self.curve, out)
+
+
+@pytest.mark.parametrize("name", ORACLE_INSTANCES)
+@pytest.mark.parametrize("tamper", ["none", "privacy pole", "fragment zero"])
+def test_containment_lists_are_those_of_the_sorted_sum(name, tamper, request, monkeypatch):
+    # The sum that skips the sort when the places are already present
+    # changes no verdict, built instances and failing ones alike.
+    inst = request.getfixturevalue(name)
+    if tamper == "privacy pole":
+        extra = RationalFunction.x_power(inst.curve, inst.x + inst.t + 3)
+        inst = dataclasses.replace(inst, priv_basis=inst.priv_basis + (extra,))
+    elif tamper == "fragment zero":
+        h = inst.info_basis[-1] * RationalFunction.x_power(inst.curve, -1)
+        inst = dataclasses.replace(inst, info_basis=inst.info_basis[:-1] + (h,))
+    got = check_noise_containment(dataclasses.replace(inst))
+    monkeypatch.setattr(Divisor, "__add__", sorted_divisor_sum)
+    assert got == check_noise_containment(dataclasses.replace(inst))
+    assert all(ok for _, ok in got) == (tamper == "none")
 
 
 @pytest.mark.parametrize("name", ["g0_tiny", "g1_tiny", "g0_q43", "g1_q43"])
