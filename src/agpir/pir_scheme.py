@@ -17,12 +17,13 @@ itself.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice, repeat
 from operator import mul
-from typing import Iterator, NoReturn, Sequence
+from typing import NoReturn
 
 from . import linalg, sizes
 from .agcode import (
@@ -69,22 +70,84 @@ class Table(tuple):
     """A share or query table, indexed [fragment][file][server].
 
     It is the plain nested tuple, so it compares and serializes as one. Its
-    `views` regroup it once into every server's column, in one C-level pass,
+    `views` regroup it once into every server's cells, in one C-level pass,
     so the N servers of a read cost one pass over the table, not N.
     """
 
     @cached_property
-    def views(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Every server's column of the table, indexed [server][fragment][file].
+    def views(self) -> tuple[ServerView, ...]:
+        """Every server's column of the table, one `ServerView` per server.
 
-        Empty when the table has no cells (L = 0 or M = 0): `server_view` then refuses every server.
+        A view keeps the server's L·M cells flat, fragment-major then
+        file-major, with the shape (L, M). One `zip` over the table's cells
+        in that order yields all N of them. Empty when the table has no cells
+        (L = 0 or M = 0): `server_view` then refuses every server.
         """
         if len(set(map(len, self))) > 1:
             raise ShapeMismatch("table rows hold different numbers of files")
         try:
-            return tuple(zip(*[tuple(zip(*row, strict=True)) for row in self], strict=True))
+            columns = tuple(zip(*chain.from_iterable(self), strict=True))
         except ValueError:
             raise ShapeMismatch("table cells hold different numbers of servers") from None
+        shape = (len(self), len(self[0]) if self else 0)
+        return tuple(map(ServerView, columns, repeat(shape)))
+
+
+class ServerView(Sequence):
+    """One server's column of a table, indexed [fragment][file], kept as flat cells.
+
+    `cells` holds the L·M symbols fragment-major then file-major, and `shape`
+    is (L, M). The view reads, iterates and compares as the nested tuple of L
+    rows of M symbols, and it builds a row only when one is read. It is
+    read-only, like that tuple.
+    """
+
+    __slots__ = ("cells", "shape")
+
+    def __init__(self, cells: tuple[int, ...], shape: tuple[int, int]):
+        self.cells = cells
+        self.shape = shape
+
+    @classmethod
+    def of(cls, view: Sequence[Sequence[int]]) -> ServerView:
+        """A `ServerView` as it is, or the view of nested rows of symbols.
+
+        Rows of different lengths have no (L, M) shape and raise
+        `ShapeMismatch`. No rows at all have the shape (0, 0).
+        """
+        if isinstance(view, ServerView):
+            return view
+        rows = [tuple(row) for row in view]
+        widths = set(map(len, rows))
+        if len(widths) > 1:
+            raise ShapeMismatch("view rows hold different numbers of files")
+        return cls(tuple(chain.from_iterable(rows)), (len(rows), widths.pop() if rows else 0))
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        rows, width = self.shape
+        row = range(rows)[index]  # negative indices and IndexError as a tuple's
+        return self.cells[row * width : (row + 1) * width]
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ServerView):
+            return self.shape == other.shape and self.cells == other.cells
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -568,13 +631,16 @@ def _draw(rng: random.Random, p: int, count: int) -> list[int]:
     return out
 
 
-def server_view(table: Table, server: int) -> tuple[tuple[int, ...], ...]:
+def server_view(table: Table, server: int) -> ServerView:
     """One server's column of a share or query table, indexed [fragment][file].
 
-    It is read from the table's `views`, built on the first call. The table
-    is one that `store` or `make_queries` returned, or a loaded one wrapped
-    once with `Table(...)`. A server outside 0..N-1 raises `BadIndex`, and so
-    does every server of a table without cells, which has no views.
+    It is read from the table's `views`, built on the first call, so every
+    call for one server hands out the same `ServerView`: the server's L·M
+    cells, flat, fragment-major then file-major, which equals the nested
+    tuple. The table is one that `store` or
+    `make_queries` returned, or a loaded one wrapped once with `Table(...)`.
+    A server outside 0..N-1 raises `BadIndex`, and so does every server of a
+    table without cells, which has no views.
     """
     if not isinstance(table, Table):
         raise TypeError(f"server_view reads a Table, got {type(table).__name__}")
@@ -589,10 +655,16 @@ def server_view(table: Table, server: int) -> tuple[tuple[int, ...], ...]:
 def server_respond(
     shares_n: Sequence[Sequence[int]], queries_n: Sequence[Sequence[int]], p: int
 ) -> int:
-    """The single response symbol: sum of share * query over all table cells."""
-    if list(map(len, shares_n)) != list(map(len, queries_n)):
+    """The single response symbol: sum of share * query over all table cells.
+
+    Both views are `ServerView`s or nested [fragment][file] rows, read
+    through `ServerView.of`. Their (L, M) shapes must be equal, or
+    `ShapeMismatch` is raised; then the cells pair up in their flat order.
+    """
+    shares_n, queries_n = ServerView.of(shares_n), ServerView.of(queries_n)
+    if shares_n.shape != queries_n.shape:
         raise ShapeMismatch("share and query views have different shapes")
-    return sum(map(mul, chain.from_iterable(shares_n), chain.from_iterable(queries_n))) % p
+    return sum(map(mul, shares_n.cells, queries_n.cells)) % p
 
 
 def decode(inst: SchemeInstance, responses: Sequence[int]) -> tuple[int, ...]:

@@ -559,6 +559,97 @@ def test_server_view_of_a_database_without_files(g0_tiny):
             server_view(empty, n)
 
 
+@pytest.mark.parametrize("name", ["g0_tiny", "g1_tiny", "g0_q43"])
+def test_server_view_reads_as_the_nested_tuple(name, request):
+    inst = request.getfixturevalue(name)
+    rng = random.Random(5)
+    shares = store(inst, Database.random(inst.p, 3, inst.l, rng), rng)
+    for n in (0, inst.n - 1):
+        view, ref = server_view(shares, n), server_view_reference(shares, n)
+        assert view == ref and ref == view
+        assert not (view != ref or ref != view)
+        assert len(view) == len(ref) == inst.l
+        assert list(view) == list(ref)
+        assert [view[i] for i in range(-inst.l, inst.l)] == [ref[i] for i in range(-inst.l, inst.l)]
+        assert view[::-1] == ref[::-1] and view[1:] == ref[1:]
+        for i in (inst.l, -inst.l - 1):
+            with pytest.raises(IndexError):
+                view[i]
+        assert hash(view) == hash(ref)
+        assert repr(view) == repr(ref)
+        # Like the tuple, the view is not equal to a list of its rows.
+        assert view != list(ref) and list(ref) != view
+    # A column that differs in one cell, as a tuple and as another table's view.
+    ref = server_view_reference(shares, 0)
+    other = ((ref[0][0] + 1,) + ref[0][1:],) + ref[1:]
+    assert server_view(shares, 0) != other and other != server_view(shares, 0)
+    assert server_view(shares, 0) != server_view(Table([[(c,) for c in row] for row in other]), 0)
+
+
+def test_server_respond_mixed_arguments_and_equal_totals(g0_q43):
+    rng = random.Random(3)
+    shares = store(g0_q43, Database.random(g0_q43.p, 3, g0_q43.l, rng), rng)
+    queries = make_queries(g0_q43, 2, 3, rng)
+    for n in range(g0_q43.n):
+        s, q = server_view(shares, n), server_view(queries, n)
+        plain_s, plain_q = server_view_reference(shares, n), server_view_reference(queries, n)
+        expected = server_respond(s, q, g0_q43.p)
+        assert server_respond(s, plain_q, g0_q43.p) == expected
+        assert server_respond(plain_s, q, g0_q43.p) == expected
+        assert server_respond(list(map(list, plain_s)), q, g0_q43.p) == expected
+    # Equal cell counts, different shapes: a view against its own cells
+    # regrouped, and two hand-made tables of 2 x 6 and 3 x 4 cells.
+    view = server_view(shares, 0)
+    regrouped = tuple(zip(*[iter(view.cells)] * 5))
+    assert len(regrouped) * 5 == g0_q43.l * 3
+    with pytest.raises(ShapeMismatch):
+        server_respond(view, regrouped, g0_q43.p)
+    with pytest.raises(ShapeMismatch):
+        server_respond(regrouped, view, g0_q43.p)
+    two_by_six, three_by_four = ((1,) * 6,) * 2, ((1,) * 4,) * 3
+    two_by_six_views = Table([[(c,) for c in row] for row in two_by_six]).views
+    three_by_four_views = Table([[(c,) for c in row] for row in three_by_four]).views
+    for a, b in [
+        (two_by_six, three_by_four),
+        (three_by_four, two_by_six),
+        (two_by_six_views[0], three_by_four_views[0]),
+        (two_by_six_views[0], three_by_four),
+        (two_by_six, three_by_four_views[0]),
+    ]:
+        with pytest.raises(ShapeMismatch):
+            server_respond(a, b, 13)
+    # Rows of different lengths have no shape, even against the same rows.
+    ragged = ((1, 2), (3,))
+    with pytest.raises(ShapeMismatch):
+        server_respond(ragged, ragged, 13)
+
+
+@st.composite
+def small_tables(draw):
+    p = draw(st.sampled_from([13, 43, 127]))
+    l, m, n = (draw(st.integers(1, 6)) for _ in range(3))
+    cell = st.lists(st.integers(-2 * p, 2 * p), min_size=n, max_size=n).map(tuple)
+    table = st.lists(st.lists(cell, min_size=m, max_size=m).map(tuple), min_size=l, max_size=l)
+    return p, n, Table(draw(table)), Table(draw(table))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables=small_tables())
+def test_server_respond_is_the_inner_product_of_the_reference_views(tables):
+    p, servers, shares, queries = tables
+    loaded = [Table(json.loads(json.dumps(t))) for t in (shares, queries)]
+    for s, q in [(shares, queries), loaded]:
+        for n in range(servers):
+            expected = sum(
+                map(
+                    operator.mul,
+                    itertools.chain.from_iterable(server_view_reference(s, n)),
+                    itertools.chain.from_iterable(server_view_reference(q, n)),
+                )
+            ) % p
+            assert server_respond(server_view(s, n), server_view(q, n), p) == expected
+
+
 def test_decode_rejects_wrong_length(g0_tiny):
     with pytest.raises(ShapeMismatch):
         decode(g0_tiny, [0] * (g0_tiny.n + 1))
