@@ -10,7 +10,6 @@ servers for feasibility at smaller field sizes.
 from .agcode import (
     LinearCode,
     evaluation_code,
-    information_set,
     is_grs,
     min_distance,
     subset_rank_check,
@@ -87,7 +86,6 @@ __all__ = [
     "exhaustive_security_oracle",
     "find_curve",
     "hasse_window",
-    "information_set",
     "interp_basis_g0",
     "interp_basis_g1",
     "is_grs",

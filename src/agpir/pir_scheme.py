@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice, repeat
 from operator import mul
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from . import linalg, sizes
 from .agcode import (
@@ -80,8 +80,9 @@ class Table(tuple):
 
         A view keeps the server's L·M cells flat, fragment-major then
         file-major, with the shape (L, M). One `zip` over the table's cells
-        in that order yields all N of them. Empty when the table has no cells
-        (L = 0 or M = 0): `server_view` then refuses every server.
+        in that order yields all N of them. Empty when the table has no
+        servers, because it has no cells (L = 0 or M = 0) or its cells are
+        empty (N = 0): `server_view` then refuses every server index.
         """
         if len(set(map(len, self))) > 1:
             raise ShapeMismatch("table rows hold different numbers of files")
@@ -93,61 +94,14 @@ class Table(tuple):
         return tuple(map(ServerView, columns, repeat(shape)))
 
 
-class ServerView(Sequence):
-    """One server's column of a table, indexed [fragment][file], kept as flat cells.
+class ServerView(NamedTuple):
+    """One server's column of a table: its L·M cells, fragment-major then file-major.
 
-    `cells` holds the L·M symbols fragment-major then file-major, and `shape`
-    is (L, M). The view reads, iterates and compares as the nested tuple of L
-    rows of M symbols, and it builds a row only when one is read. It is
-    read-only, like that tuple.
+    `shape` is (L, M). Only `Table.views` makes these records.
     """
 
-    __slots__ = ("cells", "shape")
-
-    def __init__(self, cells: tuple[int, ...], shape: tuple[int, int]):
-        self.cells = cells
-        self.shape = shape
-
-    @classmethod
-    def of(cls, view: Sequence[Sequence[int]]) -> ServerView:
-        """A `ServerView` as it is, or the view of nested rows of symbols.
-
-        Rows of different lengths have no (L, M) shape and raise
-        `ShapeMismatch`. No rows at all have the shape (0, 0).
-        """
-        if isinstance(view, ServerView):
-            return view
-        rows = [tuple(row) for row in view]
-        widths = set(map(len, rows))
-        if len(widths) > 1:
-            raise ShapeMismatch("view rows hold different numbers of files")
-        return cls(tuple(chain.from_iterable(rows)), (len(rows), widths.pop() if rows else 0))
-
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(len(self))[index]))
-        rows, width = self.shape
-        row = range(rows)[index]  # negative indices and IndexError as a tuple's
-        return self.cells[row * width : (row + 1) * width]
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return map(self.__getitem__, range(len(self)))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ServerView):
-            return self.shape == other.shape and self.cells == other.cells
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
+    cells: tuple[int, ...]
+    shape: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -632,36 +586,39 @@ def _draw(rng: random.Random, p: int, count: int) -> list[int]:
 
 
 def server_view(table: Table, server: int) -> ServerView:
-    """One server's column of a share or query table, indexed [fragment][file].
+    """One server's column of a share or query table, as a `ServerView`.
 
     It is read from the table's `views`, built on the first call, so every
-    call for one server hands out the same `ServerView`: the server's L·M
-    cells, flat, fragment-major then file-major, which equals the nested
-    tuple. The table is one that `store` or
-    `make_queries` returned, or a loaded one wrapped once with `Table(...)`.
-    A server outside 0..N-1 raises `BadIndex`, and so does every server of a
-    table without cells, which has no views.
+    call for one server hands out the same record. The table is one that
+    `store` or `make_queries` returned, or a loaded one wrapped once with
+    `Table(...)`; anything else raises `TypeError`. A server outside 0..N-1
+    raises `BadIndex`, and so does every server of a table without servers:
+    one without cells, or whose cells are empty.
     """
     if not isinstance(table, Table):
         raise TypeError(f"server_view reads a Table, got {type(table).__name__}")
     views = table.views
     if not views:
-        raise BadIndex(f"server index {server}: the table has no cells, so it has no servers")
+        raise BadIndex(
+            f"server index {server}: the table has no servers (no cells, or empty cells)"
+        )
     if not 0 <= server < len(views):
         raise BadIndex(f"server index {server} outside 0..{len(views) - 1}")
     return views[server]
 
 
-def server_respond(
-    shares_n: Sequence[Sequence[int]], queries_n: Sequence[Sequence[int]], p: int
-) -> int:
+def server_respond(shares_n: ServerView, queries_n: ServerView, p: int) -> int:
     """The single response symbol: sum of share * query over all table cells.
 
-    Both views are `ServerView`s or nested [fragment][file] rows, read
-    through `ServerView.of`. Their (L, M) shapes must be equal, or
+    Both arguments are `ServerView`s, as `server_view` returns them, or
+    `TypeError` is raised. Their (L, M) shapes must be equal, or
     `ShapeMismatch` is raised; then the cells pair up in their flat order.
     """
-    shares_n, queries_n = ServerView.of(shares_n), ServerView.of(queries_n)
+    if not (isinstance(shares_n, ServerView) and isinstance(queries_n, ServerView)):
+        raise TypeError(
+            "server_respond reads two ServerViews, got "
+            f"{type(shares_n).__name__} and {type(queries_n).__name__}"
+        )
     if shares_n.shape != queries_n.shape:
         raise ShapeMismatch("share and query views have different shapes")
     return sum(map(mul, shares_n.cells, queries_n.cells)) % p

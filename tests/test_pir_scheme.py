@@ -311,9 +311,12 @@ def test_make_queries_determinism_and_theta(g0_tiny):
 def test_server_respond_zero_queries(g0_tiny):
     zeros = tuple((0,) * 2 for _ in range(3))
     shares = tuple((7, 9) for _ in range(3))
-    assert server_respond(shares, zeros, 13) == 0
+    assert server_respond(view_of_rows(shares), view_of_rows(zeros), 13) == 0
     with pytest.raises(ShapeMismatch):
-        server_respond(shares, zeros[:2], 13)
+        server_respond(view_of_rows(shares), view_of_rows(zeros[:2]), 13)
+    # Nested rows are not views: they reach `server_respond` through a `Table`.
+    with pytest.raises(TypeError, match="reads two ServerViews"):
+        server_respond(shares, zeros, 13)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -477,15 +480,15 @@ def test_server_view_and_decode_match_references(name, request):
     shares = store(inst, db, rng)
     queries = make_queries(inst, 2, len(db), rng)
     for n in range(inst.n):
-        assert server_view(shares, n) == server_view_reference(shares, n)
-        assert server_view(queries, n) == server_view_reference(queries, n)
+        assert server_view(shares, n) == flat_view_reference(shares, n)
+        assert server_view(queries, n) == flat_view_reference(queries, n)
         # The views are built once per table and handed out from then on.
         assert server_view(shares, n) is server_view(shares, n)
     # Nested lists, as a transcript loads them, give the same views once
     # wrapped as a `Table`; unwrapped, they are refused.
     loaded = json.loads(json.dumps(shares))
     for n in range(inst.n):
-        assert server_view(Table(loaded), n) == server_view_reference(shares, n)
+        assert server_view(Table(loaded), n) == flat_view_reference(shares, n)
     with pytest.raises(TypeError, match="reads a Table"):
         server_view(loaded, 0)
     for n in (inst.n, -inst.n - 1):
@@ -502,6 +505,17 @@ def test_server_view_and_decode_match_references(name, request):
     for _ in range(20):
         responses = [rng.randrange(-p, 2 * p) for _ in range(inst.n)]
         assert_decode_matches_reference(inst, responses)
+
+
+def flat_view_reference(table, server):
+    """`server_view_reference` as a view's (cells, shape): fragment-major, then file-major."""
+    ref = server_view_reference(table, server)
+    return tuple(itertools.chain.from_iterable(ref)), (len(ref), len(ref[0]))
+
+
+def view_of_rows(rows):
+    """The one server's view of nested [fragment][file] rows, made through a `Table`."""
+    return server_view(Table([[(c,) for c in row] for row in rows]), 0)
 
 
 def in_decode_row_space(inst, coeffs):
@@ -551,39 +565,24 @@ def test_server_view_of_a_database_without_files(g0_tiny):
     # `store` refuses M = 0, and a table without cells, made by hand, has no views.
     with pytest.raises(ShapeMismatch, match="^a database holds at least one file$"):
         store(g0_tiny, Database(13, ()), random.Random(0))
-    empty = Table(((),) * g0_tiny.l)
-    assert empty.views == ()
-    for n in (-1, 0, g0_tiny.n - 1, g0_tiny.n):
-        message = f"^server index {n}: the table has no cells, so it has no servers$"
-        with pytest.raises(BadIndex, match=message):
-            server_view(empty, n)
+    # A table of cells that hold no servers (L = M = 1, N = 0) has no views either.
+    for empty in (Table(((),) * g0_tiny.l), Table((((),),))):
+        assert empty.views == ()
+        for n in (-1, 0, g0_tiny.n - 1, g0_tiny.n):
+            message = rf"^server index {n}: the table has no servers \(no cells, or empty cells\)$"
+            with pytest.raises(BadIndex, match=message):
+                server_view(empty, n)
 
 
 @pytest.mark.parametrize("name", ["g0_tiny", "g1_tiny", "g0_q43"])
-def test_server_view_reads_as_the_nested_tuple(name, request):
+def test_server_views_differing_in_one_cell_are_unequal(name, request):
     inst = request.getfixturevalue(name)
     rng = random.Random(5)
     shares = store(inst, Database.random(inst.p, 3, inst.l, rng), rng)
-    for n in (0, inst.n - 1):
-        view, ref = server_view(shares, n), server_view_reference(shares, n)
-        assert view == ref and ref == view
-        assert not (view != ref or ref != view)
-        assert len(view) == len(ref) == inst.l
-        assert list(view) == list(ref)
-        assert [view[i] for i in range(-inst.l, inst.l)] == [ref[i] for i in range(-inst.l, inst.l)]
-        assert view[::-1] == ref[::-1] and view[1:] == ref[1:]
-        for i in (inst.l, -inst.l - 1):
-            with pytest.raises(IndexError):
-                view[i]
-        assert hash(view) == hash(ref)
-        assert repr(view) == repr(ref)
-        # Like the tuple, the view is not equal to a list of its rows.
-        assert view != list(ref) and list(ref) != view
-    # A column that differs in one cell, as a tuple and as another table's view.
     ref = server_view_reference(shares, 0)
     other = ((ref[0][0] + 1,) + ref[0][1:],) + ref[1:]
-    assert server_view(shares, 0) != other and other != server_view(shares, 0)
-    assert server_view(shares, 0) != server_view(Table([[(c,) for c in row] for row in other]), 0)
+    assert view_of_rows(ref) == server_view(shares, 0)
+    assert view_of_rows(other) != server_view(shares, 0)
 
 
 def test_server_respond_mixed_arguments_and_equal_totals(g0_q43):
@@ -594,34 +593,31 @@ def test_server_respond_mixed_arguments_and_equal_totals(g0_q43):
         s, q = server_view(shares, n), server_view(queries, n)
         plain_s, plain_q = server_view_reference(shares, n), server_view_reference(queries, n)
         expected = server_respond(s, q, g0_q43.p)
-        assert server_respond(s, plain_q, g0_q43.p) == expected
-        assert server_respond(plain_s, q, g0_q43.p) == expected
-        assert server_respond(list(map(list, plain_s)), q, g0_q43.p) == expected
+        # Hand-made rows answer alike once wrapped as a `Table`, and are refused bare.
+        assert server_respond(view_of_rows(plain_s), view_of_rows(plain_q), g0_q43.p) == expected
+        for a, b in [(s, plain_q), (plain_s, q), (list(map(list, plain_s)), q), (tuple(s), q)]:
+            with pytest.raises(TypeError, match="reads two ServerViews"):
+                server_respond(a, b, g0_q43.p)
     # Equal cell counts, different shapes: a view against its own cells
-    # regrouped, and two hand-made tables of 2 x 6 and 3 x 4 cells.
+    # regrouped, and two views of 2 x 6 and 3 x 4 cells.
     view = server_view(shares, 0)
-    regrouped = tuple(zip(*[iter(view.cells)] * 5))
-    assert len(regrouped) * 5 == g0_q43.l * 3
-    with pytest.raises(ShapeMismatch):
-        server_respond(view, regrouped, g0_q43.p)
-    with pytest.raises(ShapeMismatch):
-        server_respond(regrouped, view, g0_q43.p)
-    two_by_six, three_by_four = ((1,) * 6,) * 2, ((1,) * 4,) * 3
-    two_by_six_views = Table([[(c,) for c in row] for row in two_by_six]).views
-    three_by_four_views = Table([[(c,) for c in row] for row in three_by_four]).views
+    regrouped = view_of_rows(zip(*[iter(view.cells)] * 5))
+    assert regrouped.shape == (g0_q43.l * 3 // 5, 5) and regrouped.cells == view.cells
+    two_by_six, three_by_four = view_of_rows(((1,) * 6,) * 2), view_of_rows(((1,) * 4,) * 3)
     for a, b in [
+        (view, regrouped),
+        (regrouped, view),
         (two_by_six, three_by_four),
         (three_by_four, two_by_six),
-        (two_by_six_views[0], three_by_four_views[0]),
-        (two_by_six_views[0], three_by_four),
-        (two_by_six, three_by_four_views[0]),
     ]:
         with pytest.raises(ShapeMismatch):
             server_respond(a, b, 13)
-    # Rows of different lengths have no shape, even against the same rows.
+    # Rows of different lengths are not views, and a table of them has none.
     ragged = ((1, 2), (3,))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(TypeError, match="reads two ServerViews"):
         server_respond(ragged, ragged, 13)
+    with pytest.raises(ShapeMismatch, match="different numbers of files"):
+        view_of_rows(ragged)
 
 
 @st.composite
