@@ -142,13 +142,18 @@ def min_distance(code: LinearCode) -> int:
 
 
 class SubsetRankReport(NamedTuple):
-    passed: bool
+    """What one subset check ran, and the first (at most five) dependent subsets it met."""
+
     t: int
     mode: str  # "all" or "sample": the mode that ran
     checked: int
     total: int
     failures: tuple[tuple[int, ...], ...]
     seed: int | None = None
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def subset_rank_check(
@@ -199,7 +204,6 @@ def subset_rank_check(
             if len(failures) >= 5:
                 break
     return SubsetRankReport(
-        passed=not failures,
         t=t,
         mode=mode,
         checked=checked,

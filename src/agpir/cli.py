@@ -24,6 +24,7 @@ from .pir_scheme import (
     check_noise_containment,
     scheme_descriptor,
     scheme_from_descriptor,
+    verdict_line,
     verify_scheme,
 )
 from .rates import max_rate_g0, max_rate_g1, rows_to_csv, sweep
@@ -164,10 +165,8 @@ def _oracle_lines(inst) -> list[str]:
             lines.append(f"SKIP  {label}: {calls} subsets: {exc}")
             continue
         bad = [s for s in combinations(range(inst.n), size) if not runner(s)]
-        lines.append(
-            f"{'FAIL' if bad else 'PASS'}  {label}: all {calls} subsets"
-            + (f" (first failure {bad[0]})" if bad else "")
-        )
+        first = f" (first failure {bad[0]})" if bad else ""
+        lines.append(verdict_line(f"{label}: all {calls} subsets{first}", not bad))
     return lines
 
 
@@ -195,19 +194,14 @@ def cmd_verify(args) -> int:
     lines = report.lines()
     containment = check_noise_containment(inst)
     bad = [label for label, ok in containment if not ok]
-    lines.append(
-        ("PASS" if not bad else "FAIL")
-        + f"  noise containment: {len(containment)} products inside the noise bound"
-        + ("" if not bad else f" (first failure {bad[0]})")
-    )
-    lines.append(_parity_line(inst))
-    failed = not report.passed or bool(bad)
+    first = f" (first failure {bad[0]})" if bad else ""
+    text = f"noise containment: {len(containment)} products inside the noise bound{first}"
+    lines += [verdict_line(text, not bad), _parity_line(inst)]
     if args.exhaustive_oracle:
-        oracle_lines = _oracle_lines(inst)
-        lines.extend(oracle_lines)
-        failed = failed or any(line.startswith("FAIL") for line in oracle_lines)
+        lines += _oracle_lines(inst)
     print("\n".join(lines))
-    return 1 if failed else 0
+    # INFO and SKIP lines never fail; every verdict is a PASS or FAIL line.
+    return 1 if any(line.startswith("FAIL") for line in lines) else 0
 
 
 def cmd_sweep(args) -> int:

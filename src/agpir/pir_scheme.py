@@ -225,6 +225,11 @@ class SchemeInstance:
         return len(self.priv_basis)
 
     @cached_property
+    def descriptor(self) -> dict:
+        """`scheme_descriptor(self)`, built once and shared by every transcript: read-only."""
+        return scheme_descriptor(self)
+
+    @cached_property
     def decode_rows(self) -> tuple[tuple[int, ...], ...]:
         return self.info_rows + self.noise_rows
 
@@ -611,8 +616,9 @@ def server_respond(shares_n: ServerView, queries_n: ServerView, p: int) -> int:
     """The single response symbol: sum of share * query over all table cells.
 
     Both arguments are `ServerView`s, as `server_view` returns them, or
-    `TypeError` is raised. Their (L, M) shapes must be equal, or
-    `ShapeMismatch` is raised; then the cells pair up in their flat order.
+    `TypeError` is raised. Their (L, M) shapes must be equal, and each must
+    hold L·M cells, or `ShapeMismatch` is raised; then the cells pair up in
+    their flat order.
     """
     if not (isinstance(shares_n, ServerView) and isinstance(queries_n, ServerView)):
         raise TypeError(
@@ -621,6 +627,9 @@ def server_respond(shares_n: ServerView, queries_n: ServerView, p: int) -> int:
         )
     if shares_n.shape != queries_n.shape:
         raise ShapeMismatch("share and query views have different shapes")
+    l, m = shares_n.shape
+    if not len(shares_n.cells) == len(queries_n.cells) == l * m:
+        raise ShapeMismatch(f"views of shape {shares_n.shape} hold {l * m} cells")
     return sum(map(mul, shares_n.cells, queries_n.cells)) % p
 
 
@@ -639,56 +648,47 @@ def decode(inst: SchemeInstance, responses: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SchemeReport:
-    """Outcome of the decodability and collusion-resistance checks."""
+    """What `verify_scheme` measured; `_checks` decides every verdict from it.
+
+    `security` holds one report per fragment, so its length is L. `passed`
+    and `lines()` both read the one (text, verdict) list of `_checks`.
+    """
 
     units_ok: bool
     info_rank: int
     noise_rank: int
     combined_rank: int
-    info_rank_ok: bool
-    direct_sum_ok: bool
-    injective_ok: bool
+    num_decode_rows: int
     privacy: SubsetRankReport
     security: tuple[SubsetRankReport, ...]
 
+    def _checks(self) -> list[tuple[str, bool]]:
+        info, total = self.info_rank, self.combined_rank
+        return [
+            ("fragment basis functions are units", self.units_ok),
+            (f"information rank {info} equals L", info == len(self.security)),
+            (f"information + noise ranks add ({total} total)", total == info + self.noise_rank),
+            ("evaluation map injective on the combined space", total == self.num_decode_rows),
+            (f"privacy: {_independent(self.privacy)}", self.privacy.passed),
+        ] + [
+            (f"security fragment {ell}: {_independent(rep)}", rep.passed)
+            for ell, rep in enumerate(self.security, 1)
+        ]
+
     @property
     def passed(self) -> bool:
-        return (
-            self.units_ok
-            and self.info_rank_ok
-            and self.direct_sum_ok
-            and self.injective_ok
-            and self.privacy.passed
-            and all(r.passed for r in self.security)
-        )
+        return all(ok for _, ok in self._checks())
 
     def lines(self) -> list[str]:
-        out = [
-            _line("fragment basis functions are units", self.units_ok),
-            _line(f"information rank {self.info_rank} equals L", self.info_rank_ok),
-            _line(
-                f"information + noise ranks add ({self.combined_rank} total)",
-                self.direct_sum_ok,
-            ),
-            _line("evaluation map injective on the combined space", self.injective_ok),
-            _line(
-                f"privacy: {self.privacy.t}-subsets independent "
-                f"({self.privacy.mode}, {self.privacy.checked}/{self.privacy.total})",
-                self.privacy.passed,
-            ),
-        ]
-        for ell, rep in enumerate(self.security):
-            out.append(
-                _line(
-                    f"security fragment {ell + 1}: {rep.t}-subsets independent "
-                    f"({rep.mode}, {rep.checked}/{rep.total})",
-                    rep.passed,
-                )
-            )
-        return out
+        return [verdict_line(text, ok) for text, ok in self._checks()]
 
 
-def _line(text: str, ok: bool) -> str:
+def _independent(rep: SubsetRankReport) -> str:
+    return f"{rep.t}-subsets independent ({rep.mode}, {rep.checked}/{rep.total})"
+
+
+def verdict_line(text: str, ok: bool) -> str:
+    """The one PASS/FAIL line format of `verify`; `agpir verify` exits 1 on a FAIL line."""
     return f"{'PASS' if ok else 'FAIL'}  {text}"
 
 
@@ -700,6 +700,7 @@ def verify_scheme(
 ) -> SchemeReport:
     """Re-check the build conditions and the subset-rank collusion criteria.
 
+    The report keeps only what was measured and decides each verdict from it.
     Every security code is the shared security code with its columns divided
     by a fragment basis function's values. Those values are units exactly
     when `units_ok` holds, and scaling columns by units keeps the rank of
@@ -724,9 +725,7 @@ def verify_scheme(
         info_rank=info_rank,
         noise_rank=noise_rank,
         combined_rank=combined,
-        info_rank_ok=info_rank == inst.l,
-        direct_sum_ok=combined == info_rank + noise_rank,
-        injective_ok=combined == len(inst.decode_rows),
+        num_decode_rows=len(inst.decode_rows),
         privacy=privacy,
         security=(security,) * inst.l,
     )

@@ -25,7 +25,6 @@ from .pir_scheme import (
     check_database,
     decode,
     make_queries,
-    scheme_descriptor,
     server_respond,
     server_view,
     store,
@@ -61,7 +60,10 @@ class Transcript:
 
 
 def run_retrieval(inst: SchemeInstance, db: Database, theta: int, seed: int) -> Transcript:
-    """Store, query, collect responses, decode; asserts the round decodes correctly."""
+    """Store, query, collect responses, decode; asserts the round decodes correctly.
+
+    Every transcript of `inst` shares one read-only descriptor, `inst.descriptor`.
+    """
     rng = random.Random(seed)
     shares = store(inst, db, rng)
     queries = make_queries(inst, theta, len(db), rng)
@@ -75,7 +77,7 @@ def run_retrieval(inst: SchemeInstance, db: Database, theta: int, seed: int) -> 
             f"decoded {decoded} but file {theta} is {db.files[theta - 1]}"
         )
     return Transcript(
-        scheme=scheme_descriptor(inst),
+        scheme=inst.descriptor,
         theta=theta,
         seed=seed,
         shares=shares,

@@ -237,7 +237,6 @@ def subset_rank_check_reference(code, t, mode="all", sample_count=300, seed=0):
             if len(failures) >= 5:
                 break
     return SubsetRankReport(
-        passed=not failures,
         t=t,
         mode=mode,
         checked=checked,

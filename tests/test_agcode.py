@@ -267,6 +267,13 @@ def test_subset_rank_check_stops_after_five_failures(p, mode):
         assert report.failures == ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5))
 
 
+def test_subset_report_passes_exactly_when_it_holds_no_failure():
+    square = LinearCode(5, 3, ((1, 1, 0), (0, 1, 1), (0, 0, 1)))
+    rep = subset_rank_check(square, 2, mode="all")
+    assert rep.passed and rep.failures == ()
+    assert not rep._replace(failures=((0, 1),)).passed
+
+
 def test_removing_column_breaks_non_mds():
     # negative control: a non-MDS code has some k dependent columns
     code = LinearCode(5, 4, ((1, 0, 0, 1), (0, 1, 1, 0)))

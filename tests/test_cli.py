@@ -347,6 +347,48 @@ def test_exhaustive_oracle_sweep_is_bounded_before_its_first_call(tmp_path, caps
     assert f"SKIP  security oracle, |I| = X = 2: 21 subsets: {cap}" in lines
 
 
+def verify_tiny(tmp_path, capsys, *extra):
+    """Exit code and lines of `agpir verify` on the q=13 genus-0 X=T=2 L=3 scheme.
+
+    Checks the exit rule on the way: 1 exactly when a printed line starts with FAIL.
+    """
+    scheme = str(tmp_path / "scheme.json")
+    run_cli(
+        capsys,
+        "build", "--p", "13", "--genus", "0", "--x", "2", "--t", "2", "--l", "3", "--out", scheme,
+    )
+    code, out, _ = run_cli(capsys, "verify", "--scheme", scheme, *extra)
+    lines = out.splitlines()
+    assert code == int(any(line.startswith("FAIL") for line in lines))
+    return code, lines
+
+
+def test_verify_exits_1_on_one_failed_containment_verdict(tmp_path, capsys, monkeypatch):
+    real, outside = cli.check_noise_containment, []
+
+    def one_outside(inst):
+        verdicts = real(inst)
+        outside.append(verdicts[3][0])
+        return [(label, ok and i != 3) for i, (label, ok) in enumerate(verdicts)]
+
+    monkeypatch.setattr(cli, "check_noise_containment", one_outside)
+    code, lines = verify_tiny(tmp_path, capsys)
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert code == 1 and len(outside) == 1
+    assert failed == [
+        f"FAIL  noise containment: 20 products inside the noise bound (first failure {outside[0]})"
+    ]
+
+
+def test_verify_exits_1_on_an_oracle_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "exhaustive_privacy_oracle", lambda inst, s, *_, **__: s != (0, 1))
+    code, lines = verify_tiny(tmp_path, capsys, "--exhaustive-oracle")
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert code == 1
+    assert failed == ["FAIL  privacy oracle, |I| = T = 2: all 21 subsets (first failure (0, 1))"]
+    assert "PASS  security oracle, |I| = X = 2: all 21 subsets" in lines
+
+
 def test_sweep_cli(tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
     code, out, _ = run_cli(

@@ -46,6 +46,7 @@ from agpir.function_space import Divisor, RationalFunction, interp_basis_g0
 from agpir.pir_scheme import (
     Database,
     SchemeParams,
+    ServerView,
     Table,
     build_scheme,
     check_noise_containment,
@@ -620,6 +621,16 @@ def test_server_respond_mixed_arguments_and_equal_totals(g0_q43):
         view_of_rows(ragged)
 
 
+def test_server_respond_refuses_views_whose_cells_miss_their_shape():
+    # Shape (1, 2) holds 2 cells; `map` over 3 and 2 cells would stop at the
+    # shorter and answer 1*1 + 2*2 = 5.
+    long, right = ServerView((1, 2, 3), (1, 2)), ServerView((1, 2), (1, 2))
+    for a, b in [(long, right), (right, long), (long, long)]:
+        with pytest.raises(ShapeMismatch, match=r"views of shape \(1, 2\) hold 2 cells"):
+            server_respond(a, b, 13)
+    assert server_respond(right, right, 13) == 5
+
+
 @st.composite
 def small_tables(draw):
     p = draw(st.sampled_from([13, 43, 127]))
@@ -1145,6 +1156,33 @@ def test_units_ok_flags_a_zero_fragment_value(g0_tiny):
     report = verify_scheme(broken)
     assert not report.units_ok and not report.passed
     assert report.lines()[0] == "FAIL  fragment basis functions are units"
+
+
+@pytest.mark.parametrize(
+    "change, failing",
+    [
+        ({"info_rank": -1}, [1, 2]),
+        ({"info_rank": -1, "noise_rank": 1}, [1]),
+        ({"noise_rank": 1}, [2]),
+        ({"noise_rank": -1}, [2]),
+        ({"combined_rank": -1}, [2, 3]),
+        ({"combined_rank": 1}, [2, 3]),
+        ({"num_decode_rows": 1}, [3]),
+    ],
+)
+def test_a_changed_rank_fails_exactly_the_lines_that_compare_it(g0_tiny, change, failing):
+    # The report keeps ranks, not verdicts: line 1 compares the information
+    # rank with L, line 2 the combined rank with the sum, line 3 with the
+    # number of decode rows. `passed` reads the same verdicts as the lines.
+    report = verify_scheme(g0_tiny)
+    assert report.passed and not any(line.startswith("FAIL") for line in report.lines())
+    changed = dataclasses.replace(
+        report, **{name: getattr(report, name) + delta for name, delta in change.items()}
+    )
+    lines = changed.lines()
+    assert len(lines) == len(report.lines())
+    assert [i for i, line in enumerate(lines) if line.startswith("FAIL")] == failing
+    assert not changed.passed
 
 
 def test_fragment_function_vanishing_at_an_evaluation_point_is_rejected(monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import random
 from functools import cache
 from itertools import combinations
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agpir.errors import BadIndex, BadTheta, ShapeMismatch, TooLarge
-from agpir.pir_scheme import Database, SchemeParams, build_scheme
+from agpir.pir_scheme import Database, SchemeParams, build_scheme, scheme_descriptor
 from agpir.sim_harness import (
     exhaustive_privacy_oracle,
     exhaustive_security_oracle,
@@ -57,6 +59,22 @@ def test_transcript_replay_is_byte_identical(g0_q7):
     assert a.to_json() == b.to_json()
     c = run_retrieval(g0_q7, db, 1, seed=4)
     assert a.to_json() != c.to_json()
+
+
+def test_transcripts_of_one_instance_share_one_descriptor(g0_q7):
+    # The descriptor is built once per instance; `scheme_descriptor` still
+    # returns a new dict that its caller may edit.
+    db = Database(7, ((1,), (2,)))
+    a, b = run_retrieval(g0_q7, db, 1, seed=3), run_retrieval(g0_q7, db, 2, seed=4)
+    assert a.scheme is b.scheme is g0_q7.descriptor
+    fresh = scheme_descriptor(g0_q7)
+    assert fresh == a.scheme and fresh is not a.scheme
+    assert dataclasses.replace(a, scheme=fresh).to_json() == a.to_json()
+    # sha256 of the two transcripts, recorded when each call built its own descriptor.
+    assert [hashlib.sha256(t.to_json().encode()).hexdigest() for t in (a, b)] == [
+        "012b05d73714eef24a935447584896ed1c9b515ba6afca99d6a369d025250b99",
+        "0f3e11587ed447432a545aa379172b1b2b9aa42c77b0cb928744eb054368d574",
+    ]
 
 
 def test_fuzz_thousand_rounds_never_mismatch(g0_q7):
