@@ -27,7 +27,8 @@ from .errors import (
     PoleAtPoint,
     TooLarge,
 )
-from .function_space import RationalFunction
+from .field import inverses
+from .function_space import RationalFunction, evaluate_rows
 
 DEFAULT_CODEWORD_CAP = 10**6
 DEFAULT_SUBSET_CAP = 10**7
@@ -68,9 +69,10 @@ def evaluation_code(basis: Sequence[RationalFunction], points: Sequence[CurvePoi
     """Evaluate each basis function at each point; rows index the basis.
 
     The points are checked once, not once per entry: distinct, affine and on
-    the basis curve. Each row is then one `RationalFunction.values_at` pass,
-    the value rule `eval_at` reads too. A pole raises `PoleAtEvaluationPoint`
-    for the first basis function that has one, at its first such point.
+    the basis curve. The rows are then one `function_space.evaluate_rows`
+    call, the value rule `eval_at` reads too, so each atom row is computed
+    once for the whole basis. A pole raises `PoleAtEvaluationPoint` for the
+    first basis function that has one, at its first such point.
     """
     if not basis:
         raise ValueError("an evaluation code needs a non-empty basis")
@@ -87,7 +89,7 @@ def evaluation_code(basis: Sequence[RationalFunction], points: Sequence[CurvePoi
         if not curve.contains(pt):
             raise ValueError(f"{pt!r} is not on {curve!r}")
     try:
-        rows = tuple(f.values_at(pts) for f in basis)
+        rows = tuple(evaluate_rows(basis, pts))
     except PoleAtPoint as exc:
         raise PoleAtEvaluationPoint(str(exc)) from exc
     return LinearCode(curve.field.p, len(pts), rows)
@@ -106,11 +108,19 @@ def divided_rows(
     """
     if any(len(row) != len(values) for row in rows):
         raise LengthMismatch(f"{len(values)} column scales for rows of another length")
+    inv = column_inverses(values, p)
+    return [[a * b % p for a, b in zip(row, inv)] for row in rows]
+
+
+def column_inverses(values: Sequence[int], p: int) -> list[int]:
+    """The inverse of each column scale, as `divided_rows` takes them, by one `field.inverses`.
+
+    A zero value is a pole of the inverse at that column.
+    """
     for n, v in enumerate(values):
         if v % p == 0:
             raise PoleAtEvaluationPoint(f"column {n} has scale 0: the inverse has a pole there")
-    inv = [pow(v, -1, p) for v in values]
-    return [[a * b % p for a, b in zip(row, inv)] for row in rows]
+    return inverses(values, p)
 
 
 def min_distance(code: LinearCode) -> int:

@@ -21,7 +21,8 @@ from .pir_scheme import (
     SchemeInstance,
     SchemeParams,
     build_scheme,
-    check_noise_containment,
+    noise_containment_verdicts,
+    noise_labels,
     scheme_descriptor,
     scheme_from_descriptor,
     verdict_line,
@@ -192,11 +193,14 @@ def cmd_verify(args) -> int:
     inst = _load_scheme(args.scheme)
     report = verify_scheme(inst, subsets=mode, sample_count=count, sample_seed=seed)
     lines = report.lines()
-    containment = check_noise_containment(inst)
-    bad = [label for label, ok in containment if not ok]
-    first = f" (first failure {bad[0]})" if bad else ""
-    text = f"noise containment: {len(containment)} products inside the noise bound{first}"
-    lines += [verdict_line(text, not bad), _parity_line(inst)]
+    verdicts = noise_containment_verdicts(inst)
+    first = ""
+    if not all(verdicts):
+        # Labels are built only to name the first failure; the count needs none.
+        label = next(label for label, ok in zip(noise_labels(inst), verdicts) if not ok)
+        first = f" (first failure {label})"
+    text = f"noise containment: {len(verdicts)} products inside the noise bound{first}"
+    lines += [verdict_line(text, not first), _parity_line(inst)]
     if args.exhaustive_oracle:
         lines += _oracle_lines(inst)
     print("\n".join(lines))

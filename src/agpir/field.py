@@ -4,11 +4,14 @@ Field elements are plain ints kept in canonical form (0 <= v < p); sums,
 products and powers use the builtin int operations and pow(a, e, p), so
 the field itself only supplies inverses, Legendre symbols and square
 roots. Each has one algorithm, polynomial in log p and with no per-field
-table: inverses by the builtin pow(a, -1, p), Legendre symbols by Euler's
-criterion, square roots by Tonelli-Shanks. Everything here is pure, exact, and deterministic.
+table: inverses by the builtin pow(a, -1, p), a batch of them by one such
+`pow` of their product (`inverses`), Legendre symbols by Euler's criterion,
+square roots by Tonelli-Shanks. Everything here is pure, exact, and deterministic.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from .errors import CharTooSmall, NotPrime
 
@@ -37,6 +40,26 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def inverses(values: Sequence[int], p: int) -> list[int]:
+    """1/v mod p for each value v; a value that is 0 mod p raises ValueError, as `pow` does.
+
+    Montgomery's batch inversion: the running products of the values, one
+    pow(., -1, p) of the last, then one backward pass that peels off a value
+    per step. Three products per value and one inversion, at every p.
+    """
+    before = [1]
+    for v in values:
+        before.append(before[-1] * v % p)
+    inv = pow(before.pop(), -1, p)
+    out = []
+    # inv is 1/(v_0 ... v_i) here, and before[i] is v_0 ... v_(i-1).
+    for v, head in zip(reversed(values), reversed(before)):
+        out.append(inv * head % p)
+        inv = inv * v % p
+    out.reverse()
+    return out
 
 
 class PrimeField:

@@ -56,6 +56,7 @@ from .errors import (
     WrongCurveKind,
     ZeroScalar,
 )
+from .field import inverses
 
 
 @dataclass(frozen=True)
@@ -213,9 +214,10 @@ def rr_dim(divisor: Divisor) -> int:
 class RationalFunction:
     """A unit of the function field in factored form.
 
-    x_factors is a sorted tuple of (alpha, exponent) pairs with nonzero
-    exponents; y_exp is the (possibly negative) power of y, forced to 0 on
-    the projective line.
+    x_factors is a tuple of (alpha, exponent) pairs, alphas strictly
+    increasing in [0, p) and exponents nonzero, as `make` forms them; y_exp
+    is the (possibly negative) power of y, forced to 0 on the projective
+    line. The constructor refuses anything else, so `__mul__` can merge.
     """
 
     curve: Curve
@@ -229,6 +231,14 @@ class RationalFunction:
             raise ZeroScalar("factored functions are units; scalar must be nonzero")
         if self.curve.genus == 0 and self.y_exp != 0:
             raise WrongCurveKind("no y coordinate on the projective line")
+        last = -1
+        for alpha, exp in self.x_factors:
+            if not last < alpha < p or not exp:
+                raise ValueError(
+                    f"x_factors {self.x_factors!r} are not sorted, distinct alphas in "
+                    f"[0, {p}) with nonzero exponents; build with RationalFunction.make"
+                )
+            last = alpha
 
     @classmethod
     def make(
@@ -264,13 +274,30 @@ class RationalFunction:
     # -- algebra ---------------------------------------------------------------
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        if self.curve != other.curve:
+        """The product, `make` of the concatenated factors, by one merge of the sorted tuples."""
+        if self.curve is not other.curve and self.curve != other.curve:
             raise ValueError("functions on different curves")
-        return RationalFunction.make(
-            self.curve,
-            self.scalar * other.scalar,
-            tuple(self.x_factors) + tuple(other.x_factors),
-            self.y_exp + other.y_exp,
+        mine, theirs = self.x_factors, other.x_factors
+        merged = []
+        i = j = 0
+        while i < len(mine) and j < len(theirs):
+            alpha, beta = mine[i][0], theirs[j][0]
+            if alpha < beta:
+                merged.append(mine[i])
+                i += 1
+            elif beta < alpha:
+                merged.append(theirs[j])
+                j += 1
+            else:
+                exp = mine[i][1] + theirs[j][1]
+                if exp:
+                    merged.append((alpha, exp))
+                i += 1
+                j += 1
+        merged += mine[i:] or theirs[j:]
+        p = self.curve.field.p
+        return RationalFunction(
+            self.curve, self.scalar * other.scalar % p, tuple(merged), self.y_exp + other.y_exp
         )
 
     def inverse(self) -> "RationalFunction":
@@ -331,42 +358,8 @@ class RationalFunction:
         return self.values_at((point,))[0]
 
     def values_at(self, points: Sequence[AffinePoint]) -> tuple[int, ...]:
-        """Exact values at affine rational points of the curve, atom by atom.
-
-        This is the one value rule; `eval_at` is its one-point case. The
-        points must be affine points of the curve: `eval_at` and
-        `agcode.evaluation_code` check that, once per point. Each atom is
-        applied to the whole row in one pass, with the atom's own zero read as
-        1; the order rule then runs only at the points where the order can be
-        nonzero, those over an alpha and the two-torsion points. Raises
-        `PoleAtPoint` at the first pole.
-        """
-        p = self.curve.field.p
-        exps = dict(self.x_factors)
-        xs = [pt.x for pt in points]
-        ys = [pt.y for pt in points]
-        special = []
-        if not exps.keys().isdisjoint(xs) or 0 in ys:
-            for i, pt in enumerate(points):
-                if pt.x in exps or pt.y == 0:
-                    e, order = self._order_at(pt)
-                    if order < 0:
-                        raise PoleAtPoint(f"{self!r} has a pole at {pt!r}")
-                    special.append((i, e, order))
-        row = [self.scalar] * len(xs)
-        for alpha, exp in self.x_factors:
-            row = [v * pow(x0 - alpha or 1, exp, p) % p for v, x0 in zip(row, xs)]
-        if self.y_exp:
-            row = [v * pow(y0 or 1, self.y_exp, p) % p for v, y0 in zip(row, ys)]
-        for i, e, order in special:
-            if order > 0:
-                row[i] = 0
-            elif ys[i] == 0:
-                # (x - x0)^e * y^(-2e) = (y^2 / (x - x0))^(-e), and y^2 / (x - x0)
-                # is 3 x0^2 + a at x0.
-                x0 = xs[i]
-                row[i] = row[i] * pow(3 * x0 * x0 + self.curve.a, -e, p) % p
-        return tuple(row)
+        """Exact values at affine rational points of the curve, as one `evaluate_rows` row."""
+        return evaluate_rows((self,), points)[0]
 
     def __repr__(self) -> str:
         parts = [] if self.scalar == 1 and (self.x_factors or self.y_exp) else [str(self.scalar)]
@@ -376,6 +369,89 @@ class RationalFunction:
             atom = "x" if alpha == 0 else f"(x-{alpha})"
             parts.append(atom if exp == 1 else f"{atom}^{exp}")
         return " * ".join(parts) if parts else "1"
+
+
+def evaluate_rows(
+    functions: Sequence[RationalFunction], points: Sequence[AffinePoint]
+) -> list[tuple[int, ...]]:
+    """Exact values of functions on one curve at its affine rational points, a row each.
+
+    This is the one value rule; `values_at` is its one-row case. The points
+    must be affine points of the curve: `eval_at` and
+    `agcode.evaluation_code` check that, once per point. Each atom row,
+    (x - alpha)^e or y^e over the points with the atom's own zero read as 1,
+    is computed once for all the functions: e = 1 by one pass, e = -1 by
+    one `field.inverses` batch of that row, and every other exponent as a
+    running product of those. A function's row is its scalar times the product of its atom rows.
+    The order rule then runs only at the points where the order can be
+    nonzero, those over one of its alphas and the two-torsion points. Raises
+    `PoleAtPoint` at the first pole of the first function that has one.
+    """
+    if not functions:
+        return []
+    curve = functions[0].curve
+    p = curve.field.p
+    xs = [pt.x for pt in points]
+    ys = [pt.y for pt in points]
+    atoms: dict[tuple[int | None, int], list[int]] = {}
+
+    def atom(alpha: int | None, exp: int) -> list[int]:
+        """(x - alpha)^exp over the points, or y^exp for alpha None; shared, never mutated."""
+        row = atoms.get((alpha, exp))
+        if row is not None:
+            return row
+        if exp == 1:
+            row = [y0 or 1 for y0 in ys] if alpha is None else [(x0 - alpha) % p or 1 for x0 in xs]
+        elif exp == -1:
+            row = inverses(atom(alpha, 1), p)
+        else:
+            step = 1 if exp > 0 else -1
+            unit, done = atom(alpha, step), exp - step
+            while (alpha, done) not in atoms:  # stops at the unit at the latest
+                done -= step
+            row = atoms[alpha, done]
+            while done != exp:
+                done += step
+                row = [a * b % p for a, b in zip(row, unit)]
+                atoms[alpha, done] = row
+        atoms[alpha, exp] = row
+        return row
+
+    abscissas, torsion = set(xs), 0 in ys
+    rows = []
+    for f in functions:
+        special = []
+        if torsion or any(alpha in abscissas for alpha, _ in f.x_factors):
+            exps = dict(f.x_factors)
+            for i, pt in enumerate(points):
+                if pt.x in exps or pt.y == 0:
+                    e, order = f._order_at(pt)
+                    if order < 0:
+                        raise PoleAtPoint(f"{f!r} has a pole at {pt!r}")
+                    special.append((i, e, order))
+        factors = [atom(alpha, exp) for alpha, exp in f.x_factors]
+        if f.y_exp:
+            factors.append(atom(None, f.y_exp))
+        if not factors:
+            row = [f.scalar] * len(xs)
+        else:
+            row = factors[0]
+            for other in factors[1:]:
+                row = [a * b % p for a, b in zip(row, other)]
+            if f.scalar != 1:
+                row = [f.scalar * v % p for v in row]
+        if special:
+            row = list(row)
+            for i, e, order in special:
+                if order > 0:
+                    row[i] = 0
+                elif ys[i] == 0:
+                    # (x - x0)^e * y^(-2e) = (y^2 / (x - x0))^(-e), and y^2 / (x - x0)
+                    # is 3 x0^2 + a at x0.
+                    x0 = xs[i]
+                    row[i] = row[i] * pow(3 * x0 * x0 + curve.a, -e, p) % p
+        rows.append(tuple(row))
+    return rows
 
 
 # -- explicit bases -------------------------------------------------------------

@@ -30,6 +30,7 @@ from .agcode import (
     DEFAULT_SAMPLE_COUNT,
     LinearCode,
     SubsetRankReport,
+    column_inverses,
     divided_rows,
     evaluation_code,
     subset_rank_check,
@@ -54,7 +55,7 @@ from .errors import (
     PoleAtEvaluationPoint,
     ShapeMismatch,
 )
-from .field import PrimeField
+from .field import PrimeField, inverses
 from .function_space import (
     Divisor,
     RationalFunction,
@@ -270,9 +271,9 @@ class SchemeInstance:
 
     @cached_property
     def sec_units(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Per fragment l: the inverses of `info_rows[l]` (`divided_rows`), and the row packed."""
-        ones, p, pack = [(1,) * self.n], self.p, self.packed_sec.pack
-        return tuple((tuple(divided_rows(ones, v, p)[0]), pack(v)) for v in self.info_rows)
+        """Per fragment l: the inverses of `info_rows[l]` (`column_inverses`), and the row packed."""
+        p, pack = self.p, self.packed_sec.pack
+        return tuple((tuple(column_inverses(v, p)), pack(v)) for v in self.info_rows)
 
     @cached_property
     def packed_fragments(self) -> linalg.PackedRows:
@@ -389,8 +390,9 @@ def _line_fragment_rows(candidates, info_rows, noise_rows, p: int) -> tuple | No
     ell(x) = prod_n (x - beta_n), entry (l, n) is
     A(beta_n) w_n ell(alpha_l) / ((alpha_l - beta_n) A'(alpha_l)): the info
     row times one factor per row and one per column. Each factor is a
-    signed ratio of factorials below p, so one factorial table and one
-    inversion give every one of them.
+    signed ratio of factorials below p. The inverses 1/m for m < L + N,
+    which the info rows must equal, are one `field.inverses` batch, so one
+    inversion; the factorials and the inverse factorials are running products.
     """
     big_l, n = len(info_rows), len(candidates)
     top = big_l + n - 1
@@ -398,15 +400,8 @@ def _line_fragment_rows(candidates, info_rows, noise_rows, p: int) -> tuple | No
         return None
     if [pt.x for pt in candidates] != list(range(big_l, big_l + n)):
         return None
-    fact = [1] * (top + 1)
-    for m in range(1, top + 1):
-        fact[m] = fact[m - 1] * m % p
-    inv_fact = [1] * (top + 1)
-    inv_fact[top] = pow(fact[top], -1, p)
-    for m in range(top, 0, -1):
-        inv_fact[m - 1] = inv_fact[m] * m % p
     # inverse[m] = 1/m, so info row l is the slice from L - l.
-    inverse = [0] + [fact[m - 1] * inv_fact[m] % p for m in range(1, top + 1)]
+    inverse = [0] + inverses(range(1, top + 1), p)
     if any(list(row) != inverse[big_l - l : top + 1 - l] for l, row in enumerate(info_rows)):
         return None
     power = [1] * n
@@ -414,6 +409,10 @@ def _line_fragment_rows(candidates, info_rows, noise_rows, p: int) -> tuple | No
         if list(row) != power:
             return None
         power = [v * x % p for x, v in enumerate(power, big_l)]
+    fact, inv_fact = [1] * (top + 1), [1] * (top + 1)
+    for m in range(1, top + 1):
+        fact[m] = fact[m - 1] * m % p
+        inv_fact[m] = inv_fact[m - 1] * inverse[m] % p
     # A(beta_n) w_n = (L+n)!/n! * (-1)^(N-1-n) / (n! (N-1-n)!).
     cols = [
         (-1) ** (n - 1 - m) * fact[big_l + m] * inv_fact[m] ** 2 * inv_fact[n - 1 - m] % p
@@ -731,13 +730,14 @@ def verify_scheme(
     )
 
 
-def _noise_labels(l: int, sec_dim: int, priv_dim: int) -> Iterator[str]:
+def noise_labels(inst: SchemeInstance) -> Iterator[str]:
     """The label of every cross-term product, in report order.
 
     Per fragment l: the security functions times the fragment's query
     function, then times each privacy function (j-major); after all
     fragments, the encoding function times each privacy function.
     """
+    l, sec_dim, priv_dim = inst.l, len(inst.sec_basis), len(inst.priv_basis)
     pair_tails = [f"][{i}] * priv[{j}]" for j in range(priv_dim) for i in range(sec_dim)]
     for ell in range(l):
         head = f"sec[{ell}"
@@ -758,12 +758,16 @@ def noise_products(inst: SchemeInstance) -> list[tuple[str, RationalFunction]]:
         products += [s * h for s in sec]
         products += [s * v for v in priv for s in sec]
     products += [one * v for v in priv]
-    labels = _noise_labels(inst.l, len(inst.sec_basis), len(priv))
-    return list(zip(labels, products, strict=True))
+    return list(zip(noise_labels(inst), products, strict=True))
 
 
 def check_noise_containment(inst: SchemeInstance) -> list[tuple[str, bool]]:
-    """Whether each noise product's divisor clears the noise bound.
+    """Each noise product's label (`noise_labels`) with its `noise_containment_verdicts` entry."""
+    return list(zip(noise_labels(inst), noise_containment_verdicts(inst), strict=True))
+
+
+def noise_containment_verdicts(inst: SchemeInstance) -> list[bool]:
+    """Whether each noise product's divisor clears the noise bound, in label order.
 
     The divisor of a product is the sum of its factors' divisors, exactly as
     `RationalFunction.divisor` computes them: a product merges the factors'
@@ -798,8 +802,7 @@ def check_noise_containment(inst: SchemeInstance) -> list[tuple[str, bool]]:
             shifted = [w + bound - h_div for w in sec]
             oks += [(s + v).is_effective for v in priv for s in shifted]
     oks += [(bound + v).is_effective for v in priv]
-    labels = _noise_labels(inst.l, len(sec), len(priv))
-    return list(zip(labels, oks, strict=True))
+    return oks
 
 
 # -- serialization ----------------------------------------------------------------------

@@ -91,6 +91,40 @@ def eval_at_reference(f, point):
     return value
 
 
+def values_at_reference(f, points):
+    """One row of a factored function, a `pow` per entry and atom: the `evaluate_rows` reference.
+
+    Each atom is applied to the whole row with the atom's own zero read as
+    1; the order rule then runs only at the points over one of f's alphas and
+    at the two-torsion points, and raises `PoleAtPoint` at the first pole.
+    """
+    p = f.curve.field.p
+    exps = dict(f.x_factors)
+    xs = [pt.x for pt in points]
+    ys = [pt.y for pt in points]
+    special = []
+    if not exps.keys().isdisjoint(xs) or 0 in ys:
+        for i, pt in enumerate(points):
+            if pt.x in exps or pt.y == 0:
+                e = exps.get(pt.x, 0)
+                order = 2 * e + f.y_exp if pt.y == 0 else e
+                if order < 0:
+                    raise PoleAtPoint(f"{f!r} has a pole at {pt!r}")
+                special.append((i, e, order))
+    row = [f.scalar] * len(xs)
+    for alpha, exp in f.x_factors:
+        row = [v * pow(x0 - alpha or 1, exp, p) % p for v, x0 in zip(row, xs)]
+    if f.y_exp:
+        row = [v * pow(y0 or 1, f.y_exp, p) % p for v, y0 in zip(row, ys)]
+    for i, e, order in special:
+        if order > 0:
+            row[i] = 0
+        elif ys[i] == 0:
+            x0 = xs[i]
+            row[i] = row[i] * pow(3 * x0 * x0 + f.curve.a, -e, p) % p
+    return tuple(row)
+
+
 def valuation_reference(f, place):
     """Order of vanishing of f at a place (negative at poles).
 

@@ -9,7 +9,7 @@ from agpir import pir_scheme
 from agpir.agcode import DEFAULT_SUBSET_CAP
 from agpir.cli import main
 from agpir.errors import InconsistentSystem
-from agpir.pir_scheme import Database, SchemeParams, build_scheme, decode
+from agpir.pir_scheme import Database, SchemeParams, build_scheme, check_noise_containment, decode
 from agpir.sim_harness import run_retrieval
 
 
@@ -364,20 +364,31 @@ def verify_tiny(tmp_path, capsys, *extra):
 
 
 def test_verify_exits_1_on_one_failed_containment_verdict(tmp_path, capsys, monkeypatch):
-    real, outside = cli.check_noise_containment, []
+    # The CLI counts the verdicts and builds labels only to name the first failure.
+    real, outside = cli.noise_containment_verdicts, []
 
     def one_outside(inst):
-        verdicts = real(inst)
-        outside.append(verdicts[3][0])
-        return [(label, ok and i != 3) for i, (label, ok) in enumerate(verdicts)]
+        outside.append(check_noise_containment(inst)[3][0])
+        return [ok and i != 3 for i, ok in enumerate(real(inst))]
 
-    monkeypatch.setattr(cli, "check_noise_containment", one_outside)
+    monkeypatch.setattr(cli, "noise_containment_verdicts", one_outside)
     code, lines = verify_tiny(tmp_path, capsys)
     failed = [line for line in lines if line.startswith("FAIL")]
     assert code == 1 and len(outside) == 1
     assert failed == [
         f"FAIL  noise containment: 20 products inside the noise bound (first failure {outside[0]})"
     ]
+
+
+def test_verify_counts_containment_verdicts_without_labels(tmp_path, capsys, monkeypatch):
+    # Every product lies inside the bound, so no label is built for the line.
+    def refused(inst):
+        raise AssertionError("labels built for a passing containment check")
+
+    monkeypatch.setattr(cli, "noise_labels", refused)
+    code, lines = verify_tiny(tmp_path, capsys)
+    assert code == 0
+    assert "PASS  noise containment: 20 products inside the noise bound" in lines
 
 
 def test_verify_exits_1_on_an_oracle_failure(tmp_path, capsys, monkeypatch):
