@@ -170,8 +170,9 @@ class SchemeInstance:
     one row (n, h) orthogonal to that space per spare symbol n (none at
     genus 0, one at genus 1), with h 1 at n, 0 at the other spares and
     -(B^-1 R)[j][n] at the j-th pivot. At genus 0 `fragment_rows` is the
-    Cauchy-Vandermonde closed form, at genus 1 it is read off the build's
-    one elimination (see `build_scheme`).
+    Cauchy-Vandermonde closed form. At genus 1 with X + T even it and the
+    parity check come from the hyperelliptic split, and elsewhere they are
+    read off the build's one elimination (see `build_scheme`).
     """
 
     params: SchemeParams
@@ -300,13 +301,17 @@ def build_scheme(params: SchemeParams) -> SchemeInstance:
     The genus decides only the geometry; the rest is one pipeline. One
     `evaluation_code` call evaluates info, noise, and the privacy and security
     functions not among them (all are at genus 0, the x-powers at genus 1)
-    on the candidates. At genus 0, when the evaluated decode rows pass the
-    certificate of `_line_fragment_rows`, `fragment_rows` is their inverse's
-    closed form, every candidate is kept and no elimination runs. Otherwise
-    one elimination of the decode rows (`_solve_decode`) checks the
-    information rank, the noise rank and their direct sum at once, picks the
-    kept points and yields `fragment_rows` and the parity checks. Every row
-    is then restricted to the kept points once.
+    on the candidates. When the evaluated decode rows pass a closed form's
+    certificate, no elimination runs and the first N candidates are kept: at
+    genus 0 `_line_fragment_rows` gives `fragment_rows` and every candidate
+    is kept, so the rows are used as they are; at genus 1 with X + T even
+    `_split_decode` gives `fragment_rows` and the parity check, and the last
+    candidate is dropped. Otherwise, at genus 1 with X + T odd, where the
+    split's correction has a zero denominator, or after a failed
+    certificate, one elimination of the decode rows (`_solve_decode`) checks
+    the information rank, the noise rank and their direct sum at once, picks
+    the kept points and yields `fragment_rows` and the parity checks, and
+    every row is restricted to the kept points once.
     """
     genus, p, big_l = params.genus, params.p, params.l
     n = sizes.num_servers(genus, big_l, params.x, params.t)
@@ -320,13 +325,21 @@ def build_scheme(params: SchemeParams) -> SchemeInstance:
     masking = tuple(dict.fromkeys(f for f in priv + sec if f not in known))
     rows = evaluation_code(decoded + masking, candidates).rows
     k = len(decoded)
-    closed = None if genus else _line_fragment_rows(candidates, rows[:big_l], rows[big_l:k], p)
-    if closed is None:
-        keep, fragment_rows, parity_checks = _solve_decode(rows[:k], p, big_l, n)
+    if genus:
+        alphas = [pt.x for pt in fragment[::2]]
+        solved = _split_decode(curve, alphas, candidates, rows[:big_l], rows[big_l:k])
     else:
-        keep, fragment_rows, parity_checks = range(n), closed, ()
-    eval_points = tuple(candidates[idx] for idx in keep)
-    restricted = tuple(tuple([row[idx] for idx in keep]) for row in rows)
+        closed = _line_fragment_rows(candidates, rows[:big_l], rows[big_l:k], p)
+        solved = None if closed is None else (closed, ())
+    if solved is None:
+        keep, fragment_rows, parity_checks = _solve_decode(rows[:k], p, big_l, n)
+        eval_points = tuple(candidates[idx] for idx in keep)
+        restricted = tuple(tuple([row[idx] for idx in keep]) for row in rows)
+    else:
+        # A closed form keeps the first N candidates: all of them at genus 0,
+        # where the evaluated rows are used as they are.
+        (fragment_rows, parity_checks), eval_points = solved, candidates[:n]
+        restricted = rows if len(candidates) == n else tuple(row[:n] for row in rows)
     _check_units(info, restricted[:big_l], eval_points)
     row_of = dict(zip(decoded + masking, restricted))
     return SchemeInstance(
@@ -355,7 +368,9 @@ def _solve_decode(rows, p: int, big_l: int, n: int) -> tuple:
     other candidates. B is R's block on the pivots, so fragment row l is
     column l of B^-1 at the pivots and 0 at a spare, and the check of spare
     symbol n is -(B^-1 R)[j][n] at the j-th pivot, 1 at n and 0 at the other
-    spares. Dependent rows raise the build condition they break.
+    spares. Dependent rows raise the build condition they break. The build
+    calls it only where no closed form applies (see `build_scheme`); the
+    closed forms equal its result, and the tests hold them to it.
     """
     solved = linalg.pivot_solve(rows, p, big_l)
     if solved is None:
@@ -427,6 +442,153 @@ def _line_fragment_rows(candidates, info_rows, noise_rows, p: int) -> tuple | No
     return tuple(
         tuple([s * c * v % p for c, v in zip(cols, row)]) for s, row in zip(scales, info_rows)
     )
+
+
+def _split_decode(curve, alphas, candidates, info_rows, noise_rows) -> tuple | None:
+    """The genus-1 (`fragment_rows`, `parity_checks`) by the hyperelliptic split, or None.
+
+    The layout, checked before any arithmetic, is the one of X + T even:
+    k = 2F decode rows, J = (L + 1)/2 alphas and at least N = 2F + 1
+    candidates, of which the first 2F are F fibers (x_f, y_f), (x_f, -y_f)
+    and candidate 2F is the spare. The certificate reads the rows at the
+    first point of each fiber and at the spare, one product per entry: info
+    row j is 1/(x - alpha_j) and info row J + j is
+    y/((x - alpha_j)(x - alpha_J)); the noise rows are x^0..x^(h-1) and then
+    x^0/y..x^h/y, for h = F - J. At the second point of each fiber it reads
+    their symmetry: x-only rows repeat, rows with a 1/y or y change sign, so
+    there the rows are those of (x_f, -y_f). The points read lie on the
+    curve, and y != 0 there. Abscissas that repeat make a barycentric weight
+    or 1/(x_s - x_f) a division by zero, and return None too.
+
+    Every decode function is then A(x) + y B(x), and on fiber f the
+    responses give A(x_f) = (r+ + r-)/2 and B(x_f) = (r+ - r-)/(2 y_f).
+    Take Pi(x) = prod_j (x - alpha_j), ell(x) = prod_f (x - x_f) and w_f
+    the barycentric weights of the x_f. A Pi has degree below F, so fragment
+    j < J, the residue of A at alpha_j, is (A Pi)(alpha_j) / Pi'(alpha_j) by
+    the genus-0 Cauchy-Vandermonde form on general nodes. P = B R Pi, for
+    R = x^3 + ax + b, has degree at most F, and the residues of B R satisfy
+    sum_j P(alpha_j) / (Pi'(alpha_j) R(alpha_j)) = 0. So P is the
+    interpolant of its node values plus c ell(x), the rank-one correction
+    ell/Pi of B R, and the condition fixes c unless its denominator
+    Delta = sum_j ell(alpha_j) / (Pi'(alpha_j) R(alpha_j)) is 0. Fragment
+    J + j is then the residue of B R at alpha_j times (alpha_j - alpha_J) /
+    R(alpha_j), and the spare's check is its response A(x_s) + y_s B(x_s)
+    read off the same forms. With Delta != 0 the first 2F candidates are
+    independent, so they are the elimination's leftmost pivots and the
+    candidate 2F its spare: the result is `_solve_decode`'s. At Delta = 0
+    they are dependent, the elimination keeps another spare, and the split
+    returns None.
+    """
+    p = curve.field.p
+    big_l, big_j = len(info_rows), len(alphas)
+    n = big_l + len(noise_rows) + 1
+    fibers = n // 2
+    h = fibers - big_j
+    if n % 2 == 0 or big_l != 2 * big_j - 1 or h < 1 or len(candidates) < n:
+        return None
+    xs = [pt.x for pt in candidates[:n:2]]
+    ys = [pt.y for pt in candidates[:n:2]]
+    if [y * y % p for y in ys] != [curve.rhs(x) for x in xs]:
+        return None
+
+    ones = [1] * (fibers + 1)
+
+    def times(values, factors):
+        return [v * f % p for v, f in zip(values, factors)]
+
+    def even(row):
+        return row[1:n:2] == row[: n - 1 : 2]
+
+    def odd(row):
+        return list(row[1:n:2]) == [-v % p for v in row[: n - 1 : 2]]
+
+    # u[j][f] = 1/(x_f - alpha_j) at the first point of fiber f, and at the spare for f = F.
+    u = [list(row[:n:2]) for row in info_rows[:big_j]]
+    x_minus = [[x - a for x in xs] for a in alphas]
+    y_last = times(ys, u[-1])
+    if not all(even(row) and times(v, dx) == ones for row, v, dx in zip(info_rows, u, x_minus)):
+        return None
+    for row, dx in zip(info_rows[big_j:], x_minus):
+        if not (odd(row) and times(row[:n:2], dx) == y_last):
+            return None
+    # Each noise row is the one before times x, but x^0 = 1 and x^0 / y = 1 / y.
+    for i, row in enumerate(noise_rows):
+        values = list(row[:n:2])
+        if i == 0:
+            ok = values == ones
+        elif i == h:
+            ok = times(values, ys) == ones
+        else:
+            ok = values == times(prev, xs)
+        if not (ok and (even(row) if i < h else odd(row))):
+            return None
+        prev = values
+
+    nodes, spare_x = xs[:fibers], xs[fibers]
+    rhs = [curve.rhs(a) for a in alphas]
+    # Pi at the nodes, then at the spare.
+    pi = [_prod(col, p) for col in zip(*x_minus)]
+    denominators = (
+        [_prod([x - z for z in nodes if z != x], p) for x in nodes]
+        + [_prod([a - b for b in alphas if b != a], p) * r % p for a, r in zip(alphas, rhs)]
+        + [spare_x - x for x in nodes]
+        + [pi[-1], ys[fibers]]
+    )
+    if not all(v % p for v in denominators):
+        return None
+    inv = inverses(denominators, p)
+    w, inv_dpi_rhs = inv[:fibers], inv[fibers : fibers + big_j]
+    d, (inv_pi_spare, inv_y_spare) = inv[fibers + big_j : -2], inv[-2:]
+    # weights[j] = ell(alpha_j) / (Pi'(alpha_j) R(alpha_j)); their sum is Delta.
+    ell_alpha = [_prod([a - x for x in nodes], p) for a in alphas]
+    weights = [e * g % p for e, g in zip(ell_alpha, inv_dpi_rhs)]
+    delta = sum(weights) % p
+    if not delta:
+        return None
+    inv_delta, half = pow(delta, -1, p), (p + 1) // 2
+    # tau[f] = sum_j weights[j] u_j[f] / Delta: what the correction adds at fiber f.
+    tau = [
+        sum(map(mul, weights, col)) * inv_delta % p for col in zip(*(row[:fibers] for row in u))
+    ]
+    # cols[f] = w_f Pi(x_f), the column factor of every closed form.
+    cols = [v * wf % p for v, wf in zip(pi, w)]
+    fragment_rows = []
+    for e, g, r, row in zip(ell_alpha, inv_dpi_rhs, rhs, u):
+        # u_j = -ell(alpha_j) / Pi'(alpha_j) * sum_f w_f Pi(x_f) u_j[f] A(x_f).
+        scale = -e * g * r * half % p
+        fragment_rows.append(_fiber_row([scale * c * v % p for c, v in zip(cols, row)]))
+    last = alphas[-1]
+    for a, weight, row in zip(alphas[:-1], weights[:-1], u):
+        # v_j = (alpha_j - alpha_J) weights[j] * sum_f w_f Pi(x_f) (tau_f - u_j[f]) y_f^2 B(x_f).
+        scale = (a - last) * weight * half % p
+        values = [scale * c * y * (t - v) % p for c, y, t, v in zip(cols, ys, tau, row)]
+        fragment_rows.append(_fiber_row(values, [-v % p for v in values]))
+    # The spare's response is A(x_s) + y_s B(x_s), read off the same node values:
+    # its check is -(base + tilt) at (x_f, y_f) and tilt - base at (x_f, -y_f).
+    scale = _prod([spare_x - x for x in nodes], p) * inv_pi_spare * half % p
+    base = [scale * c * dx % p for c, dx in zip(cols, d)]
+    tilt = [scale * c * y * inv_y_spare * (dx + t) % p for c, y, dx, t in zip(cols, ys, d, tau)]
+    check = _fiber_row(
+        [-(b + s) % p for b, s in zip(base, tilt)], [(s - b) % p for b, s in zip(base, tilt)]
+    )
+    check[-1] = 1
+    return tuple(map(tuple, fragment_rows)), ((n - 1, tuple(check)),)
+
+
+def _fiber_row(plus, minus=None) -> list[int]:
+    """plus[f] and minus[f] (plus[f] if minus is None) at fiber f's two points, 0 at the spare."""
+    row = [0] * (2 * len(plus) + 1)
+    row[0:-1:2] = plus
+    row[1:-1:2] = plus if minus is None else minus
+    return row
+
+
+def _prod(values, p: int) -> int:
+    """The product of the values mod p, reduced at every step."""
+    out = 1
+    for v in values:
+        out = out * v % p
+    return out
 
 
 def _line_geometry(params: SchemeParams, field: PrimeField, n: int) -> tuple:

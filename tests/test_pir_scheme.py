@@ -8,7 +8,7 @@ import random
 import time
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from agpir import curve as curve_module
@@ -42,7 +42,7 @@ from agpir.errors import (
     ShapeMismatch,
 )
 from agpir.field import PrimeField, is_prime
-from agpir.function_space import Divisor, RationalFunction, interp_basis_g0
+from agpir.function_space import Divisor, RationalFunction, interp_basis_g0, interp_basis_g1
 from agpir.pir_scheme import (
     Database,
     SchemeParams,
@@ -74,6 +74,12 @@ G0_P61 = SchemeParams(p=2**61 - 1, genus=0, x=3, t=3, l=4)
 G0_Q257 = SchemeParams(p=257, genus=0, x=40, t=40, l=88)
 # The genus-1 crossover instance at q = 127 (curve y^2 = x^3 + x + 33).
 G1_Q127 = SchemeParams(p=127, genus=1, x=30, t=30, l=33, curve=(1, 33))
+# Genus 1 with X + T odd: no layout of the hyperelliptic split, so the build eliminates.
+G1_Q43_ODD = SchemeParams(p=43, genus=1, x=16, t=15, l=7, curve=(0, 9))
+# X + T even, but the split's correction has a zero denominator: the first
+# 2F candidates are dependent, and the build eliminates. (0, 1) is the first
+# such curve in (a, b) order at these parameters.
+G1_Q67_ZERO = SchemeParams(p=67, genus=1, x=10, t=8, l=9, curve=(0, 1))
 
 # Instances on which the derived security codes and the single decode
 # elimination are checked against the direct per-fragment computations.
@@ -776,15 +782,22 @@ def test_masking_codes_are_read_off_the_one_evaluation(name, request):
     [
         (G0_TINY, ["evaluate"]),
         (G0_Q43, ["evaluate"]),
-        (G1_TINY, ["evaluate", "eliminate"]),
-        (G1_Q43, ["evaluate", "eliminate"]),
+        (G1_TINY, ["evaluate"]),
+        (G1_Q43, ["evaluate"]),
+        (G1_Q127, ["evaluate"]),
+        (G1_Q43_ODD, ["evaluate", "eliminate"]),
+        (G1_Q67_ZERO, ["evaluate", "eliminate"]),
     ],
-    ids=["g0_tiny", "g0_q43", "g1_tiny", "g1_q43"],
+    ids=["g0_tiny", "g0_q43", "g1_tiny", "g1_q43", "g1_q127", "g1_q43_odd", "g1_q67_zero"],
 )
-def test_build_evaluates_once_and_eliminates_only_at_genus1(params, expected, monkeypatch):
-    # The masking codes are read off the decode evaluation. The genus-0 decode
-    # state is the closed form, and the genus-1 one is read off the one reduced
-    # form: no second evaluation, inverse or product.
+def test_build_evaluates_once_and_eliminates_only_at_odd_x_plus_t_or_a_zero_denominator(
+    params, expected, monkeypatch
+):
+    # The masking codes are read off the decode evaluation. The decode state
+    # is a closed form at genus 0 and, by the hyperelliptic split, at genus 1
+    # with X + T even; at genus 1 with X + T odd, or where the split's
+    # correction has a zero denominator, it is read off the one reduced form:
+    # no second evaluation, inverse or product.
     calls = []
 
     def counted(name, real):
@@ -799,6 +812,23 @@ def test_build_evaluates_once_and_eliminates_only_at_genus1(params, expected, mo
     inst = build_scheme(params)
     assert calls == expected
     assert_masking_codes_are_evaluation_codes(inst)
+
+
+@pytest.mark.parametrize("params", [G0_TINY, G0_Q43, G0_Q257], ids=["g0_tiny", "g0_q43", "g0_q257"])
+def test_genus0_build_uses_the_evaluated_rows_as_they_are(params, monkeypatch):
+    # The closed form keeps every candidate, so no row is copied to the kept points.
+    evaluated = []
+
+    def recorded(basis, points):
+        code = evaluation_code(basis, points)
+        evaluated.append(code.rows)
+        return code
+
+    monkeypatch.setattr(pir_scheme, "evaluation_code", recorded)
+    inst = build_scheme(params)
+    (rows,) = evaluated
+    assert len(rows) == len(inst.decode_rows)
+    assert all(map(operator.is_, inst.decode_rows, rows))
 
 
 @pytest.mark.parametrize("params", [G0_TINY, G1_Q127], ids=["g0_tiny", "g1_q127"])
@@ -915,6 +945,204 @@ def test_a_failed_certificate_falls_through_to_the_elimination(monkeypatch):
     db = Database.random(13, 3, inst.l, random.Random(4))
     assert run_round(inst, db, 2, seed=5)[3] == db.files[1]
     assert verify_scheme(inst).passed
+
+
+def split_inputs(params):
+    """What the genus-1 build hands the split: curve, alphas, N + 1 candidates, decode rows."""
+    n = sizes.num_servers(1, params.l, params.x, params.t)
+    field = PrimeField(params.p)
+    curve, fragment, candidates, info, noise = pir_scheme._elliptic_geometry(params, field, n)
+    rows = evaluation_code(info + noise, candidates).rows
+    alphas = [pt.x for pt in fragment[::2]]
+    return curve, alphas, candidates, rows[: params.l], rows[params.l :]
+
+
+def assert_split_is_the_elimination(params):
+    """The split equals `_solve_decode` where the elimination keeps its layout, else is None.
+
+    The layout: X + T even, the first N candidates kept and candidate N - 1
+    the one spare. The parity row itself is compared, not only its index.
+    """
+    curve, alphas, candidates, info, noise = split_inputs(params)
+    n = len(info) + len(noise) + 1
+    split = pir_scheme._split_decode(curve, alphas, candidates, info, noise)
+    keep, fragment_rows, parity_checks = pir_scheme._solve_decode(
+        info + noise, params.p, params.l, n
+    )
+    applies = (params.x + params.t) % 2 == 0 and keep == list(range(n))
+    if applies and [m for m, _ in parity_checks] == [n - 1]:
+        assert split == (fragment_rows, parity_checks)
+    else:
+        assert split is None
+    return split
+
+
+@pytest.mark.parametrize("name", ["g1_tiny", "g1_q43", "g1_q127"])
+def test_split_equals_the_elimination(name, request):
+    inst = request.getfixturevalue(name)
+    split = assert_split_is_the_elimination(inst.params)
+    assert split == (inst.fragment_rows, inst.parity_checks)
+    assert inst.eval_points == tuple(genus1_candidates(inst)[: inst.n])
+
+
+class Unread(tuple):
+    """A sequence whose length may be read, but not its entries."""
+
+    def __getitem__(self, key):
+        raise AssertionError("the layout test reads no entry")
+
+    def __iter__(self):
+        raise AssertionError("the layout test reads no entry")
+
+
+def test_split_refuses_a_zero_denominator_and_an_odd_layout():
+    for params in (G1_Q67_ZERO, G1_Q43_ODD):
+        assert assert_split_is_the_elimination(params) is None
+    # X + T odd is refused from the lengths alone, before any arithmetic.
+    curve, alphas, candidates, info, noise = split_inputs(G1_Q43_ODD)
+    unread = [Unread(seq) for seq in (candidates, info, noise)]
+    assert pir_scheme._split_decode(curve, alphas, *unread) is None
+
+
+@st.composite
+def genus1_params(draw):
+    """Feasible genus-1 parameters on a random smooth curve, q <= 127, the largest L in half."""
+    p = draw(st.sampled_from([13, 17, 23, 29, 37, 43, 53, 67, 79, 97, 113, 127]))
+    a, b = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+    assume((4 * a**3 + 27 * b * b) % p)
+    x, t = draw(st.integers(1, p // 8 + 1)), draw(st.integers(1, p // 8 + 1))
+    elliptic = EllipticCurve(PrimeField(p), a, b)
+    top = sizes.max_fragments(1, elliptic.point_count(), x, t, len(elliptic.zeros_of_y()))
+    assume(top >= 1)
+    l = top if draw(st.booleans()) else 2 * draw(st.integers(0, (top - 1) // 2)) + 1
+    return SchemeParams(p=p, genus=1, x=x, t=t, l=l, curve=(a, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=genus1_params())
+def test_split_equals_the_elimination_wherever_it_applies(params):
+    split = assert_split_is_the_elimination(params)
+    parity = "odd" if (params.x + params.t) % 2 else "even"
+    event("split" if split else f"elimination, X + T {parity}")
+
+
+def tampered(rows, i, j, value, p):
+    """The rows with entry (i, j) set to value mod p."""
+    out = [list(row) for row in rows]
+    out[i][j] = value % p
+    return tuple(map(tuple, out))
+
+
+def test_split_certificate_reads_every_row_and_point():
+    # Each change to the points or the evaluated rows fails the certificate,
+    # so the build would eliminate instead of trusting the split.
+    curve, alphas, candidates, info, noise = split_inputs(G1_Q43)
+    split = pir_scheme._split_decode
+    assert split(curve, alphas, candidates, info, noise) is not None
+    p, n, big_j = curve.field.p, len(info) + len(noise) + 1, len(alphas)
+    h = n // 2 - big_j  # the x-power noise rows come first
+
+    def bumped(rows, i, j):
+        return tampered(rows, i, j, rows[i][j] + 1, p)
+
+    def mirrored(rows, i, f):
+        # The second point of fiber f reads the first point's value: the
+        # symmetry of a row with y or 1/y, f(x, -y) = -f(x, y), breaks.
+        return tampered(rows, i, 2 * f + 1, rows[i][2 * f], p)
+
+    assert split(curve, alphas, candidates, bumped(info, 0, 0), noise) is None
+    assert split(curve, alphas, candidates, bumped(info, 0, 3), noise) is None
+    assert split(curve, alphas, candidates, bumped(info, big_j - 1, n - 1), noise) is None
+    assert split(curve, alphas, candidates, bumped(info, big_j, 4), noise) is None
+    assert split(curve, alphas, candidates, mirrored(info, len(info) - 1, 0), noise) is None
+    assert split(curve, alphas, candidates, info, bumped(noise, 0, 2)) is None
+    assert split(curve, alphas, candidates, info, bumped(noise, h - 1, 5)) is None
+    assert split(curve, alphas, candidates, info, bumped(noise, h, n - 1)) is None
+    assert split(curve, alphas, candidates, info, bumped(noise, len(noise) - 1, 1)) is None
+    assert split(curve, alphas, candidates, info, mirrored(noise, h, 1)) is None
+    assert split(curve, alphas, candidates, info, mirrored(noise, len(noise) - 1, 0)) is None
+    # Each chain of noise rows, scaled by 2, still satisfies its recurrence
+    # and its symmetry, but no longer starts at 1 or at 1/y.
+    twice = [tuple(2 * v % p for v in row) for row in noise]
+    assert split(curve, alphas, candidates, info, tuple(twice[:h]) + noise[h:]) is None
+    assert split(curve, alphas, candidates, info, noise[:h] + tuple(twice[h:])) is None
+    # A point that is read moved, the two points of a fiber swapped, the
+    # spare replaced by its conjugate, an alpha moved.
+    moved = [AffinePoint((candidates[2].x + 1) % p, candidates[2].y)] + list(candidates[3:])
+    assert split(curve, alphas, candidates[:2] + tuple(moved), info, noise) is None
+    swapped = (candidates[1], candidates[0]) + candidates[2:]
+    assert split(curve, alphas, swapped, info, noise) is None
+    spare = candidates[: n - 1] + (candidates[n],)
+    assert split(curve, alphas, spare, info, noise) is None
+    assert split(curve, [alphas[0] + 1] + alphas[1:], candidates, info, noise) is None
+    # The layout: k + 1 odd, L = 2J - 1, at least N candidates.
+    assert split(curve, alphas, candidates, info, noise[:-1]) is None
+    assert split(curve, alphas + [7], candidates, info, noise) is None
+    assert split(curve, alphas, candidates[: n - 1], info, noise) is None
+
+
+def formula_rows(alphas, points, h, p):
+    """The split's decode functions by their formulas, at any points (x, y) with y != 0."""
+    last = alphas[-1]
+    info = [[pow(x - a, -1, p) for x, _ in points] for a in alphas] + [
+        [y * pow((x - a) * (x - last), -1, p) % p for x, y in points] for a in alphas[:-1]
+    ]
+    noise = [[pow(x, i, p) for x, _ in points] for i in range(h)] + [
+        [pow(x, j, p) * pow(y, -1, p) % p for x, y in points] for j in range(h + 1)
+    ]
+    return tuple(map(tuple, info)), tuple(map(tuple, noise))
+
+
+def test_split_certificate_refuses_points_off_the_curve():
+    # Rows that are the formulas at points off the curve pass every row
+    # check, but 1/y = y/R(x) no longer holds there, so the split must refuse.
+    curve, alphas, candidates, info, noise = split_inputs(G1_Q43)
+    p, n = curve.field.p, len(info) + len(noise) + 1
+    h = n // 2 - len(alphas)
+    points = [(pt.x, pt.y) for pt in candidates[:n]]
+    kept = tuple(tuple(row[:n] for row in rows) for rows in (info, noise))
+    assert formula_rows(alphas, points, h, p) == kept
+    (x, y), off = points[2], (points[2][1] + 1) % p
+    assert off and off * off % p != curve.rhs(x)
+    points[2:4] = [(x, off), (x, -off % p)]
+    moved = tuple(AffinePoint(*pt) for pt in points)
+    rows = formula_rows(alphas, points, h, p)
+    assert pir_scheme._split_decode(curve, alphas, moved, *rows) is None
+
+
+def test_a_failed_split_certificate_falls_through_to_the_elimination(monkeypatch):
+    # 2 / (x - alpha_0) spans the same line as 1 / (x - alpha_0), so the
+    # decode rows stay independent, but info row 0 is no longer the split's:
+    # the build eliminates, and a retrieval round still decodes.
+    def scaled_basis(curve, pairs):
+        basis = interp_basis_g1(curve, pairs)
+        return (basis[0] * RationalFunction.make(curve, 2),) + basis[1:]
+
+    plain = build_scheme(G1_Q43)
+    eliminations = []
+    real = linalg.eliminate_packed
+    monkeypatch.setattr(pir_scheme, "interp_basis_g1", scaled_basis)
+    monkeypatch.setattr(
+        linalg, "eliminate_packed", lambda *a, **kw: eliminations.append(1) or real(*a, **kw)
+    )
+    inst = build_scheme(G1_Q43)
+    assert eliminations == [1]
+    assert inst.info_rows[0] == tuple(2 * v % 43 for v in plain.info_rows[0])
+    assert inst.eval_points == plain.eval_points
+    assert [m for m, _ in inst.parity_checks] == [inst.n - 1]
+    db = Database.random(43, 3, inst.l, random.Random(4))
+    assert run_round(inst, db, 2, seed=5)[3] == db.files[1]
+
+
+def test_zero_denominator_build_keeps_another_spare():
+    # The elimination finds a dependence among the first 2F candidates, so the
+    # spare symbol is one of them, and the build and a retrieval still work.
+    inst = build_scheme(G1_Q67_ZERO)
+    (spare, _), = inst.parity_checks
+    assert spare < inst.n - 1
+    db = Database.random(67, 2, inst.l, random.Random(1))
+    assert run_round(inst, db, 1, seed=2)[3] == db.files[0]
+    assert verify_scheme(inst, subsets="sample", sample_count=20).passed
 
 
 def assert_decode_state(inst, cols, inv_t):
