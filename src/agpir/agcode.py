@@ -159,7 +159,6 @@ class SubsetRankReport(NamedTuple):
     checked: int
     total: int
     failures: tuple[tuple[int, ...], ...]
-    seed: int | None = None
 
     @property
     def passed(self) -> bool:
@@ -193,13 +192,11 @@ def subset_rank_check(
     failures: list[tuple[int, ...]] = []
     if mode == "all":
         subsets: Iterable[tuple[int, ...]] = combinations(range(code.n), t)
-        checked = total
     elif mode == "sample":
         if sample_count < 1:
             raise ValueError(f"sampled checking needs sample_count >= 1, got {sample_count}")
         rng = random.Random(seed)
         subsets = (tuple(sorted(rng.sample(range(code.n), t))) for _ in range(sample_count))
-        checked = sample_count
     else:
         raise ValueError(f"unknown mode {mode!r}")
     # Rank is unchanged by transposing, so each subset is ranked as t rows, one
@@ -207,7 +204,9 @@ def subset_rank_check(
     # and each subset eliminates its t packed ints.
     p, length = code.p, len(code.rows)
     columns, slot = linalg.pack_for_elimination(list(zip(*code.rows)), p, t)
+    checked = 0
     for cols in subsets:
+        checked += 1
         pivots = linalg.eliminate_packed([columns[c] for c in cols], length, p, slot, full=False)
         if len(pivots) < t:
             failures.append(cols)
@@ -219,7 +218,6 @@ def subset_rank_check(
         checked=checked,
         total=total,
         failures=tuple(failures),
-        seed=seed if mode == "sample" else None,
     )
 
 

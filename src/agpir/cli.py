@@ -23,7 +23,6 @@ from .pir_scheme import (
     build_scheme,
     noise_containment_verdicts,
     noise_labels,
-    scheme_descriptor,
     scheme_from_descriptor,
     verdict_line,
     verify_scheme,
@@ -100,7 +99,7 @@ def cmd_build(args) -> int:
         p=args.p, genus=args.genus, x=args.x, t=args.t, l=big_l, curve=curve, seed=args.seed
     )
     inst = build_scheme(params)
-    _write(args.out, json.dumps(scheme_descriptor(inst), indent=2))
+    _write(args.out, json.dumps(inst.descriptor, indent=2))
     print(f"built N={inst.n} rate={inst.rate} ({float(inst.rate):.4f})", file=sys.stderr)
     return 0
 

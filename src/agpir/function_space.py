@@ -27,7 +27,8 @@ differ at rational two-torsion points, which the schemes never evaluate at.
 
 `Divisor` is the one divisor algebra: `+`, `-`, `is_effective` (no negative
 coefficient), `family_min` (the per-place least coefficient over a non-empty
-family, 0 off a support) and `<=`, which is `(other - self).is_effective`.
+family, 0 off a support) and `<=` (coefficientwise). A divisor is an
+unordered set of nonzero (place, coefficient) pairs; only `repr` sorts it.
 """
 
 from __future__ import annotations
@@ -113,19 +114,18 @@ def place_key(place: Place) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class Divisor:
-    """Formal integer combination of places on a fixed curve."""
+    """Formal integer combination of places on a fixed curve: its nonzero (place, coeff) set."""
 
     curve: Curve
-    items: tuple[tuple[Place, int], ...]
+    items: frozenset[tuple[Place, int]]
 
     @classmethod
     def of(cls, curve: Curve, coeffs: Mapping[Place, int]) -> "Divisor":
-        nonzero = [(pl, n) for pl, n in coeffs.items() if n != 0]
-        return cls(curve, tuple(sorted(nonzero, key=lambda kv: place_key(kv[0]))))
+        return cls(curve, frozenset((pl, n) for pl, n in coeffs.items() if n))
 
     @classmethod
     def zero(cls, curve: Curve) -> "Divisor":
-        return cls(curve, ())
+        return cls(curve, frozenset())
 
     def coeff(self, place: Place) -> int:
         return self.as_dict().get(place, 0)
@@ -149,16 +149,12 @@ class Divisor:
         if self.curve != other.curve:
             raise ValueError("divisors on different curves")
         out = self.as_dict()
-        size = len(out)
         for pl, n in other.items:
             out[pl] = out.get(pl, 0) + n
-        if len(out) == size:
-            # No new place: the sum keeps self's order, which `of` sorted.
-            return Divisor(self.curve, tuple((pl, n) for pl, n in out.items() if n))
         return Divisor.of(self.curve, out)
 
     def __neg__(self) -> "Divisor":
-        return Divisor(self.curve, tuple((pl, -n) for pl, n in self.items))
+        return Divisor(self.curve, frozenset((pl, -n) for pl, n in self.items))
 
     def __sub__(self, other: "Divisor") -> "Divisor":
         return self + -other
@@ -185,7 +181,8 @@ class Divisor:
     def __repr__(self) -> str:
         if not self.items:
             return "0"
-        return " + ".join(f"{n}*{pl!r}" for pl, n in self.items)
+        ordered = sorted(self.items, key=lambda kv: place_key(kv[0]))
+        return " + ".join(f"{n}*{pl!r}" for pl, n in ordered)
 
 
 def rr_dim(divisor: Divisor) -> int:

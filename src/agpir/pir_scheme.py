@@ -811,8 +811,9 @@ def decode(inst: SchemeInstance, responses: Sequence[int]) -> tuple[int, ...]:
 class SchemeReport:
     """What `verify_scheme` measured; `_checks` decides every verdict from it.
 
-    `security` holds one report per fragment, so its length is L. `passed`
-    and `lines()` both read the one (text, verdict) list of `_checks`.
+    `security` is the shared security code's report, which stands for each
+    of the `fragments` (L) security codes. `passed` and `lines()` both read
+    the one (text, verdict) list of `_checks`.
     """
 
     units_ok: bool
@@ -821,19 +822,20 @@ class SchemeReport:
     combined_rank: int
     num_decode_rows: int
     privacy: SubsetRankReport
-    security: tuple[SubsetRankReport, ...]
+    security: SubsetRankReport
+    fragments: int
 
     def _checks(self) -> list[tuple[str, bool]]:
         info, total = self.info_rank, self.combined_rank
         return [
             ("fragment basis functions are units", self.units_ok),
-            (f"information rank {info} equals L", info == len(self.security)),
+            (f"information rank {info} equals L", info == self.fragments),
             (f"information + noise ranks add ({total} total)", total == info + self.noise_rank),
             ("evaluation map injective on the combined space", total == self.num_decode_rows),
             (f"privacy: {_independent(self.privacy)}", self.privacy.passed),
         ] + [
-            (f"security fragment {ell}: {_independent(rep)}", rep.passed)
-            for ell, rep in enumerate(self.security, 1)
+            (f"security fragment {ell}: {_independent(self.security)}", self.security.passed)
+            for ell in range(1, self.fragments + 1)
         ]
 
     @property
@@ -888,7 +890,8 @@ def verify_scheme(
         combined_rank=combined,
         num_decode_rows=len(inst.decode_rows),
         privacy=privacy,
-        security=(security,) * inst.l,
+        security=security,
+        fragments=inst.l,
     )
 
 
@@ -1009,7 +1012,7 @@ def scheme_descriptor(inst: SchemeInstance) -> dict:
 
 
 def scheme_from_descriptor(descriptor: dict) -> SchemeInstance:
-    """Rebuild the instance and confirm it reproduces the descriptor exactly."""
+    """Rebuild the instance and confirm that its (cached) `descriptor` is this one exactly."""
     if not isinstance(descriptor, dict):
         raise DescriptorMismatch("a scheme descriptor is a JSON object")
     curve = descriptor.get("curve")
@@ -1040,6 +1043,6 @@ def scheme_from_descriptor(descriptor: dict) -> SchemeInstance:
         if not isinstance(points, list) or len(points) != count:
             raise DescriptorMismatch(f"descriptor {key!r} entry is not a list of {count} points")
     inst = build_scheme(params)
-    if scheme_descriptor(inst) != descriptor:
+    if inst.descriptor != descriptor:
         raise DescriptorMismatch("descriptor does not match the deterministic rebuild")
     return inst

@@ -245,7 +245,7 @@ def subset_rank_check_reference(code, t, mode="all", sample_count=300, seed=0):
 
     The reference for the check that packs the code's columns once: the same
     subsets in the same order, the same mode fallback and the same stop after
-    five failures.
+    five failures, counting the subsets that were ranked.
     """
     if t > code.k:
         raise ValueError(f"t = {t} exceeds the code dimension {code.k}")
@@ -258,14 +258,15 @@ def subset_rank_check_reference(code, t, mode="all", sample_count=300, seed=0):
     elif mode == "sample" and total <= min(sample_count, limit):
         mode = "all"
     if mode == "all":
-        subsets, checked = combinations(range(code.n), t), total
+        subsets = combinations(range(code.n), t)
     else:
         rng = random.Random(seed)
         subsets = (tuple(sorted(rng.sample(range(code.n), t))) for _ in range(sample_count))
-        checked = sample_count
     columns = list(zip(*code.rows))
     failures = []
+    checked = 0
     for cols in subsets:
+        checked += 1
         if linalg.rank([columns[c] for c in cols], code.p) < t:
             failures.append(cols)
             if len(failures) >= 5:
@@ -276,7 +277,6 @@ def subset_rank_check_reference(code, t, mode="all", sample_count=300, seed=0):
         checked=checked,
         total=total,
         failures=tuple(failures),
-        seed=seed if mode == "sample" else None,
     )
 
 

@@ -263,8 +263,11 @@ def test_subset_rank_check_stops_after_five_failures(p, mode):
     report = subset_rank_check(code, 2, mode, sample_count=200, seed=3)
     assert report == subset_rank_check_reference(code, 2, mode, sample_count=200, seed=3)
     assert len(report.failures) == 5 and not report.passed
+    # Only the subsets ranked up to the fifth failure count as checked.
+    assert 5 <= report.checked < 200
     if mode == "all":
         assert report.failures == ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5))
+        assert report.checked == 5 and report.total == 28
 
 
 def test_subset_report_passes_exactly_when_it_holds_no_failure():

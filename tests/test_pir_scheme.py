@@ -6,6 +6,7 @@ import json
 import operator
 import random
 import time
+from math import comb
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -42,7 +43,13 @@ from agpir.errors import (
     ShapeMismatch,
 )
 from agpir.field import PrimeField, is_prime
-from agpir.function_space import Divisor, RationalFunction, interp_basis_g0, interp_basis_g1
+from agpir.function_space import (
+    Divisor,
+    RationalFunction,
+    interp_basis_g0,
+    interp_basis_g1,
+    place_key,
+)
 from agpir.pir_scheme import (
     Database,
     SchemeParams,
@@ -1180,9 +1187,10 @@ def test_verify_security_equals_per_code_checks(name, mode, request):
     inst = request.getfixturevalue(name)
     # "all" falls back to sampling where C(N, X) exceeds the subset cap.
     report = verify_scheme(inst, subsets=mode, sample_count=10, sample_seed=7)
-    assert len(report.security) == inst.l
-    for rep, code in zip(report.security, inst.sec_codes):
-        assert rep == subset_rank_check(code, inst.x, mode=mode, sample_count=10, seed=7)
+    assert report.fragments == len(inst.sec_codes) == inst.l
+    for code in inst.sec_codes:
+        rep = subset_rank_check(code, inst.x, mode=mode, sample_count=10, seed=7)
+        assert report.security == rep
 
 
 @pytest.mark.parametrize(
@@ -1214,7 +1222,7 @@ def test_verify_checks_a_shared_privacy_and_security_code_once(params, calls, mo
     report = verify_scheme(inst, subsets=mode, sample_count=10, sample_seed=7)
     assert len(seen) == calls
     assert report.privacy == privacy
-    assert report.security == (security,) * inst.l
+    assert report.security == security
     assert report.passed
 
 
@@ -1232,7 +1240,7 @@ def test_verify_checks_a_broken_security_code_on_its_own(g0_tiny, monkeypatch):
     )
     report = verify_scheme(broken, subsets="all")
     assert seen == [broken.priv_code, broken.sec_code]
-    assert report.privacy.passed and not report.security[0].passed
+    assert report.privacy.passed and not report.security.passed
 
 
 def test_verify_security_failures_carry_over_to_every_fragment(g0_tiny):
@@ -1240,9 +1248,16 @@ def test_verify_security_failures_carry_over_to_every_fragment(g0_tiny):
     rows = tuple((row[0], row[0]) + row[2:] for row in g0_tiny.sec_code.rows)
     broken = dataclasses.replace(g0_tiny, sec_code=LinearCode(13, g0_tiny.n, rows))
     report = verify_scheme(broken, subsets="all")
-    assert not report.passed and report.security[0].failures == ((0, 1),)
-    for rep, code in zip(report.security, broken.sec_codes):
-        assert rep == subset_rank_check(code, broken.x, mode="all")
+    assert not report.passed and report.security.failures == ((0, 1),)
+    for code in broken.sec_codes:
+        assert report.security == subset_rank_check(code, broken.x, mode="all")
+    # The one shared report gives each of the L fragments its own FAIL line.
+    total = comb(broken.n, broken.x)
+    failed = [line for line in report.lines() if line.startswith("FAIL")]
+    assert failed == [
+        f"FAIL  security fragment {ell}: {broken.x}-subsets independent (all, {total}/{total})"
+        for ell in range(1, broken.l + 1)
+    ]
 
 
 @pytest.mark.parametrize("name", ORACLE_INSTANCES)
@@ -1498,18 +1513,17 @@ def test_containment_by_divisor_sums_matches_symbolic_products(name, request):
 
 
 def sorted_divisor_sum(self, other):
-    """`Divisor.__add__` that sorts every sum through `Divisor.of`."""
-    out = self.as_dict()
-    for pl, n in other.items:
-        out[pl] = out.get(pl, 0) + n
-    return Divisor.of(self.curve, out)
+    """`Divisor.__add__` by its coefficientwise definition over the sorted union of supports."""
+    mine, theirs = self.as_dict(), other.as_dict()
+    union = sorted(mine.keys() | theirs.keys(), key=place_key)
+    return Divisor.of(self.curve, {pl: mine.get(pl, 0) + theirs.get(pl, 0) for pl in union})
 
 
 @pytest.mark.parametrize("name", ORACLE_INSTANCES)
 @pytest.mark.parametrize("tamper", ["none", "privacy pole", "fragment zero"])
 def test_containment_lists_are_those_of_the_sorted_sum(name, tamper, request, monkeypatch):
-    # The sum that skips the sort when the places are already present
-    # changes no verdict, built instances and failing ones alike.
+    # The merged sum gives the verdicts of the coefficientwise one, built
+    # instances and failing ones alike.
     inst = request.getfixturevalue(name)
     if tamper == "privacy pole":
         extra = RationalFunction.x_power(inst.curve, inst.x + inst.t + 3)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import random
 from functools import cache
 from itertools import combinations
@@ -8,8 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agpir import pir_scheme
 from agpir.errors import BadIndex, BadTheta, ShapeMismatch, TooLarge
-from agpir.pir_scheme import Database, SchemeParams, build_scheme, scheme_descriptor
+from agpir.pir_scheme import (
+    Database,
+    SchemeParams,
+    build_scheme,
+    scheme_descriptor,
+    scheme_from_descriptor,
+)
 from agpir.sim_harness import (
     exhaustive_privacy_oracle,
     exhaustive_security_oracle,
@@ -75,6 +83,19 @@ def test_transcripts_of_one_instance_share_one_descriptor(g0_q7):
         "012b05d73714eef24a935447584896ed1c9b515ba6afca99d6a369d025250b99",
         "0f3e11587ed447432a545aa379172b1b2b9aa42c77b0cb928744eb054368d574",
     ]
+
+
+def test_a_loaded_descriptor_is_built_once(g0_q7, monkeypatch):
+    # Loading compares the rebuild's cached descriptor, which the
+    # transcripts then share: one `scheme_descriptor` call in all.
+    blob = json.loads(json.dumps(scheme_descriptor(g0_q7)))
+    calls = []
+    monkeypatch.setattr(
+        pir_scheme, "scheme_descriptor", lambda inst: calls.append(inst) or scheme_descriptor(inst)
+    )
+    inst = scheme_from_descriptor(blob)
+    transcript = run_retrieval(inst, Database(7, ((1,), (2,))), 1, seed=3)
+    assert calls == [inst] and transcript.scheme is inst.descriptor == blob
 
 
 def test_fuzz_thousand_rounds_never_mismatch(g0_q7):
