@@ -108,6 +108,10 @@ class BadIndex(ValueError):
     """Server index is out of range."""
 
 
+class UncertifiedRows(RuntimeError):
+    """Independent decode rows that a closed form's certificate does not accept."""
+
+
 class InconsistentSystem(ArithmeticError):
     """Response vector is not in the row space of the decode matrix."""
 

@@ -128,7 +128,7 @@ class Divisor:
         return cls(curve, frozenset())
 
     def coeff(self, place: Place) -> int:
-        return self.as_dict().get(place, 0)
+        return next((n for pl, n in self.items if pl == place), 0)
 
     def as_dict(self) -> dict[Place, int]:
         return dict(self.items)

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice, repeat
+from math import prod
 from operator import mul
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 from . import linalg, sizes
 from .agcode import (
@@ -54,6 +55,7 @@ from .errors import (
     InconsistentSystem,
     PoleAtEvaluationPoint,
     ShapeMismatch,
+    UncertifiedRows,
 )
 from .field import PrimeField, inverses
 from .function_space import (
@@ -170,9 +172,9 @@ class SchemeInstance:
     one row (n, h) orthogonal to that space per spare symbol n (none at
     genus 0, one at genus 1), with h 1 at n, 0 at the other spares and
     -(B^-1 R)[j][n] at the j-th pivot. At genus 0 `fragment_rows` is the
-    Cauchy-Vandermonde closed form. At genus 1 with X + T even it and the
-    parity check come from the hyperelliptic split, and elsewhere they are
-    read off the build's one elimination (see `build_scheme`).
+    Cauchy-Vandermonde closed form; at genus 1 it and the parity check are
+    read off the null space of the decode rows on whole fibers (see
+    `build_scheme`).
     """
 
     params: SchemeParams
@@ -298,20 +300,17 @@ class SchemeInstance:
 def build_scheme(params: SchemeParams) -> SchemeInstance:
     """Build and sanity-check a deterministic scheme instance.
 
-    The genus decides only the geometry; the rest is one pipeline. One
-    `evaluation_code` call evaluates info, noise, and the privacy and security
-    functions not among them (all are at genus 0, the x-powers at genus 1)
-    on the candidates. When the evaluated decode rows pass a closed form's
-    certificate, no elimination runs and the first N candidates are kept: at
-    genus 0 `_line_fragment_rows` gives `fragment_rows` and every candidate
-    is kept, so the rows are used as they are; at genus 1 with X + T even
-    `_split_decode` gives `fragment_rows` and the parity check, and the last
-    candidate is dropped. Otherwise, at genus 1 with X + T odd, where the
-    split's correction has a zero denominator, or after a failed
-    certificate, one elimination of the decode rows (`_solve_decode`) checks
-    the information rank, the noise rank and their direct sum at once, picks
-    the kept points and yields `fragment_rows` and the parity checks, and
-    every row is restricted to the kept points once.
+    The genus decides only the geometry and the closed form; the rest is one
+    pipeline, with no elimination. One `evaluation_code` call evaluates the
+    info and noise functions on the candidates, and with them the y x^i of
+    the privacy and security bases at genus 1: their x-powers are the first
+    noise functions, so their rows are the first noise rows. The closed form
+    reads the evaluated decode rows through its certificate: at genus 0
+    `_line_fragment_rows` gives `fragment_rows` and every candidate is kept,
+    so the rows are used as they are; at genus 1 `_fiber_decode` gives
+    `fragment_rows` and the parity check, and names the one candidate to
+    drop. Rows the certificate refuses raise the build condition they break
+    when they are dependent, and `UncertifiedRows` otherwise.
     """
     genus, p, big_l = params.genus, params.p, params.l
     n = sizes.num_servers(genus, big_l, params.x, params.t)
@@ -320,28 +319,26 @@ def build_scheme(params: SchemeParams) -> SchemeInstance:
     priv = basis_poles_at_infinity(curve, sizes.masking_poles(genus, params.t))
     # The shared security space; each fragment's is a unit multiple of it.
     sec = basis_poles_at_infinity(curve, sizes.masking_poles(genus, params.x))
-    decoded = info + noise
-    known = set(decoded)
-    masking = tuple(dict.fromkeys(f for f in priv + sec if f not in known))
-    rows = evaluation_code(decoded + masking, candidates).rows
-    k = len(decoded)
+    # Each masking basis is x-powers, then y x^i at genus 1: the longer basis holds every y x^i.
+    y_part = tuple(f for f in max(priv, sec, key=len) if f.y_exp)
+    rows = evaluation_code(info + noise + y_part, candidates).rows
+    k = len(info) + len(noise)
+    _check_units(info, rows[:big_l], candidates)
     if genus:
         alphas = [pt.x for pt in fragment[::2]]
-        solved = _split_decode(curve, alphas, candidates, rows[:big_l], rows[big_l:k])
+        solved = _fiber_decode(curve, alphas, candidates, rows[:big_l], rows[big_l:k])
     else:
         closed = _line_fragment_rows(candidates, rows[:big_l], rows[big_l:k], p)
-        solved = None if closed is None else (closed, ())
+        solved = None if closed is None else (n, closed, ())
     if solved is None:
-        keep, fragment_rows, parity_checks = _solve_decode(rows[:k], p, big_l, n)
-        eval_points = tuple(candidates[idx] for idx in keep)
-        restricted = tuple(tuple([row[idx] for idx in keep]) for row in rows)
-    else:
-        # A closed form keeps the first N candidates: all of them at genus 0,
-        # where the evaluated rows are used as they are.
-        (fragment_rows, parity_checks), eval_points = solved, candidates[:n]
-        restricted = rows if len(candidates) == n else tuple(row[:n] for row in rows)
-    _check_units(info, restricted[:big_l], eval_points)
-    row_of = dict(zip(decoded + masking, restricted))
+        _raise_rank_defect(big_l, rows[:big_l], rows[big_l:k], p)
+        name = "Cauchy-Vandermonde" if genus == 0 else "whole-fiber"
+        raise UncertifiedRows(f"the decode rows fail the genus-{genus} {name} certificate")
+    dropped, fragment_rows, parity_checks = solved
+    eval_points = candidates[:dropped] + candidates[dropped + 1 :]
+    if dropped < len(candidates):
+        rows = tuple(row[:dropped] + row[dropped + 1 :] for row in rows)
+    noise_rows, y_rows = rows[big_l:k], rows[k:]
     return SchemeInstance(
         params=params,
         curve=curve,
@@ -351,43 +348,23 @@ def build_scheme(params: SchemeParams) -> SchemeInstance:
         noise_basis=noise,
         priv_basis=priv,
         sec_basis=sec,
-        info_rows=restricted[:big_l],
-        noise_rows=restricted[big_l:k],
-        priv_code=LinearCode(p, n, tuple(row_of[f] for f in priv)),
-        sec_code=LinearCode(p, n, tuple(row_of[f] for f in sec)),
+        info_rows=rows[:big_l],
+        noise_rows=noise_rows,
+        priv_code=LinearCode(p, n, _masking_rows(priv, noise_rows, y_rows)),
+        sec_code=LinearCode(p, n, _masking_rows(sec, noise_rows, y_rows)),
         fragment_rows=fragment_rows,
         parity_checks=parity_checks,
     )
 
 
-def _solve_decode(rows, p: int, big_l: int, n: int) -> tuple:
-    """(kept candidates, fragment rows, parity checks) from one elimination of [R | E].
+def _masking_rows(basis, noise_rows, y_rows) -> tuple:
+    """A masking basis's rows by position: its x-powers are the first noise rows.
 
-    R is the decode rows on the candidates and E the first L columns of I_k.
-    The kept candidates are the pivots, filled up to N with the leftmost
-    other candidates. B is R's block on the pivots, so fragment row l is
-    column l of B^-1 at the pivots and 0 at a spare, and the check of spare
-    symbol n is -(B^-1 R)[j][n] at the j-th pivot, 1 at n and 0 at the other
-    spares. Dependent rows raise the build condition they break. The build
-    calls it only where no closed form applies (see `build_scheme`); the
-    closed forms equal its result, and the tests hold them to it.
+    The certificate has read those rows as the values of 1, x, x^2, ..., and
+    the y x^i follow in the order that `build_scheme` evaluated them.
     """
-    solved = linalg.pivot_solve(rows, p, big_l)
-    if solved is None:
-        _raise_rank_defect(big_l, rows[:big_l], rows[big_l:], p)
-    pivots, reduced = solved
-    width = len(rows[0])
-    spare = sorted(set(range(width)) - set(pivots))
-    keep = sorted(pivots + tuple(spare[: n - len(pivots)]))
-    # Kept symbol m's row of B^-1 [R | E] at a pivot, None at a spare.
-    lead = iter(reduced)
-    solve = [None if idx in spare else next(lead) for idx in keep]
-    fragment_rows = tuple(zip(*(r[width:] if r else (0,) * big_l for r in solve)))
-    parity_checks = tuple(
-        (m, tuple(-r[keep[m]] % p if r else int(c == m) for c, r in enumerate(solve)))
-        for m, row in enumerate(solve) if not row
-    )
-    return keep, fragment_rows, parity_checks
+    count = sum(not f.y_exp for f in basis)
+    return noise_rows[:count] + y_rows[: len(basis) - count]
 
 
 def _line_fragment_rows(candidates, info_rows, noise_rows, p: int) -> tuple | None:
@@ -444,76 +421,83 @@ def _line_fragment_rows(candidates, info_rows, noise_rows, p: int) -> tuple | No
     )
 
 
-def _split_decode(curve, alphas, candidates, info_rows, noise_rows) -> tuple | None:
-    """The genus-1 (`fragment_rows`, `parity_checks`) by the hyperelliptic split, or None.
+def _fiber_decode(curve, alphas, candidates, info_rows, noise_rows) -> tuple | None:
+    """The genus-1 (dropped candidate, `fragment_rows`, `parity_checks`), or None.
 
-    The layout, checked before any arithmetic, is the one of X + T even:
-    k = 2F decode rows, J = (L + 1)/2 alphas and at least N = 2F + 1
-    candidates, of which the first 2F are F fibers (x_f, y_f), (x_f, -y_f)
-    and candidate 2F is the spare. The certificate reads the rows at the
-    first point of each fiber and at the spare, one product per entry: info
-    row j is 1/(x - alpha_j) and info row J + j is
-    y/((x - alpha_j)(x - alpha_J)); the noise rows are x^0..x^(h-1) and then
-    x^0/y..x^h/y, for h = F - J. At the second point of each fiber it reads
-    their symmetry: x-only rows repeat, rows with a 1/y or y change sign, so
-    there the rows are those of (x_f, -y_f). The points read lie on the
-    curve, and y != 0 there. Abscissas that repeat make a barycentric weight
-    or 1/(x_s - x_f) a division by zero, and return None too.
+    The layout, checked before any arithmetic: k decode rows, L = 2J - 1 of
+    them info rows for J alphas, and N + 1 = k + 2 candidates. Candidates
+    2f and 2f + 1 are the fiber (x_f, y_f), (x_f, -y_f); when k is odd the
+    last candidate's partner is column 2G - 1, so the routine reads G whole
+    fibers. The certificate reads the rows at the first point of each
+    fiber, one product per entry: info row j is 1/(x - alpha_j) and info
+    row J + j is y/((x - alpha_j)(x - alpha_J)); the noise rows are
+    x^0..x^(h-1) and then x^0/y..x^(G-J-1)/y. At the second point of each
+    fiber it reads their symmetry: x-only rows repeat, rows with a 1/y or y
+    change sign. The points read lie on the curve, and y != 0 there. A
+    repeated abscissa or alpha, or R(alpha_j) = 0, returns None too.
 
-    Every decode function is then A(x) + y B(x), and on fiber f the
-    responses give A(x_f) = (r+ + r-)/2 and B(x_f) = (r+ - r-)/(2 y_f).
-    Take Pi(x) = prod_j (x - alpha_j), ell(x) = prod_f (x - x_f) and w_f
-    the barycentric weights of the x_f. A Pi has degree below F, so fragment
-    j < J, the residue of A at alpha_j, is (A Pi)(alpha_j) / Pi'(alpha_j) by
-    the genus-0 Cauchy-Vandermonde form on general nodes. P = B R Pi, for
-    R = x^3 + ax + b, has degree at most F, and the residues of B R satisfy
-    sum_j P(alpha_j) / (Pi'(alpha_j) R(alpha_j)) = 0. So P is the
-    interpolant of its node values plus c ell(x), the rank-one correction
-    ell/Pi of B R, and the condition fixes c unless its denominator
-    Delta = sum_j ell(alpha_j) / (Pi'(alpha_j) R(alpha_j)) is 0. Fragment
-    J + j is then the residue of B R at alpha_j times (alpha_j - alpha_J) /
-    R(alpha_j), and the spare's check is its response A(x_s) + y_s B(x_s)
-    read off the same forms. With Delta != 0 the first 2F candidates are
-    independent, so they are the elimination's leftmost pivots and the
-    candidate 2F its spare: the result is `_solve_decode`'s. At Delta = 0
-    they are dependent, the elimination keeps another spare, and the split
-    returns None.
+    Every decode function is A(x) + y B(x), and fiber f's responses give
+    A(x_f) = (r+ + r-)/2 and B(x_f) = (r+ - r-)/(2 y_f). Take
+    Pi(x) = prod_j (x - alpha_j), ell(x) = prod_f (x - x_f), w_f the
+    barycentric weights of the x_f, R = x^3 + ax + b and the functional
+    lambda(P) = sum_j P(alpha_j) / (Pi'(alpha_j) R(alpha_j)). Both A Pi and
+    P = B R Pi have degree below G, so Lagrange interpolation on all G
+    nodes is exact: fragment j < J, the residue of A at alpha_j, is
+    (A Pi)(alpha_j) / Pi'(alpha_j), and fragment J + j is
+    (alpha_j - alpha_J) P(alpha_j) / (Pi'(alpha_j) R(alpha_j)). The null
+    space of the decode rows on the 2G points is closed form too:
+    x_f^e w_f Pi(x_f) on both points of fiber f while x^e A Pi stays below
+    degree G - 1 (e = 0, or 0 and 1 when k is odd), and
+    +-y_f Pi(x_f) lambda(L_f) for the Lagrange basis L_f, as lambda(P) = 0,
+    the residues of B R at the alphas summing to 0, is the one condition on
+    P (Riemann-Roch; H. Stichtenoth, Algebraic Function Fields and Codes).
+
+    A right-to-left reduction of the null space names the columns that
+    leftmost pivoting leaves out: from the right, the partner (if any), the
+    dropped candidate and the spare. The parity row is the null vector 1 at
+    the spare and 0 at the other two, and each fragment row is its
+    functional less the null vectors that zero it there: the result of
+    eliminating the rows on the candidates, which the tests hold it to.
+    When the partner is not left out, those rows are dependent: None.
     """
     p = curve.field.p
     big_l, big_j = len(info_rows), len(alphas)
-    n = big_l + len(noise_rows) + 1
-    fibers = n // 2
-    h = fibers - big_j
-    if n % 2 == 0 or big_l != 2 * big_j - 1 or h < 1 or len(candidates) < n:
+    width = big_l + len(noise_rows) + 2
+    fibers = (width + 1) // 2
+    h = len(noise_rows) + big_j - fibers  # the x-power noise rows come first
+    if big_l != 2 * big_j - 1 or h < 1 or len(candidates) != width:
         return None
-    xs = [pt.x for pt in candidates[:n:2]]
-    ys = [pt.y for pt in candidates[:n:2]]
+    xs = [pt.x for pt in candidates[::2]]
+    ys = [pt.y for pt in candidates[::2]]
     if [y * y % p for y in ys] != [curve.rhs(x) for x in xs]:
         return None
+    if len({*xs, *alphas}) < fibers + big_j:
+        return None
 
-    ones = [1] * (fibers + 1)
+    ones = [1] * fibers
+    whole = width // 2  # the fibers whose second point is a candidate
 
     def times(values, factors):
         return [v * f % p for v, f in zip(values, factors)]
 
     def even(row):
-        return row[1:n:2] == row[: n - 1 : 2]
+        return row[1::2] == row[: 2 * whole : 2]
 
     def odd(row):
-        return list(row[1:n:2]) == [-v % p for v in row[: n - 1 : 2]]
+        return list(row[1::2]) == [-v % p for v in row[: 2 * whole : 2]]
 
-    # u[j][f] = 1/(x_f - alpha_j) at the first point of fiber f, and at the spare for f = F.
-    u = [list(row[:n:2]) for row in info_rows[:big_j]]
+    # u[j][f] = 1/(x_f - alpha_j) at the first point of fiber f.
+    u = [list(row[::2]) for row in info_rows[:big_j]]
     x_minus = [[x - a for x in xs] for a in alphas]
     y_last = times(ys, u[-1])
     if not all(even(row) and times(v, dx) == ones for row, v, dx in zip(info_rows, u, x_minus)):
         return None
     for row, dx in zip(info_rows[big_j:], x_minus):
-        if not (odd(row) and times(row[:n:2], dx) == y_last):
+        if not (odd(row) and times(row[::2], dx) == y_last):
             return None
     # Each noise row is the one before times x, but x^0 = 1 and x^0 / y = 1 / y.
     for i, row in enumerate(noise_rows):
-        values = list(row[:n:2])
+        values = list(row[::2])
         if i == 0:
             ok = values == ones
         elif i == h:
@@ -524,71 +508,79 @@ def _split_decode(curve, alphas, candidates, info_rows, noise_rows) -> tuple | N
             return None
         prev = values
 
-    nodes, spare_x = xs[:fibers], xs[fibers]
     rhs = [curve.rhs(a) for a in alphas]
-    # Pi at the nodes, then at the spare.
-    pi = [_prod(col, p) for col in zip(*x_minus)]
-    denominators = (
-        [_prod([x - z for z in nodes if z != x], p) for x in nodes]
-        + [_prod([a - b for b in alphas if b != a], p) * r % p for a, r in zip(alphas, rhs)]
-        + [spare_x - x for x in nodes]
-        + [pi[-1], ys[fibers]]
-    )
-    if not all(v % p for v in denominators):
+    # One product each, reduced once: its factors are below p in size.
+    denominators = [prod([x - z for z in xs if z != x]) % p for x in xs] + [
+        prod([a - b for b in alphas if b != a], start=r) % p for a, r in zip(alphas, rhs)
+    ]
+    if not all(denominators):
         return None
     inv = inverses(denominators, p)
-    w, inv_dpi_rhs = inv[:fibers], inv[fibers : fibers + big_j]
-    d, (inv_pi_spare, inv_y_spare) = inv[fibers + big_j : -2], inv[-2:]
-    # weights[j] = ell(alpha_j) / (Pi'(alpha_j) R(alpha_j)); their sum is Delta.
-    ell_alpha = [_prod([a - x for x in nodes], p) for a in alphas]
-    weights = [e * g % p for e, g in zip(ell_alpha, inv_dpi_rhs)]
-    delta = sum(weights) % p
-    if not delta:
+    # weights[j] = ell(alpha_j) / (Pi'(alpha_j) R(alpha_j)); cols[f] = w_f Pi(x_f).
+    weights = [prod([a - x for x in xs], start=g) % p for a, g in zip(alphas, inv[fibers:])]
+    cols = times([prod(col) % p for col in zip(*x_minus)], inv[:fibers])
+    # y_f w_f Pi(x_f) sum_j weights[j] u_j[f], which is -y_f Pi(x_f) lambda(L_f).
+    tilt = [c * y * sum(map(mul, weights, col)) % p for c, y, col in zip(cols, ys, zip(*u))]
+    null = [_fiber_row(tilt, [-v % p for v in tilt])]
+    power = cols
+    for _ in range(fibers - big_j - h):
+        null.append(_fiber_row(power))
+        power = times(power, xs)
+    pivots, basis = _right_echelon(null, p)
+    # Two non-pivots among the candidates, or their rows are dependent.
+    if any(c < width for c in pivots[:-2]):
         return None
-    inv_delta, half = pow(delta, -1, p), (p + 1) // 2
-    # tau[f] = sum_j weights[j] u_j[f] / Delta: what the correction adds at fiber f.
-    tau = [
-        sum(map(mul, weights, col)) * inv_delta % p for col in zip(*(row[:fibers] for row in u))
-    ]
-    # cols[f] = w_f Pi(x_f), the column factor of every closed form.
-    cols = [v * wf % p for v, wf in zip(pi, w)]
+    dropped, spare = pivots[-2:]
+
+    def kept(row):
+        return tuple(row[:dropped] + row[dropped + 1 : width])
+
+    packed = linalg.PackedRows.of(basis, p)
+
+    def zeroed(row):
+        """The functional less the null vectors that zero it at every pivot, on the kept points."""
+        return kept(packed.combine([-row[c] for c in pivots], packed.pack(row)))
+
+    half, last = (p + 1) // 2, alphas[-1]
     fragment_rows = []
-    for e, g, r, row in zip(ell_alpha, inv_dpi_rhs, rhs, u):
-        # u_j = -ell(alpha_j) / Pi'(alpha_j) * sum_f w_f Pi(x_f) u_j[f] A(x_f).
-        scale = -e * g * r * half % p
-        fragment_rows.append(_fiber_row([scale * c * v % p for c, v in zip(cols, row)]))
-    last = alphas[-1]
-    for a, weight, row in zip(alphas[:-1], weights[:-1], u):
-        # v_j = (alpha_j - alpha_J) weights[j] * sum_f w_f Pi(x_f) (tau_f - u_j[f]) y_f^2 B(x_f).
-        scale = (a - last) * weight * half % p
-        values = [scale * c * y * (t - v) % p for c, y, t, v in zip(cols, ys, tau, row)]
-        fragment_rows.append(_fiber_row(values, [-v % p for v in values]))
-    # The spare's response is A(x_s) + y_s B(x_s), read off the same node values:
-    # its check is -(base + tilt) at (x_f, y_f) and tilt - base at (x_f, -y_f).
-    scale = _prod([spare_x - x for x in nodes], p) * inv_pi_spare * half % p
-    base = [scale * c * dx % p for c, dx in zip(cols, d)]
-    tilt = [scale * c * y * inv_y_spare * (dx + t) % p for c, y, dx, t in zip(cols, ys, d, tau)]
-    check = _fiber_row(
-        [-(b + s) % p for b, s in zip(base, tilt)], [(s - b) % p for b, s in zip(base, tilt)]
-    )
-    check[-1] = 1
-    return tuple(map(tuple, fragment_rows)), ((n - 1, tuple(check)),)
+    for g, r, row in zip(weights, rhs, u):
+        scale = -g * r * half % p
+        fragment_rows.append(zeroed(_fiber_row([scale * c * v % p for c, v in zip(cols, row)])))
+    for a, g, row in zip(alphas, weights, u[:-1]):
+        scale = (last - a) * g * half % p
+        values = [scale * c * y * v % p for c, y, v in zip(cols, ys, row)]
+        fragment_rows.append(zeroed(_fiber_row(values, [-v % p for v in values])))
+    return dropped, tuple(fragment_rows), ((spare, kept(basis[-1])),)
+
+
+def _right_echelon(vectors, p: int) -> tuple[list[int], list[list[int]]]:
+    """(pivots, basis) of the span of independent reduced vectors, reduced from the right.
+
+    The pivots descend: they are the last nonzero entries that vectors of the
+    span can have. basis[i] is 1 at pivots[i], 0 after it and at every other pivot.
+    """
+    pivots, basis, rest = [], [], [list(v) for v in vectors]
+    while rest:
+        lasts = [next(c for c in range(len(v) - 1, -1, -1) if v[c]) for v in rest]
+        c = max(lasts)
+        lead = rest.pop(lasts.index(c))
+        scale = pow(lead[c], -1, p)
+        lead = [v * scale % p for v in lead]
+        basis, rest = (
+            [[(a - v[c] * b) % p for a, b in zip(v, lead)] if v[c] else v for v in group]
+            for group in (basis, rest)
+        )
+        pivots.append(c)
+        basis.append(lead)
+    return pivots, basis
 
 
 def _fiber_row(plus, minus=None) -> list[int]:
-    """plus[f] and minus[f] (plus[f] if minus is None) at fiber f's two points, 0 at the spare."""
-    row = [0] * (2 * len(plus) + 1)
-    row[0:-1:2] = plus
-    row[1:-1:2] = plus if minus is None else minus
+    """plus[f] and minus[f] (plus[f] if minus is None) at fiber f's two points."""
+    row = [0] * (2 * len(plus))
+    row[0::2] = plus
+    row[1::2] = plus if minus is None else minus
     return row
-
-
-def _prod(values, p: int) -> int:
-    """The product of the values mod p, reduced at every step."""
-    out = 1
-    for v in values:
-        out = out * v % p
-    return out
 
 
 def _line_geometry(params: SchemeParams, field: PrimeField, n: int) -> tuple:
@@ -649,12 +641,12 @@ def _elliptic_geometry(params: SchemeParams, field: PrimeField, n: int) -> tuple
     return curve, fragment, tuple(candidates[: n + 1]), interp_basis_g1(curve, pairs), noise
 
 
-def _check_units(info, info_rows, eval_points) -> None:
-    """Every fragment basis function h must be nonzero at every evaluation point."""
+def _check_units(info, info_rows, candidates) -> None:
+    """Every fragment basis function h must be nonzero at every candidate."""
     for h, row in zip(info, info_rows):
         if 0 in row:
             # h^-1 times the constant 1 is a security basis function.
-            pole = eval_points[row.index(0)]
+            pole = candidates[row.index(0)]
             raise PoleAtEvaluationPoint(f"{h.inverse()!r} has a pole at {pole!r}")
 
 
@@ -670,17 +662,17 @@ def _decode_ranks(info_rows, noise_rows, p: int) -> tuple[int, int, int]:
     return linalg.rank(info_rows, p), linalg.rank(noise_rows, p), combined
 
 
-def _raise_rank_defect(big_l: int, info_rows, noise_rows, p: int) -> NoReturn:
-    """Name the build condition that dependent decode rows break."""
-    info_rank, noise_rank, _ = _decode_ranks(info_rows, noise_rows, p)
+def _raise_rank_defect(big_l: int, info_rows, noise_rows, p: int) -> None:
+    """Name the build condition that dependent decode rows break; return if they are independent."""
+    info_rank, noise_rank, combined = _decode_ranks(info_rows, noise_rows, p)
     if info_rank != big_l:
         raise RuntimeError(f"fragment basis rank {info_rank} != L = {big_l}")
     if noise_rank != len(noise_rows):
         raise RuntimeError(
             f"noise spanning set is dependent: rank {noise_rank} of {len(noise_rows)}"
         )
-    # Both blocks have full rank, so the dependence lies between them.
-    raise RuntimeError("information and noise row spaces intersect")
+    if combined != info_rank + noise_rank:
+        raise RuntimeError("information and noise row spaces intersect")
 
 
 # -- protocol ------------------------------------------------------------------------

@@ -181,6 +181,37 @@ def decode_reference(inst, responses):
     return tuple(coeffs[: inst.l])
 
 
+def solve_decode_reference(rows, p, big_l, n):
+    """(dropped candidate, fragment rows, parity checks) from one elimination of [R | E].
+
+    The reference for the build's closed forms. R is the decode rows on the
+    candidates and E the first L columns of I_k. The kept candidates are the
+    pivots, filled up to N with the leftmost other candidates, and the build
+    drops at most one. B is R's block on the pivots, so fragment row l is
+    column l of B^-1 at the pivots and 0 at a spare, and the check of spare
+    symbol n is -(B^-1 R)[j][n] at the j-th pivot, 1 at n and 0 at the other
+    spares. None when the rows are dependent.
+    """
+    solved = linalg.pivot_solve(rows, p, big_l)
+    if solved is None:
+        return None
+    pivots, reduced = solved
+    width = len(rows[0])
+    spare = sorted(set(range(width)) - set(pivots))
+    keep = sorted(pivots + tuple(spare[: n - len(pivots)]))
+    # Kept symbol m's row of B^-1 [R | E] at a pivot, None at a spare.
+    lead = iter(reduced)
+    solve = [None if idx in spare else next(lead) for idx in keep]
+    fragment_rows = tuple(zip(*(r[width:] if r else (0,) * big_l for r in solve)))
+    parity_checks = tuple(
+        (m, tuple(-r[keep[m]] % p if r else int(c == m) for c, r in enumerate(solve)))
+        for m, row in enumerate(solve)
+        if not row
+    )
+    dropped = min(set(range(width + 1)) - set(keep))  # the width when every candidate is kept
+    return dropped, fragment_rows, parity_checks
+
+
 def eliminate_reference(rows, p, full):
     """Gaussian elimination on lists of residues, with leftmost pivoting.
 

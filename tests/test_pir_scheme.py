@@ -41,6 +41,7 @@ from agpir.errors import (
     InconsistentSystem,
     PoleAtEvaluationPoint,
     ShapeMismatch,
+    UncertifiedRows,
 )
 from agpir.field import PrimeField, is_prime
 from agpir.function_space import (
@@ -68,7 +69,7 @@ from agpir.pir_scheme import (
     verify_scheme,
 )
 from agpir.rates import max_rate_g1
-from conftest import ZeroRng, decode_reference, server_view_reference
+from conftest import ZeroRng, decode_reference, server_view_reference, solve_decode_reference
 
 G0_Q43 = SchemeParams(p=43, genus=0, x=16, t=16, l=5)
 G1_Q43 = SchemeParams(p=43, genus=1, x=16, t=16, l=7, curve=(0, 9))
@@ -81,12 +82,18 @@ G0_P61 = SchemeParams(p=2**61 - 1, genus=0, x=3, t=3, l=4)
 G0_Q257 = SchemeParams(p=257, genus=0, x=40, t=40, l=88)
 # The genus-1 crossover instance at q = 127 (curve y^2 = x^3 + x + 33).
 G1_Q127 = SchemeParams(p=127, genus=1, x=30, t=30, l=33, curve=(1, 33))
-# Genus 1 with X + T odd: no layout of the hyperelliptic split, so the build eliminates.
+# Genus 1 with X + T odd: the last candidate is half a fiber, and its partner
+# completes the whole fibers the closed form reads.
 G1_Q43_ODD = SchemeParams(p=43, genus=1, x=16, t=15, l=7, curve=(0, 9))
-# X + T even, but the split's correction has a zero denominator: the first
-# 2F candidates are dependent, and the build eliminates. (0, 1) is the first
-# such curve in (a, b) order at these parameters.
+# X + T even, but Delta = sum_j ell(alpha_j) / (Pi'(alpha_j) R(alpha_j)) = 0
+# on the first 2F candidates, so they are dependent and the spare is one of
+# them. (0, 1) is the first such curve in (a, b) order at these parameters.
 G1_Q67_ZERO = SchemeParams(p=67, genus=1, x=10, t=8, l=9, curve=(0, 1))
+# X + T odd, with the first N candidates dependent: the build keeps candidate
+# 20, drops 19, and candidate 18 is the spare.
+G1_Q29_DROP = SchemeParams(p=29, genus=1, x=4, t=3, l=5, curve=(15, 3))
+# X + T odd at L = 991 (N = 1002), where the build used to eliminate for seconds.
+G1_P2003 = SchemeParams(p=2003, genus=1, x=2, t=1, l=991, curve=(1, 1))
 
 # Instances on which the derived security codes and the single decode
 # elimination are checked against the direct per-fragment computations.
@@ -785,26 +792,23 @@ def test_masking_codes_are_read_off_the_one_evaluation(name, request):
 
 
 @pytest.mark.parametrize(
-    "params, expected",
-    [
-        (G0_TINY, ["evaluate"]),
-        (G0_Q43, ["evaluate"]),
-        (G1_TINY, ["evaluate"]),
-        (G1_Q43, ["evaluate"]),
-        (G1_Q127, ["evaluate"]),
-        (G1_Q43_ODD, ["evaluate", "eliminate"]),
-        (G1_Q67_ZERO, ["evaluate", "eliminate"]),
+    "params",
+    [G0_TINY, G0_Q43, G1_TINY, G1_Q43, G1_Q127, G1_Q43_ODD, G1_Q67_ZERO, G1_Q29_DROP],
+    ids=[
+        "g0_tiny",
+        "g0_q43",
+        "g1_tiny",
+        "g1_q43",
+        "g1_q127",
+        "g1_q43_odd",
+        "g1_q67_zero",
+        "g1_q29_drop",
     ],
-    ids=["g0_tiny", "g0_q43", "g1_tiny", "g1_q43", "g1_q127", "g1_q43_odd", "g1_q67_zero"],
 )
-def test_build_evaluates_once_and_eliminates_only_at_odd_x_plus_t_or_a_zero_denominator(
-    params, expected, monkeypatch
-):
-    # The masking codes are read off the decode evaluation. The decode state
-    # is a closed form at genus 0 and, by the hyperelliptic split, at genus 1
-    # with X + T even; at genus 1 with X + T odd, or where the split's
-    # correction has a zero denominator, it is read off the one reduced form:
-    # no second evaluation, inverse or product.
+def test_build_evaluates_once_and_never_eliminates(params, monkeypatch):
+    # The masking codes are read off the decode evaluation, and the decode
+    # state is a closed form at either genus and in every genus-1 layout: no
+    # second evaluation, and no elimination.
     calls = []
 
     def counted(name, real):
@@ -817,7 +821,7 @@ def test_build_evaluates_once_and_eliminates_only_at_odd_x_plus_t_or_a_zero_deno
     monkeypatch.setattr(pir_scheme, "evaluation_code", counted("evaluate", evaluation_code))
     monkeypatch.setattr(linalg, "eliminate_packed", counted("eliminate", linalg.eliminate_packed))
     inst = build_scheme(params)
-    assert calls == expected
+    assert calls == ["evaluate"]
     assert_masking_codes_are_evaluation_codes(inst)
 
 
@@ -930,32 +934,22 @@ def test_closed_form_certificate_reads_every_row(g0_tiny):
     assert fragments(points, info, noise, big_l + g0_tiny.n - 1) is None
 
 
-def test_a_failed_certificate_falls_through_to_the_elimination(monkeypatch):
-    # 2 / x spans the same line as 1 / x, so the fragment basis stays
-    # independent, but info row 0 is no longer 1 / beta: the build eliminates,
-    # reports no rank defect, and a retrieval round still decodes.
+def test_a_failed_certificate_raises_instead_of_eliminating(monkeypatch):
+    # 2 / x spans the same line as 1 / x, so the decode rows stay independent
+    # and no build condition is broken, but info row 0 is no longer 1 / beta:
+    # the build names the certificate that refused the rows.
     def scaled_basis(line, alphas):
         basis = interp_basis_g0(line, alphas)
         return (basis[0] * RationalFunction.make(line, 2),) + basis[1:]
 
-    plain = build_scheme(G0_TINY)
-    eliminations = []
-    real = linalg.eliminate_packed
     monkeypatch.setattr(pir_scheme, "interp_basis_g0", scaled_basis)
-    monkeypatch.setattr(
-        linalg, "eliminate_packed", lambda *a, **kw: eliminations.append(1) or real(*a, **kw)
-    )
-    inst = build_scheme(G0_TINY)
-    assert eliminations == [1]
-    assert inst.info_rows[0] == tuple(2 * v % 13 for v in plain.info_rows[0])
-    assert inst.parity_checks == ()
-    db = Database.random(13, 3, inst.l, random.Random(4))
-    assert run_round(inst, db, 2, seed=5)[3] == db.files[1]
-    assert verify_scheme(inst).passed
+    message = "the decode rows fail the genus-0 Cauchy-Vandermonde certificate"
+    with pytest.raises(UncertifiedRows, match=f"^{message}$"):
+        build_scheme(G0_TINY)
 
 
-def split_inputs(params):
-    """What the genus-1 build hands the split: curve, alphas, N + 1 candidates, decode rows."""
+def fiber_inputs(params):
+    """What the genus-1 build hands `_fiber_decode`: curve, alphas, candidates, decode rows."""
     n = sizes.num_servers(1, params.l, params.x, params.t)
     field = PrimeField(params.p)
     curve, fragment, candidates, info, noise = pir_scheme._elliptic_geometry(params, field, n)
@@ -964,32 +958,57 @@ def split_inputs(params):
     return curve, alphas, candidates, rows[: params.l], rows[params.l :]
 
 
-def assert_split_is_the_elimination(params):
-    """The split equals `_solve_decode` where the elimination keeps its layout, else is None.
-
-    The layout: X + T even, the first N candidates kept and candidate N - 1
-    the one spare. The parity row itself is compared, not only its index.
-    """
-    curve, alphas, candidates, info, noise = split_inputs(params)
+def assert_fiber_decode_is_the_elimination(params):
+    """`_fiber_decode` equals the reference elimination, parity row and dropped candidate too."""
+    curve, alphas, candidates, info, noise = fiber_inputs(params)
     n = len(info) + len(noise) + 1
-    split = pir_scheme._split_decode(curve, alphas, candidates, info, noise)
-    keep, fragment_rows, parity_checks = pir_scheme._solve_decode(
-        info + noise, params.p, params.l, n
-    )
-    applies = (params.x + params.t) % 2 == 0 and keep == list(range(n))
-    if applies and [m for m, _ in parity_checks] == [n - 1]:
-        assert split == (fragment_rows, parity_checks)
-    else:
-        assert split is None
-    return split
+    solved = pir_scheme._fiber_decode(curve, alphas, candidates, info, noise)
+    assert solved is not None
+    assert solved == solve_decode_reference(info + noise, params.p, params.l, n)
+    return solved
 
 
-@pytest.mark.parametrize("name", ["g1_tiny", "g1_q43", "g1_q127"])
-def test_split_equals_the_elimination(name, request):
-    inst = request.getfixturevalue(name)
-    split = assert_split_is_the_elimination(inst.params)
-    assert split == (inst.fragment_rows, inst.parity_checks)
-    assert inst.eval_points == tuple(genus1_candidates(inst)[: inst.n])
+GENUS1_LAYOUTS = {
+    "g1_tiny": G1_TINY,
+    "g1_q43": G1_Q43,
+    "g1_q127": G1_Q127,
+    "g1_q43_odd": G1_Q43_ODD,
+    "g1_q67_zero": G1_Q67_ZERO,
+    "g1_q29_drop": G1_Q29_DROP,
+}
+
+
+@pytest.mark.parametrize(
+    "name, dropped, spare",
+    [
+        ("g1_tiny", 11, 10),
+        ("g1_q43", 47, 46),
+        ("g1_q127", 101, 100),
+        ("g1_q43_odd", 46, 45),
+        ("g1_q67_zero", 35, 33),
+        ("g1_q29_drop", 19, 18),
+    ],
+)
+def test_fiber_decode_equals_the_elimination(name, dropped, spare):
+    params = GENUS1_LAYOUTS[name]
+    solved = assert_fiber_decode_is_the_elimination(params)
+    assert (solved[0], solved[2][0][0]) == (dropped, spare)
+    inst = build_scheme(params)
+    assert (inst.fragment_rows, inst.parity_checks) == solved[1:]
+    candidates = genus1_candidates(inst)
+    assert inst.eval_points == tuple(candidates[:dropped] + candidates[dropped + 1 :])
+
+
+def test_the_p2003_x_plus_t_odd_build_is_the_elimination():
+    # The hashes were recorded from the elimination's build, which took
+    # seconds at N = 1002: the points, the fragment rows and the parity check.
+    inst = build_scheme(G1_P2003)
+    state = [[[pt.x, pt.y] for pt in inst.eval_points], inst.fragment_rows, inst.parity_checks]
+    assert inst.parity_checks[0][0] == inst.n - 1
+    digest = hashlib.sha256(json.dumps(state).encode()).hexdigest()
+    assert digest == "665d2f1e24755b9f59f1ee2153f0779c3173dffb21b054f8d48a1c4181e8703d"
+    digest = hashlib.sha256(json.dumps(scheme_descriptor(inst)).encode()).hexdigest()
+    assert digest == "03b0861e3fa4caa2871a9bfb3177c9c89a11e94b789f88df3ced8d05ff10d8ca"
 
 
 class Unread(tuple):
@@ -1002,13 +1021,17 @@ class Unread(tuple):
         raise AssertionError("the layout test reads no entry")
 
 
-def test_split_refuses_a_zero_denominator_and_an_odd_layout():
-    for params in (G1_Q67_ZERO, G1_Q43_ODD):
-        assert assert_split_is_the_elimination(params) is None
-    # X + T odd is refused from the lengths alone, before any arithmetic.
-    curve, alphas, candidates, info, noise = split_inputs(G1_Q43_ODD)
-    unread = [Unread(seq) for seq in (candidates, info, noise)]
-    assert pir_scheme._split_decode(curve, alphas, *unread) is None
+def test_fiber_decode_refuses_a_wrong_layout_before_any_arithmetic():
+    # The layout comes from the lengths alone: L = 2J - 1 and k + 2 candidates.
+    curve, alphas, candidates, info, noise = fiber_inputs(G1_Q43_ODD)
+    for args in (
+        (alphas, candidates[:-1], info, noise),
+        (alphas, candidates, info, noise[:-1]),
+        (alphas, candidates, info[:-1], noise),
+        (alphas + [7], candidates, info, noise),
+    ):
+        unread = [Unread(seq) for seq in args[1:]]
+        assert pir_scheme._fiber_decode(curve, args[0], *unread) is None
 
 
 @st.composite
@@ -1027,10 +1050,11 @@ def genus1_params(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(params=genus1_params())
-def test_split_equals_the_elimination_wherever_it_applies(params):
-    split = assert_split_is_the_elimination(params)
+def test_fiber_decode_equals_the_elimination_on_every_layout(params):
+    dropped, _, _ = assert_fiber_decode_is_the_elimination(params)
+    n = sizes.num_servers(1, params.l, params.x, params.t)
     parity = "odd" if (params.x + params.t) % 2 else "even"
-    event("split" if split else f"elimination, X + T {parity}")
+    event(f"X + T {parity}, " + ("the last candidate dropped" if dropped == n else "another"))
 
 
 def tampered(rows, i, j, value, p):
@@ -1040,12 +1064,12 @@ def tampered(rows, i, j, value, p):
     return tuple(map(tuple, out))
 
 
-def test_split_certificate_reads_every_row_and_point():
+def test_fiber_certificate_reads_every_row_and_point():
     # Each change to the points or the evaluated rows fails the certificate,
-    # so the build would eliminate instead of trusting the split.
-    curve, alphas, candidates, info, noise = split_inputs(G1_Q43)
-    split = pir_scheme._split_decode
-    assert split(curve, alphas, candidates, info, noise) is not None
+    # so the build would refuse the rows instead of trusting the closed form.
+    curve, alphas, candidates, info, noise = fiber_inputs(G1_Q43)
+    decode = pir_scheme._fiber_decode
+    assert decode(curve, alphas, candidates, info, noise) is not None
     p, n, big_j = curve.field.p, len(info) + len(noise) + 1, len(alphas)
     h = n // 2 - big_j  # the x-power noise rows come first
 
@@ -1057,35 +1081,49 @@ def test_split_certificate_reads_every_row_and_point():
         # symmetry of a row with y or 1/y, f(x, -y) = -f(x, y), breaks.
         return tampered(rows, i, 2 * f + 1, rows[i][2 * f], p)
 
-    assert split(curve, alphas, candidates, bumped(info, 0, 0), noise) is None
-    assert split(curve, alphas, candidates, bumped(info, 0, 3), noise) is None
-    assert split(curve, alphas, candidates, bumped(info, big_j - 1, n - 1), noise) is None
-    assert split(curve, alphas, candidates, bumped(info, big_j, 4), noise) is None
-    assert split(curve, alphas, candidates, mirrored(info, len(info) - 1, 0), noise) is None
-    assert split(curve, alphas, candidates, info, bumped(noise, 0, 2)) is None
-    assert split(curve, alphas, candidates, info, bumped(noise, h - 1, 5)) is None
-    assert split(curve, alphas, candidates, info, bumped(noise, h, n - 1)) is None
-    assert split(curve, alphas, candidates, info, bumped(noise, len(noise) - 1, 1)) is None
-    assert split(curve, alphas, candidates, info, mirrored(noise, h, 1)) is None
-    assert split(curve, alphas, candidates, info, mirrored(noise, len(noise) - 1, 0)) is None
+    assert decode(curve, alphas, candidates, bumped(info, 0, 0), noise) is None
+    assert decode(curve, alphas, candidates, bumped(info, 0, 3), noise) is None
+    assert decode(curve, alphas, candidates, bumped(info, big_j - 1, n - 1), noise) is None
+    assert decode(curve, alphas, candidates, bumped(info, big_j, 4), noise) is None
+    assert decode(curve, alphas, candidates, bumped(info, big_j, n), noise) is None
+    assert decode(curve, alphas, candidates, mirrored(info, len(info) - 1, 0), noise) is None
+    assert decode(curve, alphas, candidates, info, bumped(noise, 0, 2)) is None
+    assert decode(curve, alphas, candidates, info, bumped(noise, h - 1, 5)) is None
+    assert decode(curve, alphas, candidates, info, bumped(noise, h, n - 1)) is None
+    assert decode(curve, alphas, candidates, info, bumped(noise, len(noise) - 1, 1)) is None
+    assert decode(curve, alphas, candidates, info, mirrored(noise, h, 1)) is None
+    assert decode(curve, alphas, candidates, info, mirrored(noise, len(noise) - 1, 0)) is None
     # Each chain of noise rows, scaled by 2, still satisfies its recurrence
     # and its symmetry, but no longer starts at 1 or at 1/y.
     twice = [tuple(2 * v % p for v in row) for row in noise]
-    assert split(curve, alphas, candidates, info, tuple(twice[:h]) + noise[h:]) is None
-    assert split(curve, alphas, candidates, info, noise[:h] + tuple(twice[h:])) is None
-    # A point that is read moved, the two points of a fiber swapped, the
-    # spare replaced by its conjugate, an alpha moved.
+    assert decode(curve, alphas, candidates, info, tuple(twice[:h]) + noise[h:]) is None
+    assert decode(curve, alphas, candidates, info, noise[:h] + tuple(twice[h:])) is None
+    # A point that is read moved, the two points of the first or the last
+    # fiber swapped, an alpha moved.
     moved = [AffinePoint((candidates[2].x + 1) % p, candidates[2].y)] + list(candidates[3:])
-    assert split(curve, alphas, candidates[:2] + tuple(moved), info, noise) is None
+    assert decode(curve, alphas, candidates[:2] + tuple(moved), info, noise) is None
     swapped = (candidates[1], candidates[0]) + candidates[2:]
-    assert split(curve, alphas, swapped, info, noise) is None
-    spare = candidates[: n - 1] + (candidates[n],)
-    assert split(curve, alphas, spare, info, noise) is None
-    assert split(curve, [alphas[0] + 1] + alphas[1:], candidates, info, noise) is None
-    # The layout: k + 1 odd, L = 2J - 1, at least N candidates.
-    assert split(curve, alphas, candidates, info, noise[:-1]) is None
-    assert split(curve, alphas + [7], candidates, info, noise) is None
-    assert split(curve, alphas, candidates[: n - 1], info, noise) is None
+    assert decode(curve, alphas, swapped, info, noise) is None
+    swapped = candidates[: n - 1] + (candidates[n], candidates[n - 1])
+    assert decode(curve, alphas, swapped, info, noise) is None
+    assert decode(curve, [alphas[0] + 1] + alphas[1:], candidates, info, noise) is None
+
+
+def test_fiber_certificate_reads_the_lone_candidate_of_an_odd_layout():
+    # With X + T odd the last candidate has no partner among the candidates:
+    # its entries are read like the first point of every other fiber.
+    curve, alphas, candidates, info, noise = fiber_inputs(G1_Q43_ODD)
+    decode = pir_scheme._fiber_decode
+    assert decode(curve, alphas, candidates, info, noise) is not None
+    p, last = curve.field.p, len(candidates) - 1
+    for i in (0, len(alphas), len(info) - 1):
+        bumped = tampered(info, i, last, info[i][last] + 1, p)
+        assert decode(curve, alphas, candidates, bumped, noise) is None
+    for i in (1, len(noise) - 1):
+        bumped = tampered(noise, i, last, noise[i][last] + 1, p)
+        assert decode(curve, alphas, candidates, info, bumped) is None
+    partner = AffinePoint(candidates[last].x, -candidates[last].y % p)
+    assert decode(curve, alphas, candidates[:last] + (partner,), info, noise) is None
 
 
 def formula_rows(alphas, points, h, p):
@@ -1100,50 +1138,39 @@ def formula_rows(alphas, points, h, p):
     return tuple(map(tuple, info)), tuple(map(tuple, noise))
 
 
-def test_split_certificate_refuses_points_off_the_curve():
+def test_fiber_certificate_refuses_points_off_the_curve():
     # Rows that are the formulas at points off the curve pass every row
-    # check, but 1/y = y/R(x) no longer holds there, so the split must refuse.
-    curve, alphas, candidates, info, noise = split_inputs(G1_Q43)
+    # check, but 1/y = y/R(x) no longer holds there, so the closed form must refuse.
+    curve, alphas, candidates, info, noise = fiber_inputs(G1_Q43)
     p, n = curve.field.p, len(info) + len(noise) + 1
     h = n // 2 - len(alphas)
-    points = [(pt.x, pt.y) for pt in candidates[:n]]
-    kept = tuple(tuple(row[:n] for row in rows) for rows in (info, noise))
-    assert formula_rows(alphas, points, h, p) == kept
+    points = [(pt.x, pt.y) for pt in candidates]
+    assert formula_rows(alphas, points, h, p) == (info, noise)
     (x, y), off = points[2], (points[2][1] + 1) % p
     assert off and off * off % p != curve.rhs(x)
     points[2:4] = [(x, off), (x, -off % p)]
     moved = tuple(AffinePoint(*pt) for pt in points)
     rows = formula_rows(alphas, points, h, p)
-    assert pir_scheme._split_decode(curve, alphas, moved, *rows) is None
+    assert pir_scheme._fiber_decode(curve, alphas, moved, *rows) is None
 
 
-def test_a_failed_split_certificate_falls_through_to_the_elimination(monkeypatch):
+def test_a_failed_genus1_certificate_raises_instead_of_eliminating(monkeypatch):
     # 2 / (x - alpha_0) spans the same line as 1 / (x - alpha_0), so the
-    # decode rows stay independent, but info row 0 is no longer the split's:
-    # the build eliminates, and a retrieval round still decodes.
+    # decode rows stay independent, but info row 0 is no longer the closed
+    # form's: the build names the certificate that refused the rows.
     def scaled_basis(curve, pairs):
         basis = interp_basis_g1(curve, pairs)
         return (basis[0] * RationalFunction.make(curve, 2),) + basis[1:]
 
-    plain = build_scheme(G1_Q43)
-    eliminations = []
-    real = linalg.eliminate_packed
     monkeypatch.setattr(pir_scheme, "interp_basis_g1", scaled_basis)
-    monkeypatch.setattr(
-        linalg, "eliminate_packed", lambda *a, **kw: eliminations.append(1) or real(*a, **kw)
-    )
-    inst = build_scheme(G1_Q43)
-    assert eliminations == [1]
-    assert inst.info_rows[0] == tuple(2 * v % 43 for v in plain.info_rows[0])
-    assert inst.eval_points == plain.eval_points
-    assert [m for m, _ in inst.parity_checks] == [inst.n - 1]
-    db = Database.random(43, 3, inst.l, random.Random(4))
-    assert run_round(inst, db, 2, seed=5)[3] == db.files[1]
+    message = "the decode rows fail the genus-1 whole-fiber certificate"
+    with pytest.raises(UncertifiedRows, match=f"^{message}$"):
+        build_scheme(G1_Q43)
 
 
 def test_zero_denominator_build_keeps_another_spare():
-    # The elimination finds a dependence among the first 2F candidates, so the
-    # spare symbol is one of them, and the build and a retrieval still work.
+    # Delta = 0: the first 2F candidates are dependent, so the spare symbol is
+    # one of them, and the build and a retrieval still work.
     inst = build_scheme(G1_Q67_ZERO)
     (spare, _), = inst.parity_checks
     assert spare < inst.n - 1
@@ -1759,28 +1786,31 @@ def assert_matches_two_step_reduction(inst, alias):
 
 
 @pytest.mark.parametrize("name", ["g1_tiny", "g1_q43", "g1_q127"])
-def test_one_elimination_genus1_build_matches_two_step_reduction(name, request):
+def test_genus1_build_matches_two_step_reduction(name, request):
     inst = request.getfixturevalue(name)
     assert_matches_two_step_reduction(inst, {})
     blob = json.dumps(scheme_descriptor(inst)).encode()
     assert hashlib.sha256(blob).hexdigest() == DESCRIPTOR_SHA256[name]
 
 
-def test_one_elimination_genus1_build_reindexes_pivots_past_a_dropped_point(
-    g1_q43, monkeypatch
-):
-    # Candidates 1 and 2 evaluate as copies of candidate 0, so neither is a
-    # pivot: candidate 1 fills the last place and candidate 2 is dropped,
-    # which moves every later pivot one place left among the kept points.
-    candidates = genus1_candidates(g1_q43)
+def test_genus1_build_reindexes_pivots_past_a_dropped_point(monkeypatch):
+    # At q = 29 the build drops candidate 19 and keeps 20, which moves the
+    # last pivot one place left among the kept points.
+    inst = build_scheme(G1_Q29_DROP)
+    candidates = genus1_candidates(inst)
+    assert candidates[19] not in inst.eval_points and inst.eval_points[-1] == candidates[20]
+    assert [n for n, _ in inst.parity_checks] == [18]
+    assert_matches_two_step_reduction(inst, {})
+    # Rows that read candidates 1 and 2 as copies of candidate 0 are still
+    # independent, but they are not the curve's rows: the build refuses them.
+    plain = build_scheme(G1_Q43)
+    candidates = genus1_candidates(plain)
     alias = {candidates[1]: candidates[0], candidates[2]: candidates[0]}
     monkeypatch.setattr(
         pir_scheme,
         "evaluation_code",
         lambda basis, points: LinearCode(43, len(points), evaluate(basis, points, alias)),
     )
-    inst = build_scheme(G1_Q43)
-    assert candidates[2] not in inst.eval_points
-    # Candidate 1 is the one spare, so the last kept point is a pivot.
-    assert [n for n, _ in inst.parity_checks] == [1]
+    with pytest.raises(UncertifiedRows, match="genus-1 whole-fiber certificate"):
+        build_scheme(G1_Q43)
     assert_matches_two_step_reduction(inst, alias)
