@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from math import comb
-from typing import Iterable, NamedTuple, Sequence
+from math import ceil, comb, log
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import linalg
 from .curve import CurvePoint, PointAtInfinity
@@ -178,11 +178,26 @@ def subset_rank_check(
     a generator matrix would, so every column subset has the same rank.
     Exhaustive checking falls back to seeded sampling above the cap, and a
     sample as large as every subset runs exhaustively; `mode` is what ran.
+    Sampled subsets are the sorted draws of `Random(seed).sample(range(n), t)`:
+    `_sampled_subsets` makes `sample`'s own `getrandbits` calls in its order,
+    in both of its branches, so it draws the same subsets without the call.
+
+    Each subset is ranked on one systematic form of the code. One `rref`
+    gives row operations E with E·G = [I on P | A], P the k pivot columns.
+    E is invertible, so every column subset S of E·G has the rank of the same
+    subset of G. The s columns of S in P are distinct unit vectors e_i; with
+    their slots i cleared from S's other t - s columns, the rank of S is s
+    plus the rank of those masked columns, a minor of A off the information
+    set. Only that minor is eliminated, and only when it has two or more
+    columns.
     """
-    if t > code.k:
-        raise ValueError(f"t = {t} exceeds the code dimension {code.k}")
     if t < 0:
         raise ValueError("t must be >= 0")
+    p = code.p
+    reduced, pivots = linalg.rref(code.rows, p)
+    k = len(pivots)
+    if t > k:
+        raise ValueError(f"t = {t} exceeds the code dimension {k}")
     limit = bruteforce_cap(DEFAULT_SUBSET_CAP)
     total = comb(code.n, t)
     if mode == "all" and total > limit:
@@ -195,20 +210,32 @@ def subset_rank_check(
     elif mode == "sample":
         if sample_count < 1:
             raise ValueError(f"sampled checking needs sample_count >= 1, got {sample_count}")
-        rng = random.Random(seed)
-        subsets = (tuple(sorted(rng.sample(range(code.n), t))) for _ in range(sample_count))
+        subsets = _sampled_subsets(seed, code.n, t, sample_count)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    # Rank is unchanged by transposing, so each subset is ranked as t rows, one
-    # per column. All n columns are packed once, in slots sized for t pivots,
-    # and each subset eliminates its t packed ints.
-    p, length = code.p, len(code.rows)
-    columns, slot = linalg.pack_for_elimination(list(zip(*code.rows)), p, t)
+    # Rank is unchanged by transposing, so each column of E·G is one packed
+    # row of k slots, sized for t pivots. A pivot column clears its unit slot
+    # from the subset's mask; the other columns are ranked under that mask.
+    columns, slot = linalg.pack_for_elimination(list(zip(*reduced[:k])), p, t)
+    bits = 8 * slot
+    unit_slot = {c: ((1 << bits) - 1) << (i * bits) for i, c in enumerate(pivots)}
+    every_slot = (1 << (bits * k)) - 1
     checked = 0
     for cols in subsets:
         checked += 1
-        pivots = linalg.eliminate_packed([columns[c] for c in cols], length, p, slot, full=False)
-        if len(pivots) < t:
+        mask = every_slot
+        rest = []
+        for c in cols:
+            if c in unit_slot:
+                mask ^= unit_slot[c]
+            else:
+                rest.append(columns[c])
+        if len(rest) > 1:
+            minor = [v & mask for v in rest]
+            independent = len(linalg.eliminate_packed(minor, k, p, slot, full=False)) == len(rest)
+        else:
+            independent = not rest or rest[0] & mask != 0
+        if not independent:
             failures.append(cols)
             if len(failures) >= 5:
                 break
@@ -219,6 +246,47 @@ def subset_rank_check(
         total=total,
         failures=tuple(failures),
     )
+
+
+def _sampled_subsets(seed: int, n: int, t: int, count: int) -> Iterator[tuple[int, ...]]:
+    """The first `count` of `sorted(Random(seed).sample(range(n), t))`, drawn directly.
+
+    `Random.sample` takes each index with `_randbelow(m)`: getrandbits of
+    m's bit length, drawn again while it is m or more. With n at most
+    21 + 4^ceil(log4(3t)) (21 alone for t <= 5) it draws from a pool of the
+    unpicked indices, the last one moved into each vacancy; above that it
+    draws from all n and draws again on an index already picked. This helper
+    makes the same getrandbits calls in the same order, so its subsets are
+    the library's, without the calls and copies of a general sequence.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    setsize = 21
+    if t > 5:
+        setsize += 4 ** ceil(log(t * 3, 4))
+    if n <= setsize:
+        ranges = [(m, m.bit_length()) for m in range(n, n - t, -1)]
+        everything = list(range(n))
+        for _ in range(count):
+            pool = everything[:]
+            picked = []
+            for m, width in ranges:
+                j = getrandbits(width)
+                while j >= m:
+                    j = getrandbits(width)
+                picked.append(pool[j])
+                pool[j] = pool[m - 1]
+            picked.sort()
+            yield tuple(picked)
+    else:
+        width = n.bit_length()
+        for _ in range(count):
+            chosen: set[int] = set()
+            for _ in range(t):
+                j = getrandbits(width)
+                while j >= n or j in chosen:
+                    j = getrandbits(width)
+                chosen.add(j)
+            yield tuple(sorted(chosen))
 
 
 class InformationSet(NamedTuple):

@@ -535,21 +535,38 @@ def _fiber_decode(curve, alphas, candidates, info_rows, noise_rows) -> tuple | N
     def kept(row):
         return tuple(row[:dropped] + row[dropped + 1 : width])
 
-    packed = linalg.PackedRows.of(basis, p)
+    # A functional is v_f at the first point of fiber f and +-v_f at the
+    # second (+ when it is even, - when odd), so the null vector that matches
+    # it at the pivots is the sum, over the fibers the pivots touch, of v_f
+    # times one vector fixed per parity. Where the pivots are the two points
+    # of one fiber, that sum is one null vector of the functional's parity.
+    def corrections(sign):
+        vectors: dict[int, list[int]] = {}
+        for c, b in zip(pivots, basis):
+            s = sign if c % 2 else 1
+            acc = vectors.get(c // 2, [0] * len(b))
+            vectors[c // 2] = [(a + s * v) % p for a, v in zip(acc, b)]
+        return list(vectors.items())
 
-    def zeroed(row):
-        """The functional less the null vectors that zero it at every pivot, on the kept points."""
-        return kept(packed.combine([-row[c] for c in pivots], packed.pack(row)))
+    def zeroed(values, minus, fixes):
+        """The functional less the null vector that zeroes it at the pivots, on the kept points."""
+        row = _fiber_row(values, minus)
+        for f, vector in fixes:
+            v = values[f]
+            row = [(a - v * b) % p for a, b in zip(row, vector)]
+        return kept(row)
 
+    even_fixes, odd_fixes = corrections(1), corrections(-1)
     half, last = (p + 1) // 2, alphas[-1]
     fragment_rows = []
     for g, r, row in zip(weights, rhs, u):
         scale = -g * r * half % p
-        fragment_rows.append(zeroed(_fiber_row([scale * c * v % p for c, v in zip(cols, row)])))
+        values = [scale * c * v % p for c, v in zip(cols, row)]
+        fragment_rows.append(zeroed(values, None, even_fixes))
     for a, g, row in zip(alphas, weights, u[:-1]):
         scale = (last - a) * g * half % p
         values = [scale * c * y * v % p for c, y, v in zip(cols, ys, row)]
-        fragment_rows.append(zeroed(_fiber_row(values, [-v % p for v in values])))
+        fragment_rows.append(zeroed(values, [-v % p for v in values], odd_fixes))
     return dropped, tuple(fragment_rows), ((spare, kept(basis[-1])),)
 
 

@@ -1,5 +1,7 @@
+import os
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from agpir.agcode import (
     LinearCode,
+    _sampled_subsets,
     divided_rows,
     evaluation_code,
     information_set,
@@ -171,15 +174,29 @@ def test_information_set_rank_deficient():
     assert achieved == 1 and cols == (0,)
 
 
+def assert_both_modes_match_the_reference(code, t, count, seed):
+    """Sampled and exhaustive checks equal the reference's, exhaustive ones capped at 200 000.
+
+    The cap is above C(20, 10), so every code of 20 columns or fewer is still
+    checked in full; above it both fall back to sampling, which bounds the
+    cost of an independent code of 40 columns.
+    """
+    with mock.patch.dict(os.environ, {"PIR_AG_MAX_BRUTEFORCE": "200000"}):
+        for mode in ("all", "sample"):
+            expected = subset_rank_check_reference(code, t, mode, sample_count=count, seed=seed)
+            assert subset_rank_check(code, t, mode, sample_count=count, seed=seed) == expected
+
+
 @st.composite
 def codes_with_dependent_columns(draw):
     """(code, t): a k x n code G = A @ B with inner dimension r, so its rank is at most r.
 
     Entries favour 0 and 1, and some columns of B repeat or vanish, so that
-    many column subsets are dependent even at p = 257.
+    many column subsets are dependent even at p = 257. Lengths reach 40, so
+    samples of up to 5 columns of 22 or more take `Random.sample`'s set branch.
     """
     p = draw(st.sampled_from((2, 3, 5, 257)))
-    k, r, n = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    k, r, n = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 40))
     entry = st.one_of(st.sampled_from((0, 1)), st.integers(0, p - 1))
     a = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=k, max_size=k))
     b_cols = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=1, max_size=n))
@@ -195,9 +212,7 @@ def codes_with_dependent_columns(draw):
 @given(case=codes_with_dependent_columns(), count=st.integers(1, 20), seed=st.integers(0, 99))
 def test_subset_rank_check_matches_the_per_subset_reference(case, count, seed):
     code, t = case
-    for mode in ("all", "sample"):
-        expected = subset_rank_check_reference(code, t, mode, sample_count=count, seed=seed)
-        assert subset_rank_check(code, t, mode, sample_count=count, seed=seed) == expected
+    assert_both_modes_match_the_reference(code, t, count, seed)
 
 
 @st.composite
@@ -213,7 +228,7 @@ def codes_of_either_height(draw):
     p = draw(st.sampled_from((2, 5, 43, 257, 2**31 - 1, 2**61 - 1)))
     rng = random.Random(draw(st.integers(0, 2**32)))
     k = rng.randint(17, 24) if draw(st.booleans()) else rng.randint(1, 16)
-    r, n = rng.randint(1, 12), rng.randint(1, 20)
+    r, n = rng.randint(1, 12), rng.randint(1, 40)
 
     def entries(count):
         return [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(count)]
@@ -233,9 +248,80 @@ def codes_of_either_height(draw):
 @given(case=codes_of_either_height(), count=st.integers(1, 40), seed=st.integers(0, 99))
 def test_subset_rank_check_matches_the_reference_at_either_slot_width(case, count, seed):
     code, t = case
-    for mode in ("all", "sample"):
-        expected = subset_rank_check_reference(code, t, mode, sample_count=count, seed=seed)
-        assert subset_rank_check(code, t, mode, sample_count=count, seed=seed) == expected
+    assert_both_modes_match_the_reference(code, t, count, seed)
+
+
+@st.composite
+def codes_with_repeated_pivot_columns(draw):
+    """(code, t): dependent rows whose pivot columns repeat later or sit beside zero columns.
+
+    The check ranks a subset on the code's systematic form: its columns on
+    the pivots are unit vectors, and only the rest are eliminated. Here r
+    independent columns come first among zero columns, and every later
+    column is zero, a multiple of one of them, or a random combination, so
+    subsets often hold a pivot column and its copy (dependent with one
+    column left to rank), only pivot columns, or a zero column. The rows are
+    those r columns' coordinates and combinations of them: rank r < len(rows).
+    """
+    p = draw(st.sampled_from((2, 3, 5, 43, 257)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    r = rng.randint(1, 6)
+    height = rng.randint(r + 1, r + 4)
+    n = rng.randint(2 * r, 40)
+    unit = [[int(i == j) for i in range(r)] for j in range(r)]
+    cols = []
+    for col in unit:
+        cols += [[0] * r] * rng.randint(0, 1) + [col]
+    while len(cols) < n:
+        kind = rng.randrange(3)
+        if kind == 0:
+            cols.append([0] * r)
+        elif kind == 1:
+            scale = rng.randrange(1, p)
+            cols.append([scale * v % p for v in rng.choice(unit)])
+        else:
+            cols.append([rng.choice((0, 1, rng.randrange(p))) for _ in range(r)])
+    a = unit + [[rng.randrange(p) for _ in range(r)] for _ in range(height - r)]
+    rng.shuffle(a)
+    rows = tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols) for row in a)
+    code = LinearCode(p, n, rows)
+    return code, code.k if draw(st.booleans()) else rng.randint(0, code.k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=codes_with_repeated_pivot_columns(), count=st.integers(1, 40), seed=st.integers(0, 99))
+def test_subset_rank_check_matches_the_reference_on_repeated_pivot_columns(case, count, seed):
+    code, t = case
+    assert code.k < len(code.rows)
+    assert_both_modes_match_the_reference(code, t, count, seed)
+
+
+def sample_draws(seed, n, t, count):
+    rng = random.Random(seed)
+    return [tuple(sorted(rng.sample(range(n), t))) for _ in range(count)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), seed=st.integers(), count=st.integers(1, 10))
+def test_sampled_subsets_are_the_draws_of_random_sample(data, seed, count):
+    # Pinned to the library call on every interpreter the suite runs on, so a
+    # change to `Random.sample` fails here instead of changing the draws.
+    n = data.draw(st.integers(0, 120), label="n")
+    t = data.draw(st.integers(0, min(n, 24)), label="t")
+    assert list(_sampled_subsets(seed, n, t, count)) == sample_draws(seed, n, t, count)
+
+
+@pytest.mark.parametrize(
+    "n, t",
+    [
+        (0, 0), (5, 5), (21, 5), (85, 6), (85, 21), (277, 22), (120, 24),  # a pool of indices
+        (22, 5), (22, 1), (40, 3), (86, 6), (120, 21), (278, 22), (500, 24),  # a set of picks
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+def test_sampled_subsets_follow_both_branches_of_random_sample(n, t, seed):
+    # `sample` keeps a pool when n <= 21 + 4**ceil(log4(3t)) (21 for t <= 5), else a set.
+    assert list(_sampled_subsets(seed, n, t, 30)) == sample_draws(seed, n, t, 30)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 257])
