@@ -12,32 +12,45 @@ BENCHMARK.json and every pair, each side runs `perfbench/run.py --workload W
 --seed S --seconds T --trace 0` in its own process, with T the benchmark's
 `run_seconds`, the parent first in odd pairs and the change first in even ones.
 
-The file holds `label`, `what`, `parent`, `protocol`, `environment`,
-`summary`, `summary_by_seed` and `runs`. For each end-to-end metric of
-BENCHMARK.json, a summary gives each side's Q1, median and Q3 (inclusive
-quartiles), the relative change of the medians, the pairs the change wins
-and loses (a tie is neither), the parent's IQR and the metric's bound.
-`summary` pools the pairs of every seed and `summary_by_seed` keeps each
-seed apart. The file is rewritten after every pair. A run keeps its JSON result and its environment record, without
-the per-operation arrays (`wall_latencies_s`, `calibration_s`).
+Each `--cli "ARGS"` (repeatable) adds single runs of a path that no
+workload covers: per pair, each side runs `python3 -m agpir.cli ARGS` once,
+with its own `src` on PYTHONPATH, in the same alternating order, before the
+workloads. A CLI run records its wall seconds, exit code and the sha256 of
+its stdout.
 
-Exit status: 0 when every run reported `"correct": true`, 1 otherwise, and 2
-on a bad argument, before any run.
+The file holds `label`, `what`, `parent`, `protocol`, `environment`,
+`summary`, `summary_by_seed`, `cli_summary`, `runs` and `cli_runs`. For
+each end-to-end metric of BENCHMARK.json, a summary gives each side's Q1,
+median and Q3 (inclusive quartiles), the relative change of the medians,
+the pairs the change wins and loses (a tie is neither), the parent's IQR and
+the metric's bound. `summary` pools the pairs of every seed and
+`summary_by_seed` keeps each seed apart. `cli_summary` gives, per ARGS, each
+side's median wall seconds, their relative change and whether every stdout
+matched. The file is rewritten after every pair. A run keeps its JSON result
+and its environment record, without the per-operation arrays
+(`wall_latencies_s`, `calibration_s`).
+
+Exit status: 0 when every run reported `"correct": true` and every CLI
+command printed the same stdout on both sides, 1 otherwise, and 2 on a bad
+argument, before any run.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
 import platform
+import shlex
 import signal
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,6 +106,36 @@ def summarise(runs: list[dict], spec: dict) -> dict:
     return summary
 
 
+def summarise_cli(runs: list[dict]) -> dict:
+    """Per CLI command: each side's median wall seconds and whether every stdout matched."""
+    grouped: dict[str, list[dict]] = {}
+    for run in runs:
+        grouped.setdefault(run["cli"], []).append(run)
+    summary = {}
+    for cli, group in grouped.items():
+        parent = statistics.median(r["wall_s"] for r in group if r["side"] == "parent")
+        change = statistics.median(r["wall_s"] for r in group if r["side"] == "change")
+        summary[cli] = {
+            "parent_median_s": parent,
+            "change_median_s": change,
+            "median_change_rel": (change - parent) / parent if parent else 0.0,
+            "stdout_match": len({r["stdout_sha256"] for r in group}) == 1,
+            "pairs": max(r["pair"] for r in group),
+        }
+    return summary
+
+
+def run_cli(root: Path, cli: list[str]) -> dict:
+    """Wall seconds, exit code and stdout sha256 of one `agpir.cli` process on `root`'s src."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "agpir.cli", *cli], cwd=root, env=env,
+                          capture_output=True)
+    wall = time.perf_counter() - start
+    return {"wall_s": wall, "returncode": done.returncode,
+            "stdout_sha256": hashlib.sha256(done.stdout).hexdigest()}
+
+
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """(JSON result, environment record) of one untraced benchmark process in `root`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -138,6 +181,8 @@ def parse_args(argv) -> argparse.Namespace:
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload and seed")
     parser.add_argument("--seeds", default="0", help="comma-separated workload seeds")
     parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--cli", action="append", default=[], metavar="ARGS",
+                        help="agpir.cli arguments to time once per pair on each side (repeatable)")
     args = parser.parse_args(argv)
     try:
         args.seeds = list(dict.fromkeys(int(s) for s in args.seeds.split(",")))
@@ -145,13 +190,15 @@ def parse_args(argv) -> argparse.Namespace:
         parser.error(f"--seeds must be comma-separated integers, got {args.seeds!r}")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if not all(shlex.split(cli) for cli in args.cli):
+        parser.error("--cli needs at least one argument")
     args.commit = commit_of(args.parent)
     if args.commit is None:
         parser.error(f"--parent {args.parent!r} names no commit")
     return args
 
 
-def write(args: argparse.Namespace, spec: dict, runs: list[dict]) -> None:
+def write(args: argparse.Namespace, spec: dict, runs: list[dict], cli_runs: list[dict]) -> None:
     """The BENCH file for the runs so far, each pair complete."""
     seeds = sorted({r["seed"] for r in runs}, key=args.seeds.index)
     result = {
@@ -162,6 +209,7 @@ def write(args: argparse.Namespace, spec: dict, runs: list[dict]) -> None:
             f"{args.pairs} alternating parent/change pairs per workload and seed (odd pairs "
             f"run the parent first), python3 perfbench/run.py --workload W --seed S "
             f"--seconds {spec['run_seconds']:g} --trace 0, seeds {args.seeds}, unmodified perfbench/"
+            + "".join(f"; python3 -m agpir.cli {cli} once per side per pair" for cli in args.cli)
         ),
         "environment": {
             "python": platform.python_version(),
@@ -173,9 +221,16 @@ def write(args: argparse.Namespace, spec: dict, runs: list[dict]) -> None:
         "summary_by_seed": {
             str(seed): summarise([r for r in runs if r["seed"] == seed], spec) for seed in seeds
         },
+        "cli_summary": summarise_cli(cli_runs),
         "runs": runs,
+        "cli_runs": cli_runs,
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
+
+
+def order_of(pair: int) -> tuple[str, str]:
+    """The parent first in odd pairs, the change first in even ones."""
+    return ("parent", "change") if pair % 2 else ("change", "parent")
 
 
 def main(argv=None) -> int:
@@ -185,15 +240,23 @@ def main(argv=None) -> int:
     # benchmark process and the parent's temporary tree is removed.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     workloads, seconds = [w["name"] for w in spec["workloads"]], spec["run_seconds"]
-    runs = []
+    runs, cli_runs = [], []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_root = Path(tmp)
         extract(args.commit, parent_root)
         roots = {"parent": parent_root, "change": ROOT}
+        for cli in args.cli:
+            for pair in range(1, args.pairs + 1):
+                for side in order_of(pair):
+                    run = run_cli(roots[side], shlex.split(cli))
+                    cli_runs.append({"cli": cli, "pair": pair, "side": side, **run})
+                    print(f"cli {cli!r} pair {pair} {side}: {run['wall_s']:.3f} s",
+                          file=sys.stderr, flush=True)
+                write(args, spec, runs, cli_runs)
         for seed in args.seeds:
             for workload in workloads:
                 for pair in range(1, args.pairs + 1):
-                    order = ("parent", "change") if pair % 2 else ("change", "parent")
+                    order = order_of(pair)
                     for side in order:
                         stdout, env = run_side(roots[side], workload, seed, seconds)
                         runs.append({"workload": workload, "seed": seed, "pair": pair,
@@ -202,8 +265,9 @@ def main(argv=None) -> int:
                         print(f"{workload} seed {seed} pair {pair} {side}: "
                               f"correct={stdout['correct']}", file=sys.stderr, flush=True)
                     # Rewritten after every pair, so a run cut short keeps what it measured.
-                    write(args, spec, runs)
-    return 0 if all(r["stdout"]["correct"] for r in runs) else 1
+                    write(args, spec, runs, cli_runs)
+    matched = all(entry["stdout_match"] for entry in summarise_cli(cli_runs).values())
+    return 0 if matched and all(r["stdout"]["correct"] for r in runs) else 1
 
 
 if __name__ == "__main__":

@@ -3,6 +3,16 @@
 Point enumeration is canonical everywhere: the point at infinity first,
 then affine points by ascending x, then ascending y. Downstream point
 selection relies on this order being stable.
+
+Point counts have one rule per shape. One curve is one character sum,
+#E = q + 1 + sum over x of chi(x^3 + a x + b), O(q). A scan over many b
+(`find_curve`, `attained_traces`) counts a whole row of them at once: with
+N_a(v) = #{x : x^3 + a x = v}, #E(a, b) - q - 1 = sum over v of
+N_a(v) chi(v + b) is a cyclic correlation over b, which one big-int product
+computes exactly by Kronecker substitution (`linalg._pack`; D. Harvey,
+J. Symbolic Comput. 2009). A row costs O(q) steps for N_a and one product of
+q by 2q four-byte slots, about q^1.585 digit operations. `point_count` keeps
+the one sum, since a row would pay that whole product for one count.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from typing import Iterable, Iterator, Union
 
 from .errors import FieldTooLarge, NoSuchCurve, SingularCurve
 from .field import PrimeField
+from .linalg import _pack, _slot_bytes, _unpack
 
 
 class PointAtInfinity:
@@ -117,8 +128,11 @@ class EllipticCurve:
         return tuple(AffinePoint(r, 0) for r in range(self.field.p) if self.rhs(r) == 0)
 
     def point_count(self) -> int:
-        ((_, _, count),) = _point_counts(self.field.p, [(self.a, self.b)])
-        return count
+        """#E by one character sum: a row of `_point_counts` would pay a product for one count."""
+        q = self.field.p
+        _check_countable(q)
+        chi, a, b = _chi_table(q), self.a, self.b
+        return q + 1 + sum(chi[(c + a * x + b) % q] for x, c in enumerate(_cube_table(q)))
 
 
 Curve = Union[ProjectiveLine, EllipticCurve]
@@ -183,14 +197,38 @@ def _point_counts(
 ) -> Iterator[tuple[int, int, int]]:
     """(a, b, #E(a, b)) for each smooth curve among the (a, b), in the order given.
 
-    #E = q + 1 + sum over x of chi(x^3 + a x + b), with chi the Legendre symbol;
-    (a, b) with 4a^3 + 27b^2 = 0 are singular and skipped.
+    (a, b) with 4a^3 + 27b^2 = 0 are singular and skipped. The counts come
+    a row at a time: on reaching a new a, one Kronecker product gives
+    #E(a, b) for every b, since sum over v of N_a(v) = q makes
+    #E(a, b) = 1 + sum over v of N_a(v) (chi(v + b) + 1). Each row costs
+    O(q) steps and one q by 2q slot product, so a scan that stops after a
+    few curves of a row still pays the whole row: at q = 131071, where
+    the first maximal curve is (0, 1), one row takes seconds (about 2.5 s
+    on a 2-vCPU x86_64 host under CPython 3.11). One curve alone is
+    cheaper by its O(q) sum, which `EllipticCurve.point_count` keeps.
     """
     _check_countable(q)
-    chi, cubes = _chi_table(q), _cube_table(q)
+    row_a, row = None, ()
     for a, b in coefficients:
         if (4 * a**3 + 27 * b * b) % q:
-            yield a, b, q + 1 + sum(chi[(cubes[x] + a * x + b) % q] for x in range(q))
+            if a % q != row_a:
+                row_a = a % q
+                row = _count_row(q, row_a)
+            yield a, b, row[b % q]
+
+
+def _count_row(q: int, a: int) -> list[int]:
+    """#E(a, b) for b = 0, ..., q - 1, singular b included, from one product."""
+    hist = [0] * q
+    for x, c in enumerate(_cube_table(q)):
+        hist[(c + a * x) % q] += 1
+    # Slot q + j of the product is sum over v of N_a(v) (chi(v + b) + 1)
+    # with b = q - 1 - j; no slot exceeds 2q.
+    slot = _slot_bytes(2 * q)
+    bits = 8 * q * slot
+    full = _pack(hist, slot) * _chi_plus_one_twice_reversed(q)
+    sums = _unpack(full >> bits & ((1 << bits) - 1), q, slot)
+    return [1 + v for v in reversed(sums)]
 
 
 def _check_countable(q: int) -> None:
@@ -202,6 +240,13 @@ def _check_countable(q: int) -> None:
 def _chi_table(p: int) -> tuple[int, ...]:
     field = PrimeField(p)
     return tuple(field.legendre(v) for v in range(p))
+
+
+@lru_cache(maxsize=None)
+def _chi_plus_one_twice_reversed(p: int) -> int:
+    """chi + 1 over F_p, written twice and reversed, packed as `_count_row` multiplies it."""
+    twice = [v + 1 for v in _chi_table(p)] * 2
+    return _pack(twice[::-1], _slot_bytes(2 * p))
 
 
 @lru_cache(maxsize=None)

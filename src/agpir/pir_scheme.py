@@ -1039,7 +1039,7 @@ def scheme_from_descriptor(descriptor: dict) -> SchemeInstance:
         if not isinstance(value, int) or isinstance(value, bool):
             raise DescriptorMismatch(f"descriptor {key!r} entry is not an integer: {value!r}")
     if entries["genus"] == 1 and curve is None:
-        # A rebuild without the curve would search for one, O(q^3) in the worst case.
+        # A rebuild without the curve would search for one, up to q rows of one product each.
         raise DescriptorMismatch("a genus-1 descriptor names its curve: 'curve' is null")
     params = SchemeParams(**entries, curve=tuple(coeffs.values()) or None)
     # The rebuild's work grows with N, so N must match entries the descriptor

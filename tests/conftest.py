@@ -8,7 +8,14 @@ import pytest
 
 from agpir import linalg
 from agpir.agcode import DEFAULT_SUBSET_CAP, LinearCode, SubsetRankReport, bruteforce_cap
-from agpir.curve import AffinePoint, EllipticCurve, PointAtInfinity, ProjectiveLine
+from agpir.curve import (
+    AffinePoint,
+    EllipticCurve,
+    PointAtInfinity,
+    ProjectiveLine,
+    _chi_table,
+    _cube_table,
+)
 from agpir.errors import (
     DuplicatePoint,
     InconsistentSystem,
@@ -54,6 +61,18 @@ class ZeroRng:
 
     def getrandbits(self, _k):
         return 0
+
+
+def point_counts_reference(q, coefficients):
+    """(a, b, #E(a, b)) by one q-term character sum per curve: the reference for `_point_counts`.
+
+    #E = q + 1 + sum over x of chi(x^3 + a x + b), with chi the Legendre
+    symbol; (a, b) with 4a^3 + 27b^2 = 0 are singular and skipped.
+    """
+    chi, cubes = _chi_table(q), _cube_table(q)
+    for a, b in coefficients:
+        if (4 * a**3 + 27 * b * b) % q:
+            yield a, b, q + 1 + sum(chi[(cubes[x] + a * x + b) % q] for x in range(q))
 
 
 def server_view_reference(table, server):

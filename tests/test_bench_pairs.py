@@ -74,6 +74,31 @@ def test_summary_pools_seeds_and_keeps_failures():
         bench_pairs.summarise(runs[:3], SPEC)
 
 
+def test_cli_summary_gives_medians_and_whether_the_stdouts_matched():
+    def run(cli, pair, side, wall, sha):
+        return {"cli": cli, "pair": pair, "side": side, "wall_s": wall, "returncode": 0,
+                "stdout_sha256": sha}
+
+    runs = [
+        run("find-curve --p 5", 1, "parent", 4.0, "s"),
+        run("find-curve --p 5", 1, "change", 1.0, "s"),
+        run("find-curve --p 5", 2, "change", 3.0, "s"),
+        run("find-curve --p 5", 2, "parent", 2.0, "s"),
+        run("count-points", 1, "parent", 1.0, "s"),
+        run("count-points", 1, "change", 1.0, "t"),
+    ]
+    summary = bench_pairs.summarise_cli(runs)
+    assert list(summary) == ["find-curve --p 5", "count-points"]
+    assert summary["find-curve --p 5"] == {
+        "parent_median_s": 3.0,
+        "change_median_s": 2.0,
+        "median_change_rel": pytest.approx(-1 / 3),
+        "stdout_match": True,
+        "pairs": 2,
+    }
+    assert not summary["count-points"]["stdout_match"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -82,12 +107,15 @@ def test_summary_pools_seeds_and_keeps_failures():
         ["--pairs", "two"],
         ["--seeds", "0,x"],
         ["--parent", "no-such-revision-anywhere"],
+        ["--cli", ""],
+        ["--cli", "  "],
     ],
-    ids=["nothing", "no-pairs", "pairs-text", "bad-seed", "revision"],
+    ids=["nothing", "no-pairs", "pairs-text", "bad-seed", "revision", "empty-cli", "blank-cli"],
 )
 def test_bad_arguments_exit_2_before_any_run(argv, tmp_path, monkeypatch):
     runs = []
     monkeypatch.setattr(bench_pairs, "run_side", lambda *a: runs.append(a))
+    monkeypatch.setattr(bench_pairs, "run_cli", lambda *a: runs.append(a))
     base = {"--parent": "HEAD", "--label": "x", "--what": "y", "--out": str(tmp_path / "o.json")}
     if argv:
         base.update(zip(argv[::2], argv[1::2]))

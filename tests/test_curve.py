@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from agpir.curve import (
@@ -11,9 +13,11 @@ from agpir.curve import (
     find_curve,
     hasse_window,
     point_key,
+    _point_counts,
 )
 from agpir.errors import FieldTooLarge, NoSuchCurve, SingularCurve
-from agpir.field import PrimeField
+from agpir.field import PrimeField, is_prime
+from conftest import point_counts_reference
 
 
 def brute_force_points(p, a, b):
@@ -95,7 +99,41 @@ def test_projective_line_count(f43):
     assert pts[0] is INFINITY
 
 
-@pytest.mark.parametrize("q", [5, 7, 11, 13])
+def primes_in(lo, hi):
+    return [q for q in range(lo, hi) if is_prime(q)]
+
+
+@pytest.mark.parametrize("q", primes_in(5, 62))
+def test_point_count_rows_equal_the_character_sums(q):
+    pairs = list(product(range(q), repeat=2))
+    assert list(_point_counts(q, pairs)) == list(point_counts_reference(q, pairs))
+
+
+def test_point_count_rows_take_any_order_and_unreduced_coefficients():
+    pairs = [(-1, 0), (44, 9), (0, 9), (1, -3), (0, 0), (44, 10), (1, 40)]
+    assert list(_point_counts(43, pairs)) == list(point_counts_reference(43, pairs))
+
+
+@pytest.mark.parametrize("q", primes_in(5, 44))
+def test_find_curve_is_the_first_reference_hit_for_every_need(q):
+    counts = list(point_counts_reference(q, product(range(q), repeat=2)))
+    lo, hi = hasse_window(q)
+    for need in range(lo, hi + 1):
+        a, b = next((a, b) for a, b, count in counts if count >= need)
+        curve = find_curve(PrimeField(q), need)
+        assert (curve.a, curve.b) == (a, b)
+
+
+@pytest.mark.parametrize("q", primes_in(5, 200))
+def test_find_curve_is_the_first_reference_maximal_curve(q):
+    need = hasse_window(q)[1]
+    hits = point_counts_reference(q, product(range(q), repeat=2))
+    a, b = next((a, b) for a, b, count in hits if count >= need)
+    curve = find_curve(PrimeField(q), need)
+    assert (curve.a, curve.b) == (a, b)
+
+
+@pytest.mark.parametrize("q", primes_in(5, 62))
 def test_attained_traces_match_existence_criterion(q):
     assert attained_traces(q) == admissible_traces(q)
 
