@@ -345,18 +345,14 @@ class RationalFunction:
     def eval_at(self, point: CurvePoint) -> int:
         """Exact value at an affine rational point that is not a pole.
 
-        The one-point case of `values_at`, after checking that the point is
-        affine and on the curve.
+        The one-entry case of `evaluate_rows`, after checking that the point
+        is affine and on the curve.
         """
         if isinstance(point, PointAtInfinity):
             raise InfinityUnsupported("evaluation at infinity is not supported")
         if not self.curve.contains(point):
             raise ValueError(f"{point!r} is not on {self.curve!r}")
-        return self.values_at((point,))[0]
-
-    def values_at(self, points: Sequence[AffinePoint]) -> tuple[int, ...]:
-        """Exact values at affine rational points of the curve, as one `evaluate_rows` row."""
-        return evaluate_rows((self,), points)[0]
+        return evaluate_rows((self,), (point,))[0][0]
 
     def __repr__(self) -> str:
         parts = [] if self.scalar == 1 and (self.x_factors or self.y_exp) else [str(self.scalar)]
@@ -373,7 +369,7 @@ def evaluate_rows(
 ) -> list[tuple[int, ...]]:
     """Exact values of functions on one curve at its affine rational points, a row each.
 
-    This is the one value rule; `values_at` is its one-row case. The points
+    This is the one value rule; `eval_at` is its one-entry case. The points
     must be affine points of the curve: `eval_at` and
     `agcode.evaluation_code` check that, once per point. Each atom row,
     (x - alpha)^e or y^e over the points with the atom's own zero read as 1,

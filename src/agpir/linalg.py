@@ -18,15 +18,15 @@ this one layout and its helpers:
   With residues in [0, p) and room for one extra packed term, a slot
   reaches (dim + 1) * (p - 1)**2. A combination can scale column j by s_j in
   that reduction: one product per symbol, and no scaled copy of the rows.
-- `eliminate_packed`, the one elimination loop behind `rref`, `rank`,
-  `pivot_solve` and `agcode.subset_rank_check`, holds each row of the
+- `eliminate_packed`, the one elimination loop behind `rref` (and so
+  `invert`), `rank` and `agcode.subset_rank_check`, holds each row of the
   matrix as one packed int and clears a pivot column with one update
   m_i += g * lead per row. An entry is read by shift, mask and % p, and a
   row takes at most one update per pivot. The loop takes rows already
   packed (`pack_for_elimination`), in slots that hold
   min(rows, cols) * (p - 1)**2 + p, so a caller that ranks many subsets of
   one set of rows packs them once. The slot bound depends on the mode:
-  - Full (`rref`, `pivot_solve`): lead is the normalised pivot row, by one
+  - Full (`rref`): lead is the normalised pivot row, by one
     unpack, scale and repack of its slots from the pivot column on, and
     g = p - f for the row's entry f. The lead is canonical, so an update
     adds at most (p - 1)**2 to a slot, and a slot stays below
@@ -198,34 +198,20 @@ def rank(rows: Matrix, p: int) -> int:
     return len(_eliminate(rows, p, full=False)[2])
 
 
-def pivot_solve(rows: Matrix, p: int, width: int) -> tuple[tuple[int, ...], Matrix] | None:
-    """Leftmost pivots of a k x n matrix R and B^-1 [R | E], by one elimination of [R | E].
-
-    B is R's block on the pivots and E the first `width` columns of I_k.
-    When the rows are independent all k pivots fall among the first n
-    columns, and the row operations that turn those into I_k turn E into the
-    first `width` columns of B^-1. Returns None when the rank is below k.
-    """
-    k = len(rows)
-    if not k:
-        return (), []
-    n = len(rows[0])
-    aug = [list(row) + [int(i == j) for j in range(width)] for i, row in enumerate(rows)]
-    reduced, pivots = rref(aug, p)
-    if len(pivots) < k or pivots[-1] >= n:
-        return None
-    return pivots, reduced
-
-
 def invert(rows: Matrix, p: int) -> list[list[int]]:
-    """Inverse of a square nonsingular matrix."""
+    """Inverse of a square nonsingular matrix A, by one `rref` of [A | I].
+
+    A is nonsingular exactly when the leftmost pivots are its n columns; the
+    row operations that turn A into I then turn I into A^-1.
+    """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    solved = pivot_solve(rows, p, n)
-    if solved is None:
+    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    reduced, pivots = rref(augmented, p)
+    if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in solved[1]]
+    return [row[n:] for row in reduced]
 
 
 def mat_vec(rows: Matrix, vec: Sequence[int], p: int) -> list[int]:

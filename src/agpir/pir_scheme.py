@@ -2,10 +2,10 @@
 
 A built instance is fully deterministic in its parameters: fragment points
 are the canonically smallest usable points, evaluation points are the first
-admissible points (reduced by an information set at genus 1), and all
-protocol randomness flows through one caller-supplied generator with a fixed
-stream order (security noise first, then privacy noise, each fragment-major
-then file-major). Each noise coefficient is drawn by rejection from
+admissible points (less the one candidate the closed form drops at genus
+1), and all protocol randomness flows through one caller-supplied generator
+with a fixed stream order (security noise first, then privacy noise, each
+fragment-major then file-major). Each noise coefficient is drawn by rejection from
 `getrandbits(p.bit_length())`, the loop `random.Random.randrange(p)` runs,
 so the stream matches drawing every coefficient with `randrange(p)`.
 
@@ -302,15 +302,21 @@ def build_scheme(params: SchemeParams) -> SchemeInstance:
 
     The genus decides only the geometry and the closed form; the rest is one
     pipeline, with no elimination. One `evaluation_code` call evaluates the
-    info and noise functions on the candidates, and with them the y x^i of
-    the privacy and security bases at genus 1: their x-powers are the first
-    noise functions, so their rows are the first noise rows. The closed form
-    reads the evaluated decode rows through its certificate: at genus 0
-    `_line_fragment_rows` gives `fragment_rows` and every candidate is kept,
-    so the rows are used as they are; at genus 1 `_fiber_decode` gives
-    `fragment_rows` and the parity check, and names the one candidate to
-    drop. Rows the certificate refuses raise the build condition they break
-    when they are dependent, and `UncertifiedRows` otherwise.
+    info and noise functions, and with them the y x^i of the privacy and
+    security bases at genus 1: their x-powers are the first noise functions,
+    so their rows are the first noise rows. At genus 0 it evaluates on the
+    candidates. At genus 1 the candidates are fibers (x, y), (x, -y), and a
+    function y^e g(x) is (-1)^e times its first value at the second point,
+    so it evaluates on the first point of each fiber, and one `_fiber_row`
+    per function reads the candidates off those values and the parity of e.
+    The closed form reads the evaluated decode rows through its certificate:
+    at genus 0 `_line_fragment_rows` gives `fragment_rows` and every
+    candidate is kept, so the rows are used as they are; at genus 1
+    `_fiber_decode` checks the parities and the partner points that the
+    sign rule takes for granted, gives `fragment_rows` and the parity check,
+    and names the one candidate to drop. Rows the certificate refuses raise
+    the build condition they break when they are dependent, and
+    `UncertifiedRows` otherwise.
     """
     genus, p, big_l = params.genus, params.p, params.l
     n = sizes.num_servers(genus, big_l, params.x, params.t)
@@ -320,13 +326,16 @@ def build_scheme(params: SchemeParams) -> SchemeInstance:
     # The shared security space; each fragment's is a unit multiple of it.
     sec = basis_poles_at_infinity(curve, sizes.masking_poles(genus, params.x))
     # Each masking basis is x-powers, then y x^i at genus 1: the longer basis holds every y x^i.
-    y_part = tuple(f for f in max(priv, sec, key=len) if f.y_exp)
-    rows = evaluation_code(info + noise + y_part, candidates).rows
+    basis = info + noise + tuple(f for f in max(priv, sec, key=len) if f.y_exp)
+    points = candidates[::2] if genus else candidates
+    rows = evaluation_code(basis, points).rows
     k = len(info) + len(noise)
-    _check_units(info, rows[:big_l], candidates)
+    _check_units(info, rows[:big_l], points)
     if genus:
         alphas = [pt.x for pt in fragment[::2]]
-        solved = _fiber_decode(curve, alphas, candidates, rows[:big_l], rows[big_l:k])
+        odd = [f.y_exp % 2 for f in basis]
+        solved = _fiber_decode(curve, alphas, candidates, rows[:big_l], rows[big_l:k], odd[:k])
+        rows = tuple(tuple(_fiber_row(row, s, p)[: n + 1]) for row, s in zip(rows, odd))
     else:
         closed = _line_fragment_rows(candidates, rows[:big_l], rows[big_l:k], p)
         solved = None if closed is None else (n, closed, ())
@@ -421,20 +430,24 @@ def _line_fragment_rows(candidates, info_rows, noise_rows, p: int) -> tuple | No
     )
 
 
-def _fiber_decode(curve, alphas, candidates, info_rows, noise_rows) -> tuple | None:
+def _fiber_decode(curve, alphas, candidates, info_rows, noise_rows, odd) -> tuple | None:
     """The genus-1 (dropped candidate, `fragment_rows`, `parity_checks`), or None.
 
     The layout, checked before any arithmetic: k decode rows, L = 2J - 1 of
     them info rows for J alphas, and N + 1 = k + 2 candidates. Candidates
     2f and 2f + 1 are the fiber (x_f, y_f), (x_f, -y_f); when k is odd the
     last candidate's partner is column 2G - 1, so the routine reads G whole
-    fibers. The certificate reads the rows at the first point of each
-    fiber, one product per entry: info row j is 1/(x - alpha_j) and info
-    row J + j is y/((x - alpha_j)(x - alpha_J)); the noise rows are
-    x^0..x^(h-1) and then x^0/y..x^(G-J-1)/y. At the second point of each
-    fiber it reads their symmetry: x-only rows repeat, rows with a 1/y or y
-    change sign. The points read lie on the curve, and y != 0 there. A
-    repeated abscissa or alpha, or R(alpha_j) = 0, returns None too.
+    fibers. The rows hold each decode function's value at the first point
+    of each fiber, and odd[i] is the parity in y of decode function i: the
+    build reads its value at the second point as (-1)^odd[i] times the
+    first. The certificate checks what that sign rule takes for granted:
+    the parities are the layout's (J even info functions, then J - 1 odd
+    ones; h even noise functions, then odd ones), and candidate 2f + 1 is
+    (x_f, -y_f). It reads the rows one product per entry: info row j is
+    1/(x - alpha_j) and info row J + j is y/((x - alpha_j)(x - alpha_J));
+    the noise rows are x^0..x^(h-1) and then x^0/y..x^(G-J-1)/y. The points
+    read lie on the curve, and y != 0 there. A repeated abscissa or alpha,
+    or R(alpha_j) = 0, returns None too.
 
     Every decode function is A(x) + y B(x), and fiber f's responses give
     A(x_f) = (r+ + r-)/2 and B(x_f) = (r+ - r-)/(2 y_f). Take
@@ -454,11 +467,12 @@ def _fiber_decode(curve, alphas, candidates, info_rows, noise_rows) -> tuple | N
 
     A right-to-left reduction of the null space names the columns that
     leftmost pivoting leaves out: from the right, the partner (if any), the
-    dropped candidate and the spare. The parity row is the null vector 1 at
-    the spare and 0 at the other two, and each fragment row is its
-    functional less the null vectors that zero it there: the result of
-    eliminating the rows on the candidates, which the tests hold it to.
-    When the partner is not left out, those rows are dependent: None.
+    dropped candidate and the spare. Its basis vector of each pivot is 1
+    there and 0 at the other pivots. The parity row is the one of the
+    spare, and each fragment row is its functional less, pivot by pivot,
+    its entry there times that pivot's vector: the result of eliminating
+    the rows on the candidates, which the tests hold it to. When the
+    partner is not left out, those rows are dependent: None.
     """
     p = curve.field.p
     big_l, big_j = len(info_rows), len(alphas)
@@ -467,46 +481,41 @@ def _fiber_decode(curve, alphas, candidates, info_rows, noise_rows) -> tuple | N
     h = len(noise_rows) + big_j - fibers  # the x-power noise rows come first
     if big_l != 2 * big_j - 1 or h < 1 or len(candidates) != width:
         return None
+    if list(odd) != [0] * big_j + [1] * (big_j - 1) + [0] * h + [1] * (fibers - big_j):
+        return None
     xs = [pt.x for pt in candidates[::2]]
     ys = [pt.y for pt in candidates[::2]]
     if [y * y % p for y in ys] != [curve.rhs(x) for x in xs]:
+        return None
+    if candidates[1::2] != tuple(AffinePoint(x, -y % p) for x, y in zip(xs, ys))[: width // 2]:
         return None
     if len({*xs, *alphas}) < fibers + big_j:
         return None
 
     ones = [1] * fibers
-    whole = width // 2  # the fibers whose second point is a candidate
 
     def times(values, factors):
         return [v * f % p for v, f in zip(values, factors)]
 
-    def even(row):
-        return row[1::2] == row[: 2 * whole : 2]
-
-    def odd(row):
-        return list(row[1::2]) == [-v % p for v in row[: 2 * whole : 2]]
-
-    # u[j][f] = 1/(x_f - alpha_j) at the first point of fiber f.
-    u = [list(row[::2]) for row in info_rows[:big_j]]
+    # u[j][f] = 1/(x_f - alpha_j).
+    u = info_rows[:big_j]
     x_minus = [[x - a for x in xs] for a in alphas]
     y_last = times(ys, u[-1])
-    if not all(even(row) and times(v, dx) == ones for row, v, dx in zip(info_rows, u, x_minus)):
+    if not all(times(v, dx) == ones for v, dx in zip(u, x_minus)):
         return None
-    for row, dx in zip(info_rows[big_j:], x_minus):
-        if not (odd(row) and times(row[::2], dx) == y_last):
-            return None
+    if not all(times(row, dx) == y_last for row, dx in zip(info_rows[big_j:], x_minus)):
+        return None
     # Each noise row is the one before times x, but x^0 = 1 and x^0 / y = 1 / y.
     for i, row in enumerate(noise_rows):
-        values = list(row[::2])
         if i == 0:
-            ok = values == ones
+            ok = list(row) == ones
         elif i == h:
-            ok = times(values, ys) == ones
+            ok = times(row, ys) == ones
         else:
-            ok = values == times(prev, xs)
-        if not (ok and (even(row) if i < h else odd(row))):
+            ok = list(row) == times(prev, xs)
+        if not ok:
             return None
-        prev = values
+        prev = row
 
     rhs = [curve.rhs(a) for a in alphas]
     # One product each, reduced once: its factors are below p in size.
@@ -521,10 +530,10 @@ def _fiber_decode(curve, alphas, candidates, info_rows, noise_rows) -> tuple | N
     cols = times([prod(col) % p for col in zip(*x_minus)], inv[:fibers])
     # y_f w_f Pi(x_f) sum_j weights[j] u_j[f], which is -y_f Pi(x_f) lambda(L_f).
     tilt = [c * y * sum(map(mul, weights, col)) % p for c, y, col in zip(cols, ys, zip(*u))]
-    null = [_fiber_row(tilt, [-v % p for v in tilt])]
+    null = [_fiber_row(tilt, 1, p)]
     power = cols
     for _ in range(fibers - big_j - h):
-        null.append(_fiber_row(power))
+        null.append(_fiber_row(power, 0, p))
         power = times(power, xs)
     pivots, basis = _right_echelon(null, p)
     # Two non-pivots among the candidates, or their rows are dependent.
@@ -535,38 +544,22 @@ def _fiber_decode(curve, alphas, candidates, info_rows, noise_rows) -> tuple | N
     def kept(row):
         return tuple(row[:dropped] + row[dropped + 1 : width])
 
-    # A functional is v_f at the first point of fiber f and +-v_f at the
-    # second (+ when it is even, - when odd), so the null vector that matches
-    # it at the pivots is the sum, over the fibers the pivots touch, of v_f
-    # times one vector fixed per parity. Where the pivots are the two points
-    # of one fiber, that sum is one null vector of the functional's parity.
-    def corrections(sign):
-        vectors: dict[int, list[int]] = {}
-        for c, b in zip(pivots, basis):
-            s = sign if c % 2 else 1
-            acc = vectors.get(c // 2, [0] * len(b))
-            vectors[c // 2] = [(a + s * v) % p for a, v in zip(acc, b)]
-        return list(vectors.items())
-
-    def zeroed(values, minus, fixes):
+    def zeroed(values, parity):
         """The functional less the null vector that zeroes it at the pivots, on the kept points."""
-        row = _fiber_row(values, minus)
-        for f, vector in fixes:
-            v = values[f]
+        row = _fiber_row(values, parity, p)
+        for c, vector in zip(pivots, basis):
+            v = row[c]
             row = [(a - v * b) % p for a, b in zip(row, vector)]
         return kept(row)
 
-    even_fixes, odd_fixes = corrections(1), corrections(-1)
     half, last = (p + 1) // 2, alphas[-1]
     fragment_rows = []
     for g, r, row in zip(weights, rhs, u):
         scale = -g * r * half % p
-        values = [scale * c * v % p for c, v in zip(cols, row)]
-        fragment_rows.append(zeroed(values, None, even_fixes))
+        fragment_rows.append(zeroed([scale * c * v % p for c, v in zip(cols, row)], 0))
     for a, g, row in zip(alphas, weights, u[:-1]):
         scale = (last - a) * g * half % p
-        values = [scale * c * y * v % p for c, y, v in zip(cols, ys, row)]
-        fragment_rows.append(zeroed(values, [-v % p for v in values], odd_fixes))
+        fragment_rows.append(zeroed([scale * c * y * v % p for c, y, v in zip(cols, ys, row)], 1))
     return dropped, tuple(fragment_rows), ((spare, kept(basis[-1])),)
 
 
@@ -592,11 +585,11 @@ def _right_echelon(vectors, p: int) -> tuple[list[int], list[list[int]]]:
     return pivots, basis
 
 
-def _fiber_row(plus, minus=None) -> list[int]:
-    """plus[f] and minus[f] (plus[f] if minus is None) at fiber f's two points."""
-    row = [0] * (2 * len(plus))
-    row[0::2] = plus
-    row[1::2] = plus if minus is None else minus
+def _fiber_row(values, odd: int, p: int) -> list[int]:
+    """values[f] at the first point of fiber f, and (-1)^odd times it at the second."""
+    row = [0] * (2 * len(values))
+    row[0::2] = values
+    row[1::2] = [-v % p for v in values] if odd else values
     return row
 
 

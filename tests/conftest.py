@@ -179,6 +179,25 @@ def evaluation_code_reference(basis, points):
     return LinearCode(basis[0].curve.field.p, len(pts), rows)
 
 
+def solve_augmented(rows, p, width):
+    """Leftmost pivots of a k x n matrix R and B^-1 [R | E], by one `rref` of [R | E], or None.
+
+    B is R's block on the pivots and E the first `width` columns of I_k.
+    When the rows are independent all k pivots fall among the first n
+    columns, and the row operations that turn those into I_k turn E into
+    the first `width` columns of B^-1. None when the rank is below k.
+    """
+    k = len(rows)
+    if not k:
+        return (), []
+    n = len(rows[0])
+    aug = [list(row) + [int(i == j) for j in range(width)] for i, row in enumerate(rows)]
+    reduced, pivots = linalg.rref(aug, p)
+    if len(pivots) < k or pivots[-1] >= n:
+        return None
+    return pivots, reduced
+
+
 def decode_reference(inst, responses):
     """`decode` by a solve on its own information set and a re-encode of every symbol.
 
@@ -189,7 +208,7 @@ def decode_reference(inst, responses):
         raise ShapeMismatch(f"expected {inst.n} response symbols, got {len(responses)}")
     p = inst.p
     k = len(inst.decode_rows)
-    cols, reduced = linalg.pivot_solve(inst.decode_rows, p, k)
+    cols, reduced = solve_augmented(inst.decode_rows, p, k)
     sub_inv = [row[inst.n :] for row in reduced]
     picked = [responses[c] % p for c in cols]
     coeffs = linalg.mat_vec(list(zip(*sub_inv)), picked, p)
@@ -211,7 +230,7 @@ def solve_decode_reference(rows, p, big_l, n):
     symbol n is -(B^-1 R)[j][n] at the j-th pivot, 1 at n and 0 at the other
     spares. None when the rows are dependent.
     """
-    solved = linalg.pivot_solve(rows, p, big_l)
+    solved = solve_augmented(rows, p, big_l)
     if solved is None:
         return None
     pivots, reduced = solved

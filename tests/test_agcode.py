@@ -434,10 +434,10 @@ def off_curve_points(curve):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_evaluation_code_rows_follow_the_per_entry_value_rule(line43, curve43, curve127, data):
-    # One `values_at` pass per function must give the rows of one `eval_at`
-    # per entry: the same values, the same first pole, and off-curve points
-    # refused. curve127 has a rational two-torsion point, where the order
-    # rule and the value take their other branch.
+    # One `evaluate_rows` pass over the basis must give the rows of one
+    # `eval_at` per entry: the same values, the same first pole, and
+    # off-curve points refused. curve127 has a rational two-torsion point,
+    # where the order rule and the value take their other branch.
     curve = data.draw(st.sampled_from([line43, curve43, curve127]))
     p = curve.field.p
     affine = curve.enumerate_points()[1:]

@@ -1,5 +1,4 @@
 import ast
-import functools
 import random
 from pathlib import Path
 
@@ -88,30 +87,28 @@ def kernel_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(kernel_cases())
 def test_packed_elimination_matches_the_reference(case):
-    """rref, rank and pivot_solve against the list elimination of conftest.
+    """rref, rank and invert against the list elimination of conftest.
 
     Wide, tall, square, empty, single-column and rank-deficient matrices,
     with entries below 0 and at or above p, at one prime per slot regime.
-    pivot_solve appends 0, 1 and k columns of I_k; at k its appended
-    columns are the inverse of the block on the pivots.
+    invert refuses every matrix that is not square, and a square one whose
+    rank is short; otherwise it is the right half of the reduced [A | I].
     """
     rows, p = case
     reduced, pivots = eliminate_reference(rows, p, full=True)
     assert linalg.rref(rows, p) == (reduced, pivots)
     assert linalg.rank(rows, p) == len(eliminate_reference(rows, p, full=False)[1]) == len(pivots)
     k, n = len(rows), len(rows[0]) if rows else 0
-    for width in sorted({0, min(1, k), k}):
-        solved = linalg.pivot_solve(rows, p, width)
-        if len(pivots) < k:
-            assert solved is None
-            continue
-        aug = [list(row) + [int(i == j) for j in range(width)] for i, row in enumerate(rows)]
-        assert solved == (pivots, eliminate_reference(aug, p, full=True)[0])
-    if len(pivots) == k:  # the last width was k: the appended columns are B^-1
-        block = [[row[c] for c in pivots] + [int(i == j) for j in range(k)]
-                 for i, row in enumerate(rows)]
-        inverse = [row[k:] for row in eliminate_reference(block, p, full=True)[0]]
-        assert [row[n:] for row in solved[1]] == inverse
+    if k != n:
+        with pytest.raises(ValueError, match="^matrix is not square$"):
+            linalg.invert(rows, p)
+    elif len(pivots) < k:
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            linalg.invert(rows, p)
+    else:
+        aug = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+        inverse = [row[k:] for row in eliminate_reference(aug, p, full=True)[0]]
+        assert linalg.invert(rows, p) == inverse
 
 
 def test_packed_elimination_at_the_slot_bound():
@@ -142,8 +139,6 @@ def test_packed_elimination_at_the_slot_bound():
         assert list(linalg._unpack(value, k + extra, slot)[k:]) == [top] * extra
     assert linalg.rref(rows, p) == eliminate_reference(rows, p, full=True)
     assert linalg.rank(rows, p) == k
-    assert linalg.pivot_solve(rows, p, k + 1) is None
-    assert linalg.pivot_solve(rows[:k], p, k)[0] == tuple(range(k))
 
 
 def staircase(p, k, extra, repeat):
@@ -243,9 +238,7 @@ def test_rank_only_elimination_keeps_room_for_the_normalised_clears():
     assert [leading_one(row, p) for row in values] == eliminate_reference(rows, p, full=False)[0]
 
 
-@pytest.mark.parametrize(
-    "entry", [linalg.rref, linalg.rank, functools.partial(linalg.pivot_solve, width=1)]
-)
+@pytest.mark.parametrize("entry", [linalg.rref, linalg.rank])
 @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[], [1]], [[1, 0, 0], [0, 1]]])
 def test_ragged_rows_are_refused(entry, rows):
     with pytest.raises(ValueError, match="different lengths"):
@@ -378,33 +371,3 @@ def test_int_byte_conversions_pass_length_and_byteorder():
         explicit = len(node.args) >= 2 or (len(node.args) == 1 and "byteorder" in keywords)
         explicit = explicit or {"length", "byteorder"} <= keywords
         assert explicit, f"{name}:{line} omits the length or byteorder argument"
-
-
-@settings(max_examples=150)
-@given(matrices(max_dim=5))
-def test_pivot_solve_is_information_set_and_inverse(rows):
-    p, k, n = 13, len(rows), len(rows[0])
-    solved = linalg.pivot_solve(rows, p, k)
-    if linalg.rank(rows, p) < k:
-        assert solved is None
-        return
-    cols, reduced = solved
-    # At full rank the reduced form of R is B^-1 R, so its first n columns are rref's.
-    assert (cols, [row[:n] for row in reduced]) == linalg.rref(rows, p)[::-1]
-    inv = [row[n:] for row in reduced]
-    sub = [[row[c] for c in cols] for row in rows]
-    prod = [[sum(inv[i][m] * sub[m][j] for m in range(k)) % p for j in range(k)] for i in range(k)]
-    assert prod == [[int(i == j) for j in range(k)] for i in range(k)]
-
-
-def test_pivot_solve_edge_cases():
-    assert linalg.pivot_solve([], 7, 0) == ((), [])
-    # Rank 1 of 2 rows: the second pivot would fall in the identity block,
-    # or, with no identity columns, not be found at all.
-    for width in (0, 1, 2):
-        assert linalg.pivot_solve([[1, 2, 3], [2, 4, 6]], 7, width) is None
-    cols, reduced = linalg.pivot_solve([[0, 1, 0], [0, 0, 1]], 7, 2)
-    assert cols == (1, 2) and reduced == [[0, 1, 0, 1, 0], [0, 0, 1, 0, 1]]
-    # One appended column: the first column of B^-1 for B = diag(2, 3).
-    solved = linalg.pivot_solve([[0, 2, 0], [0, 0, 3]], 7, 1)
-    assert solved == ((1, 2), [[0, 1, 0, 4], [0, 0, 1, 0]])

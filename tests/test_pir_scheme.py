@@ -69,7 +69,13 @@ from agpir.pir_scheme import (
     verify_scheme,
 )
 from agpir.rates import max_rate_g1
-from conftest import ZeroRng, decode_reference, server_view_reference, solve_decode_reference
+from conftest import (
+    ZeroRng,
+    decode_reference,
+    server_view_reference,
+    solve_augmented,
+    solve_decode_reference,
+)
 
 G0_Q43 = SchemeParams(p=43, genus=0, x=16, t=16, l=5)
 G1_Q43 = SchemeParams(p=43, genus=1, x=16, t=16, l=7, curve=(0, 9))
@@ -808,20 +814,23 @@ def test_masking_codes_are_read_off_the_one_evaluation(name, request):
 def test_build_evaluates_once_and_never_eliminates(params, monkeypatch):
     # The masking codes are read off the decode evaluation, and the decode
     # state is a closed form at either genus and in every genus-1 layout: no
-    # second evaluation, and no elimination.
+    # second evaluation, and no elimination. At genus 1 the one evaluation
+    # reads the first point of each of the G = (N + 2) // 2 fibers only.
     calls = []
 
-    def counted(name, real):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
+    def evaluated(basis, points):
+        calls.append(("evaluate", len(points)))
+        return evaluation_code(basis, points)
 
-        return wrapper
+    def eliminated(*args):
+        calls.append("eliminate")
+        return real_eliminate(*args)
 
-    monkeypatch.setattr(pir_scheme, "evaluation_code", counted("evaluate", evaluation_code))
-    monkeypatch.setattr(linalg, "eliminate_packed", counted("eliminate", linalg.eliminate_packed))
+    real_eliminate = linalg.eliminate_packed
+    monkeypatch.setattr(pir_scheme, "evaluation_code", evaluated)
+    monkeypatch.setattr(linalg, "eliminate_packed", eliminated)
     inst = build_scheme(params)
-    assert calls == ["evaluate"]
+    assert calls == [("evaluate", inst.n if params.genus == 0 else (inst.n + 2) // 2)]
     assert_masking_codes_are_evaluation_codes(inst)
 
 
@@ -876,12 +885,12 @@ def test_single_elimination_matches_information_set_and_inverse(name, request):
 
 
 def assert_closed_form_is_the_elimination(inst):
-    """Genus-0 `fragment_rows` is the L columns `pivot_solve` appends, with no parity check.
+    """Genus-0 `fragment_rows` is the L columns `solve_augmented` appends, with no parity check.
 
     The elimination is the reference: it sees only `decode_rows`, finds all N
     columns as pivots, and appends the first L columns of the inverse.
     """
-    pivots, reduced = linalg.pivot_solve(inst.decode_rows, inst.p, inst.l)
+    pivots, reduced = solve_augmented(inst.decode_rows, inst.p, inst.l)
     assert pivots == tuple(range(inst.n))
     assert inst.fragment_rows == tuple(zip(*(row[inst.n :] for row in reduced)))
     assert inst.parity_checks == ()
@@ -948,24 +957,50 @@ def test_a_failed_certificate_raises_instead_of_eliminating(monkeypatch):
         build_scheme(G0_TINY)
 
 
-def fiber_inputs(params):
-    """What the genus-1 build hands `_fiber_decode`: curve, alphas, candidates, decode rows."""
+def fiber_layout(params):
+    """The genus-1 build's curve, alphas, candidates and decode functions (info, then noise)."""
     n = sizes.num_servers(1, params.l, params.x, params.t)
     field = PrimeField(params.p)
     curve, fragment, candidates, info, noise = pir_scheme._elliptic_geometry(params, field, n)
-    rows = evaluation_code(info + noise, candidates).rows
-    alphas = [pt.x for pt in fragment[::2]]
-    return curve, alphas, candidates, rows[: params.l], rows[params.l :]
+    return curve, [pt.x for pt in fragment[::2]], candidates, info + noise
+
+
+def fiber_inputs(params):
+    """What the genus-1 build hands `_fiber_decode`.
+
+    The curve, the alphas, the candidates, the info and noise rows at the
+    first point of each fiber, and each decode function's parity in y.
+    """
+    curve, alphas, candidates, basis = fiber_layout(params)
+    rows = evaluation_code(basis, candidates[::2]).rows
+    odd = [f.y_exp % 2 for f in basis]
+    return curve, alphas, candidates, rows[: params.l], rows[params.l :], odd
 
 
 def assert_fiber_decode_is_the_elimination(params):
-    """`_fiber_decode` equals the reference elimination, parity row and dropped candidate too."""
-    curve, alphas, candidates, info, noise = fiber_inputs(params)
-    n = len(info) + len(noise) + 1
-    solved = pir_scheme._fiber_decode(curve, alphas, candidates, info, noise)
+    """`_fiber_decode` equals the reference elimination, parity row and dropped candidate too.
+
+    The reference eliminates the decode rows evaluated at every candidate,
+    the second point of each fiber too.
+    """
+    solved = pir_scheme._fiber_decode(*fiber_inputs(params))
     assert solved is not None
-    assert solved == solve_decode_reference(info + noise, params.p, params.l, n)
+    _, _, candidates, basis = fiber_layout(params)
+    rows = evaluation_code(basis, candidates).rows
+    assert solved == solve_decode_reference(rows, params.p, params.l, len(candidates) - 1)
     return solved
+
+
+def assert_rows_are_the_evaluation(inst):
+    """Every kept row against its basis evaluated afresh on the eval points.
+
+    The genus-1 build evaluates the first point of each fiber and reads the
+    second by the function's parity in y: this holds that sign rule to the
+    one value rule.
+    """
+    basis = inst.info_basis + inst.noise_basis
+    assert inst.decode_rows == evaluation_code(basis, inst.eval_points).rows
+    assert_masking_codes_are_evaluation_codes(inst)
 
 
 GENUS1_LAYOUTS = {
@@ -999,6 +1034,11 @@ def test_fiber_decode_equals_the_elimination(name, dropped, spare):
     assert inst.eval_points == tuple(candidates[:dropped] + candidates[dropped + 1 :])
 
 
+@pytest.mark.parametrize("name", sorted(GENUS1_LAYOUTS))
+def test_genus1_rows_are_the_evaluation_at_every_kept_point(name):
+    assert_rows_are_the_evaluation(build_scheme(GENUS1_LAYOUTS[name]))
+
+
 def test_the_p2003_x_plus_t_odd_build_is_the_elimination():
     # The hashes were recorded from the elimination's build, which took
     # seconds at N = 1002: the points, the fragment rows and the parity check.
@@ -1023,12 +1063,12 @@ class Unread(tuple):
 
 def test_fiber_decode_refuses_a_wrong_layout_before_any_arithmetic():
     # The layout comes from the lengths alone: L = 2J - 1 and k + 2 candidates.
-    curve, alphas, candidates, info, noise = fiber_inputs(G1_Q43_ODD)
+    curve, alphas, candidates, info, noise, odd = fiber_inputs(G1_Q43_ODD)
     for args in (
-        (alphas, candidates[:-1], info, noise),
-        (alphas, candidates, info, noise[:-1]),
-        (alphas, candidates, info[:-1], noise),
-        (alphas + [7], candidates, info, noise),
+        (alphas, candidates[:-1], info, noise, odd),
+        (alphas, candidates, info, noise[:-1], odd),
+        (alphas, candidates, info[:-1], noise, odd),
+        (alphas + [7], candidates, info, noise, odd),
     ):
         unread = [Unread(seq) for seq in args[1:]]
         assert pir_scheme._fiber_decode(curve, args[0], *unread) is None
@@ -1052,6 +1092,7 @@ def genus1_params(draw):
 @given(params=genus1_params())
 def test_fiber_decode_equals_the_elimination_on_every_layout(params):
     dropped, _, _ = assert_fiber_decode_is_the_elimination(params)
+    assert_rows_are_the_evaluation(build_scheme(params))
     n = sizes.num_servers(1, params.l, params.x, params.t)
     parity = "odd" if (params.x + params.t) % 2 else "even"
     event(f"X + T {parity}, " + ("the last candidate dropped" if dropped == n else "another"))
@@ -1065,65 +1106,67 @@ def tampered(rows, i, j, value, p):
 
 
 def test_fiber_certificate_reads_every_row_and_point():
-    # Each change to the points or the evaluated rows fails the certificate,
-    # so the build would refuse the rows instead of trusting the closed form.
-    curve, alphas, candidates, info, noise = fiber_inputs(G1_Q43)
+    # Each change to the points, the evaluated rows or the parities fails the
+    # certificate, so the build would refuse the rows instead of trusting the
+    # closed form. The rows hold one column per fiber, its first point.
+    curve, alphas, candidates, info, noise, odd = fiber_inputs(G1_Q43)
     decode = pir_scheme._fiber_decode
-    assert decode(curve, alphas, candidates, info, noise) is not None
-    p, n, big_j = curve.field.p, len(info) + len(noise) + 1, len(alphas)
-    h = n // 2 - big_j  # the x-power noise rows come first
+    assert decode(curve, alphas, candidates, info, noise, odd) is not None
+    p, fibers, big_j = curve.field.p, len(info[0]), len(alphas)
+    h = len(noise) + big_j - fibers  # the x-power noise rows come first
 
-    def bumped(rows, i, j):
-        return tampered(rows, i, j, rows[i][j] + 1, p)
+    def bumped(rows, i, f):
+        return tampered(rows, i, f, rows[i][f] + 1, p)
 
-    def mirrored(rows, i, f):
-        # The second point of fiber f reads the first point's value: the
-        # symmetry of a row with y or 1/y, f(x, -y) = -f(x, y), breaks.
-        return tampered(rows, i, 2 * f + 1, rows[i][2 * f], p)
-
-    assert decode(curve, alphas, candidates, bumped(info, 0, 0), noise) is None
-    assert decode(curve, alphas, candidates, bumped(info, 0, 3), noise) is None
-    assert decode(curve, alphas, candidates, bumped(info, big_j - 1, n - 1), noise) is None
-    assert decode(curve, alphas, candidates, bumped(info, big_j, 4), noise) is None
-    assert decode(curve, alphas, candidates, bumped(info, big_j, n), noise) is None
-    assert decode(curve, alphas, candidates, mirrored(info, len(info) - 1, 0), noise) is None
-    assert decode(curve, alphas, candidates, info, bumped(noise, 0, 2)) is None
-    assert decode(curve, alphas, candidates, info, bumped(noise, h - 1, 5)) is None
-    assert decode(curve, alphas, candidates, info, bumped(noise, h, n - 1)) is None
-    assert decode(curve, alphas, candidates, info, bumped(noise, len(noise) - 1, 1)) is None
-    assert decode(curve, alphas, candidates, info, mirrored(noise, h, 1)) is None
-    assert decode(curve, alphas, candidates, info, mirrored(noise, len(noise) - 1, 0)) is None
-    # Each chain of noise rows, scaled by 2, still satisfies its recurrence
-    # and its symmetry, but no longer starts at 1 or at 1/y.
+    assert decode(curve, alphas, candidates, bumped(info, 0, 0), noise, odd) is None
+    assert decode(curve, alphas, candidates, bumped(info, 0, 3), noise, odd) is None
+    last = fibers - 1
+    assert decode(curve, alphas, candidates, bumped(info, big_j - 1, last), noise, odd) is None
+    assert decode(curve, alphas, candidates, bumped(info, big_j, 4), noise, odd) is None
+    assert decode(curve, alphas, candidates, bumped(info, len(info) - 1, 0), noise, odd) is None
+    assert decode(curve, alphas, candidates, info, bumped(noise, 0, 2), odd) is None
+    assert decode(curve, alphas, candidates, info, bumped(noise, h - 1, 5), odd) is None
+    assert decode(curve, alphas, candidates, info, bumped(noise, h, fibers - 1), odd) is None
+    assert decode(curve, alphas, candidates, info, bumped(noise, len(noise) - 1, 1), odd) is None
+    # One flipped parity per row kind: the even and the odd info functions,
+    # the x-powers and the powers over y. The rows are unchanged, but the
+    # build would read the second point of each fiber with the wrong sign.
+    for i in (0, big_j, len(info), len(info) + h):
+        flipped = odd[:i] + [1 - odd[i]] + odd[i + 1 :]
+        assert decode(curve, alphas, candidates, info, noise, flipped) is None
+    # Each chain of noise rows, scaled by 2, still satisfies its recurrence,
+    # but no longer starts at 1 or at 1/y.
     twice = [tuple(2 * v % p for v in row) for row in noise]
-    assert decode(curve, alphas, candidates, info, tuple(twice[:h]) + noise[h:]) is None
-    assert decode(curve, alphas, candidates, info, noise[:h] + tuple(twice[h:])) is None
-    # A point that is read moved, the two points of the first or the last
-    # fiber swapped, an alpha moved.
+    assert decode(curve, alphas, candidates, info, tuple(twice[:h]) + noise[h:], odd) is None
+    assert decode(curve, alphas, candidates, info, noise[:h] + tuple(twice[h:]), odd) is None
+    # A point that is read moved, an alpha moved.
     moved = [AffinePoint((candidates[2].x + 1) % p, candidates[2].y)] + list(candidates[3:])
-    assert decode(curve, alphas, candidates[:2] + tuple(moved), info, noise) is None
-    swapped = (candidates[1], candidates[0]) + candidates[2:]
-    assert decode(curve, alphas, swapped, info, noise) is None
-    swapped = candidates[: n - 1] + (candidates[n], candidates[n - 1])
-    assert decode(curve, alphas, swapped, info, noise) is None
-    assert decode(curve, [alphas[0] + 1] + alphas[1:], candidates, info, noise) is None
+    assert decode(curve, alphas, candidates[:2] + tuple(moved), info, noise, odd) is None
+    assert decode(curve, [alphas[0] + 1] + alphas[1:], candidates, info, noise, odd) is None
+    # The second point of the first or the last whole fiber is another curve
+    # point, not the partner (x, -y): the rows never read it, the sign rule does.
+    other = curve.fiber(alphas[0])[1]
+    n = len(candidates) - 1
+    assert decode(curve, alphas, (candidates[0], other) + candidates[2:], info, noise, odd) is None
+    assert decode(curve, alphas, candidates[:n] + (other,), info, noise, odd) is None
 
 
 def test_fiber_certificate_reads_the_lone_candidate_of_an_odd_layout():
     # With X + T odd the last candidate has no partner among the candidates:
     # its entries are read like the first point of every other fiber.
-    curve, alphas, candidates, info, noise = fiber_inputs(G1_Q43_ODD)
+    curve, alphas, candidates, info, noise, odd = fiber_inputs(G1_Q43_ODD)
     decode = pir_scheme._fiber_decode
-    assert decode(curve, alphas, candidates, info, noise) is not None
+    assert decode(curve, alphas, candidates, info, noise, odd) is not None
     p, last = curve.field.p, len(candidates) - 1
+    assert last % 2 == 0 and len(info[0]) == last // 2 + 1
     for i in (0, len(alphas), len(info) - 1):
-        bumped = tampered(info, i, last, info[i][last] + 1, p)
-        assert decode(curve, alphas, candidates, bumped, noise) is None
+        bumped = tampered(info, i, last // 2, info[i][last // 2] + 1, p)
+        assert decode(curve, alphas, candidates, bumped, noise, odd) is None
     for i in (1, len(noise) - 1):
-        bumped = tampered(noise, i, last, noise[i][last] + 1, p)
-        assert decode(curve, alphas, candidates, info, bumped) is None
+        bumped = tampered(noise, i, last // 2, noise[i][last // 2] + 1, p)
+        assert decode(curve, alphas, candidates, info, bumped, odd) is None
     partner = AffinePoint(candidates[last].x, -candidates[last].y % p)
-    assert decode(curve, alphas, candidates[:last] + (partner,), info, noise) is None
+    assert decode(curve, alphas, candidates[:last] + (partner,), info, noise, odd) is None
 
 
 def formula_rows(alphas, points, h, p):
@@ -1141,17 +1184,17 @@ def formula_rows(alphas, points, h, p):
 def test_fiber_certificate_refuses_points_off_the_curve():
     # Rows that are the formulas at points off the curve pass every row
     # check, but 1/y = y/R(x) no longer holds there, so the closed form must refuse.
-    curve, alphas, candidates, info, noise = fiber_inputs(G1_Q43)
-    p, n = curve.field.p, len(info) + len(noise) + 1
+    curve, alphas, candidates, info, noise, odd = fiber_inputs(G1_Q43)
+    p, n = curve.field.p, len(candidates) - 1
     h = n // 2 - len(alphas)
     points = [(pt.x, pt.y) for pt in candidates]
-    assert formula_rows(alphas, points, h, p) == (info, noise)
+    assert formula_rows(alphas, points[::2], h, p) == (info, noise)
     (x, y), off = points[2], (points[2][1] + 1) % p
     assert off and off * off % p != curve.rhs(x)
     points[2:4] = [(x, off), (x, -off % p)]
     moved = tuple(AffinePoint(*pt) for pt in points)
-    rows = formula_rows(alphas, points, h, p)
-    assert pir_scheme._fiber_decode(curve, alphas, moved, *rows) is None
+    rows = formula_rows(alphas, points[::2], h, p)
+    assert pir_scheme._fiber_decode(curve, alphas, moved, *rows, odd) is None
 
 
 def test_a_failed_genus1_certificate_raises_instead_of_eliminating(monkeypatch):
@@ -1774,7 +1817,7 @@ def two_step_genus1_reduction(inst, alias):
         chosen.add(idx)
     eval_points = tuple(candidates[idx] for idx in sorted(chosen))
     rows = evaluate(basis, eval_points, alias)
-    cols, reduced = linalg.pivot_solve(rows, p, len(rows))
+    cols, reduced = solve_augmented(rows, p, len(rows))
     return eval_points, rows, cols, list(zip(*(row[n:] for row in reduced)))
 
 
