@@ -23,16 +23,20 @@ The file holds `label`, `what`, `parent`, `protocol`, `environment`,
 each end-to-end metric of BENCHMARK.json, a summary gives each side's Q1,
 median and Q3 (inclusive quartiles), the relative change of the medians,
 the pairs the change wins and loses (a tie is neither), the parent's IQR and
-the metric's bound. `summary` pools the pairs of every seed and
-`summary_by_seed` keeps each seed apart. `cli_summary` gives, per ARGS, each
-side's median wall seconds, their relative change and whether every stdout
-matched. The file is rewritten after every pair. A run keeps its JSON result
-and its environment record, without the per-operation arrays
-(`wall_latencies_s`, `calibration_s`).
+the metric's bound, over the pairs in which neither run timed out; it
+also counts the timed-out runs. `summary` pools the pairs of every seed and
+`summary_by_seed` keeps each seed apart. A benchmark process still running
+after ten times `run_seconds` is killed, so a workload whose draws never
+end cannot hang the runner: the run is recorded as `{"correct": false,
+"timed_out": true, "timeout_s": ...}` and the pairs go on. `cli_summary`
+gives, per ARGS, each side's median wall seconds, their relative change and
+whether every stdout matched. The file is rewritten after every pair. A run
+keeps its JSON result and its environment record, without the per-operation
+arrays (`wall_latencies_s`, `calibration_s`).
 
 Exit status: 0 when every run reported `"correct": true` and every CLI
-command printed the same stdout on both sides, 1 otherwise, and 2 on a bad
-argument, before any run.
+command printed the same stdout on both sides, 1 otherwise (a timed-out run
+included), and 2 on a bad argument, before any run.
 """
 
 from __future__ import annotations
@@ -56,6 +60,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = ROOT / "BENCHMARK.json"
 PER_OP = ("wall_latencies_s", "calibration_s")
+# A benchmark process may take this many times `run_seconds` (set-up, the
+# timed loop and the pinned-prefix replay) before it is stopped as hung.
+TIMEOUT_FACTOR = 10
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -93,14 +100,17 @@ def summarise(runs: list[dict], spec: dict) -> dict:
         if any(set(sides) != {"parent", "change"} for sides in pairs.values()):
             raise ValueError(f"{workload}: a pair needs one parent and one change run")
         results = [(sides["parent"], sides["change"]) for sides in pairs.values()]
+        complete = [(a, b) for a, b in results
+                    if not (a.get("timed_out") or b.get("timed_out"))]
         entry = {}
-        for metric in spec["end_to_end"]:
+        for metric in spec["end_to_end"] if complete else ():
             name = metric["name"]
             values = [(a["metrics"][name]["value"], b["metrics"][name]["value"])
-                      for a, b in results]
+                      for a, b in complete]
             entry[name] = compare(values, metric["better"], metric["bound"])
         entry["correct"] = all(r["correct"] for pair in results for r in pair)
-        entry["failed"] = sum(r["failed"] for pair in results for r in pair)
+        entry["failed"] = sum(r.get("failed", 0) for pair in results for r in pair)
+        entry["timed_out"] = sum(bool(r.get("timed_out")) for pair in results for r in pair)
         entry["pairs"] = len(results)
         summary[workload] = entry
     return summary
@@ -137,10 +147,20 @@ def run_cli(root: Path, cli: list[str]) -> dict:
 
 
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """(JSON result, environment record) of one untraced benchmark process in `root`."""
+    """(JSON result, environment record) of one untraced benchmark process in `root`.
+
+    A process still running after TIMEOUT_FACTOR * `seconds` is killed, and
+    its result is `{"correct": false, "timed_out": true, "timeout_s": ...}`.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    limit = TIMEOUT_FACTOR * seconds
+    try:
+        done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=limit)
+    except subprocess.TimeoutExpired:
+        print(f"{root}: {workload} seed {seed} timed out after {limit:g} s",
+              file=sys.stderr, flush=True)
+        return {"correct": False, "timed_out": True, "timeout_s": limit}, {}
     lines = done.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"{root}: {workload} printed no result:\n{done.stderr}")

@@ -13,11 +13,13 @@ no reduction per slot. Slots never carry into each other because the width
 is chosen from the largest value a slot can reach. Both packed uses share
 this one layout and its helpers:
 
-- `PackedRows` evaluates many combinations sum(c_i * row_i) of one fixed
-  set of `dim` rows, each followed by one unpack and a reduction mod p.
-  With residues in [0, p) and room for one extra packed term, a slot
-  reaches (dim + 1) * (p - 1)**2. A combination can scale column j by s_j in
-  that reduction: one product per symbol, and no scaled copy of the rows.
+- `PackedRows.combine` evaluates K combinations sum(c_i * row_i) + extra
+  of one fixed set of `dim` rows in one call: K packed sums, whose bytes
+  are joined into one buffer, read once and reduced mod p in one pass.
+  With coefficients in [0, p), which it checks, and room for one extra
+  packed term, a slot reaches (dim + 1) * (p - 1)**2. A combination can
+  scale column j by s_j in that reduction: one product per symbol, and no
+  scaled copy of the rows.
 - `eliminate_packed`, the one elimination loop behind `rref` (and so
   `invert`), `rank` and `agcode.subset_rank_check`, holds each row of the
   matrix as one packed int and clears a pivot column with one update
@@ -54,6 +56,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from operator import mul
 from typing import Sequence
 
@@ -90,13 +93,17 @@ def _pack(residues: list[int], slot: int) -> int:
     return int.from_bytes(b"".join(v.to_bytes(slot, "little") for v in residues), "little")
 
 
-def _unpack(value: int, n: int, slot: int) -> Sequence[int]:
-    """The n slot values of a packed int, unreduced."""
-    raw = value.to_bytes(n * slot, "little")
+def _slots(raw: bytes, slot: int) -> Sequence[int]:
+    """The values of the consecutive little-endian slots of `raw`, unreduced."""
     fmt = _CAST_FORMATS.get(slot)
     if fmt is not None:
         return memoryview(raw).cast(fmt)
-    return [int.from_bytes(raw[i : i + slot], "little") for i in range(0, n * slot, slot)]
+    return [int.from_bytes(raw[i : i + slot], "little") for i in range(0, len(raw), slot)]
+
+
+def _unpack(value: int, n: int, slot: int) -> Sequence[int]:
+    """The n slot values of a packed int, unreduced."""
+    return _slots(value.to_bytes(n * slot, "little"), slot)
 
 
 def pack_for_elimination(rows: Matrix, p: int, pivots: int) -> tuple[list[int], int]:
@@ -247,19 +254,36 @@ class PackedRows:
         return _pack([v % self.p for v in row], self.slot)
 
     def combine(
-        self, coeffs: Sequence[int], extra: int = 0, scale: Sequence[int] | None = None
-    ) -> tuple[int, ...]:
-        """sum(coeffs[i] * rows[i]) + extra, reduced mod p, as a tuple of n residues.
+        self,
+        coeffs: Sequence[int],
+        extras: Sequence[int],
+        scales: Sequence[Sequence[int]] | None = None,
+    ) -> tuple[tuple[int, ...], ...]:
+        """K = len(extras) combinations, each as a tuple of n residues mod p.
 
-        `extra` is 0 or one packed row (from `pack`) times a residue in [0, p);
-        `scale`, None or n residues, multiplies column j by scale[j] as it is reduced.
+        Combination k is sum(coeffs[k * dim + i] * rows[i]) + extras[k]: the
+        coefficients are K * dim residues in [0, p), combination-major, and
+        each extra is 0 or one packed row (from `pack`) times a residue in
+        [0, p). `scales`, None or K sequences of n residues, multiplies
+        column j of combination k by scales[k][j] as it is reduced. The K
+        packed sums are read from one joined buffer and reduced in one pass.
         """
-        if len(coeffs) != len(self.rows):
-            raise ValueError(f"{len(coeffs)} coefficients for {len(self.rows)} rows")
-        p, n, slot = self.p, self.n, self.slot
-        acc = sum(map(mul, [c % p for c in coeffs], self.rows), extra)
-        if scale is None:
-            return tuple([v % p for v in _unpack(acc, n, slot)])
-        if len(scale) != n:  # checked here: zip's strict check costs more per call
-            raise ValueError(f"{len(scale)} column scales for rows of length {n}")
-        return tuple([v * s % p for v, s in zip(_unpack(acc, n, slot), scale)])
+        p, n, slot, rows = self.p, self.n, self.slot, self.rows
+        dim, k = len(rows), len(extras)
+        if len(coeffs) != k * dim:
+            raise ValueError(f"{len(coeffs)} coefficients for {k} combinations of {dim} rows")
+        # An out-of-range coefficient would carry between slots or make a sum negative.
+        if coeffs and (min(coeffs) < 0 or max(coeffs) >= p):
+            raise ValueError(f"coefficients must be residues in [0, {p})")
+        if scales is not None and (len(scales) != k or any(len(s) != n for s in scales)):
+            raise ValueError(f"column scales must be {k} sequences of {n} residues")
+        width = n * slot
+        raw = b"".join([
+            sum(map(mul, coeffs[i * dim : (i + 1) * dim], rows), extra).to_bytes(width, "little")
+            for i, extra in enumerate(extras)
+        ])
+        if scales is None:
+            flat = [v % p for v in _slots(raw, slot)]
+        else:
+            flat = [v * s % p for v, s in zip(_slots(raw, slot), chain.from_iterable(scales))]
+        return tuple(zip(*[iter(flat)] * n))

@@ -21,7 +21,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from math import prod
 from operator import mul
 from typing import NamedTuple
@@ -727,15 +727,19 @@ def _masked(
     """Cell [l][m] is extras[l][m] plus a random codeword of `code`, times scales[l] by column.
 
     This is the one masking rule of shares and queries alike. The codeword
-    coefficients over F_p are drawn in one `_draw` call and split cell by
-    cell, fragment-major then file-major.
+    coefficients over F_p are drawn in one `_draw` call, fragment-major then
+    file-major, and each fragment row of M cells is one `combine` call on
+    its slice of them.
     """
     dim = len(code.rows)
-    draws = iter(_draw(rng, p, dim * sum(map(len, extras))))
-    return Table(
-        tuple(code.combine(list(islice(draws, dim)), extra, scale) for extra in row)
-        for row, scale in zip(extras, scales or repeat(None))
-    )
+    draws = _draw(rng, p, dim * sum(map(len, extras)))
+    table, start = [], 0
+    for row, scale in zip(extras, scales or repeat(None)):
+        end = start + dim * len(row)
+        row_scales = None if scale is None else [scale] * len(row)
+        table.append(code.combine(draws[start:end], row, row_scales))
+        start = end
+    return Table(table)
 
 
 def _draw(rng: random.Random, p: int, count: int) -> list[int]:
@@ -800,10 +804,12 @@ def decode(inst: SchemeInstance, responses: Sequence[int]) -> tuple[int, ...]:
     """The fragments, `fragment_rows` times the responses, once every parity check holds."""
     if len(responses) != inst.n:
         raise ShapeMismatch(f"expected {inst.n} response symbols, got {len(responses)}")
+    p = inst.p
+    responses = [r % p for r in responses]
     for n, row in inst.parity_checks:
-        if sum(map(mul, row, responses)) % inst.p:
+        if sum(map(mul, row, responses)) % p:
             raise InconsistentSystem(f"response symbol {n} is outside the decode row space")
-    return inst.packed_fragments.combine(responses)
+    return inst.packed_fragments.combine(responses, (0,))[0]
 
 
 # -- verification ---------------------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from itertools import combinations, product
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, mul
 
 import pytest
 
@@ -79,6 +79,29 @@ def server_view_reference(table, server):
     """One server's column of a table, read cell by cell: the reference for `server_view`."""
     get = itemgetter(server)
     return tuple([tuple(map(get, row)) for row in table])
+
+
+def masked_reference(code, extras, p, rng, scales=None):
+    """`pir_scheme._masked` by the per-cell loop: the reference for its batched rows.
+
+    Cell [l][m] draws its own dim coefficients with `randrange(p)`,
+    fragment-major then file-major, adds them times the packed rows to
+    extras[l][m] in one packed sum, unpacks that sum and reduces each symbol,
+    times scales[l][j] at column j when there are scales.
+    """
+    dim, n, slot = len(code.rows), code.n, code.slot
+    table = []
+    for ell, row in enumerate(extras):
+        cells = []
+        for extra in row:
+            coeffs = [rng.randrange(p) for _ in range(dim)]
+            values = linalg._unpack(sum(map(mul, coeffs, code.rows), extra), n, slot)
+            if scales is None:
+                cells.append(tuple(v % p for v in values))
+            else:
+                cells.append(tuple(v * s % p for v, s in zip(values, scales[ell])))
+        table.append(tuple(cells))
+    return tuple(table)
 
 
 def eval_at_reference(f, point):

@@ -1,6 +1,7 @@
-"""The pair runner's summariser on canned runs, and its argument errors."""
+"""The pair runner's summariser on canned runs, its argument errors and its timeout."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -125,3 +126,56 @@ def test_bad_arguments_exit_2_before_any_run(argv, tmp_path, monkeypatch):
     assert exited.value.code == 2
     assert runs == [] and not (tmp_path / "o.json").exists()
 
+
+def test_a_run_past_its_timeout_is_recorded_as_timed_out(monkeypatch):
+    calls = []
+
+    def hung(cmd, **kwargs):
+        calls.append(kwargs["timeout"])
+        raise bench_pairs.subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", hung)
+    stdout, env = bench_pairs.run_side(ROOT, "audit-mixed", 0, 20)
+    assert calls == [200]
+    assert stdout == {"correct": False, "timed_out": True, "timeout_s": 200}
+    assert env == {}
+
+
+def test_the_pairs_go_on_past_a_timed_out_run_and_exit_1(tmp_path, monkeypatch):
+    # Every benchmark process returns a canned result at once, except the
+    # change side's first audit run, which times out: the BENCH file is still
+    # written with every run, the other pairs are summarised, and the exit is 1.
+    spec = json.loads(bench_pairs.SPEC.read_text())
+    metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in spec["end_to_end"]}
+    result = json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics})
+    timeouts, hung = [], []
+
+    def run(cmd, cwd, **kwargs):
+        timeouts.append(kwargs["timeout"])
+        if Path(cwd) == ROOT and "audit-mixed" in cmd and not hung:
+            hung.append(cmd)
+            raise bench_pairs.subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+        return bench_pairs.subprocess.CompletedProcess(cmd, 0, result + "\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    monkeypatch.setattr(bench_pairs, "extract", lambda revision, dest: None)
+    monkeypatch.setattr(bench_pairs, "commit_of", lambda revision: "0" * 40)
+    monkeypatch.setattr(bench_pairs.signal, "signal", lambda *a: None)
+    out = tmp_path / "pairs.json"
+    argv = ["--parent", "HEAD", "--label", "x", "--what", "y", "--pairs", "2", "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    written = json.loads(out.read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    assert len(written["runs"]) == 4 * len(workloads)
+    timed_out = [r for r in written["runs"] if r["stdout"].get("timed_out")]
+    assert [(r["workload"], r["side"]) for r in timed_out] == [("audit-mixed", "change")]
+    assert timed_out[0]["stdout"]["correct"] is False
+    for name in workloads:
+        entry = written["summary"][name]
+        assert entry["pairs"] == 2
+        if name == "audit-mixed":
+            assert (entry["correct"], entry["timed_out"]) == (False, 1)
+            assert entry["latency_p50_s"]["change_q1_median_q3"] == [1.0, 1.0, 1.0]
+        else:
+            assert (entry["correct"], entry["timed_out"]) == (True, 0)
+    assert len(hung) == 1 and set(timeouts) == {10 * spec["run_seconds"]}

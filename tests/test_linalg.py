@@ -305,16 +305,16 @@ def test_packed_combine_matches_naive(p, dim, n):
     columns = [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(n)]
     for coeffs in ([0] * dim, [p - 1] * dim, [rng.randrange(p) for _ in range(dim)]):
         for scale in (0, 1, p - 1, rng.randrange(p)):
-            got = packed.combine(coeffs, scale * extra)
+            (got,) = packed.combine(coeffs, [scale * extra])
             assert got == naive_combination(coeffs, rows, p, scale, extra_row)
-            got = packed.combine(coeffs, scale * extra, columns)
+            (got,) = packed.combine(coeffs, [scale * extra], [columns])
             assert got == naive_combination(coeffs, rows, p, scale, extra_row, columns)
-        assert packed.combine(coeffs) == naive_combination(coeffs, rows, p)
-        assert packed.combine(coeffs, scale=columns) == naive_combination(
-            coeffs, rows, p, columns=columns
+        assert packed.combine(coeffs, [0]) == (naive_combination(coeffs, rows, p),)
+        assert packed.combine(coeffs, [0], [columns]) == (
+            naive_combination(coeffs, rows, p, columns=columns),
         )
     with pytest.raises(ValueError):
-        packed.combine([0] * dim, scale=columns + [1])
+        packed.combine([0] * dim, [0], [columns + [1]])
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
@@ -323,7 +323,7 @@ def test_packed_combine_at_the_slot_bound(p):
     dim, n = 5, 7
     packed = linalg.PackedRows.of([[p - 1] * n] * dim, p)
     extra = (p - 1) * packed.pack([-1] * n)
-    assert packed.combine([p - 1] * dim, extra) == ((dim + 1) * (p - 1) ** 2 % p,) * n
+    assert packed.combine([p - 1] * dim, [extra]) == (((dim + 1) * (p - 1) ** 2 % p,) * n,)
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
@@ -336,21 +336,70 @@ def test_packed_combine_scales_columns_at_the_slot_bound(p):
     columns = [0, 1, p - 1, 2 % p, (p + 1) // 2, p - 2, 1]
     top = (dim + 1) * (p - 1) ** 2
     want = tuple(top * s % p for s in columns)
-    assert packed.combine([p - 1] * dim, extra, columns) == want
-    assert packed.combine([p - 1] * dim, extra, [1] * n) == packed.combine([p - 1] * dim, extra)
+    assert packed.combine([p - 1] * dim, [extra], [columns]) == (want,)
+    unscaled = packed.combine([p - 1] * dim, [extra])
+    assert packed.combine([p - 1] * dim, [extra], [[1] * n]) == unscaled
 
 
-def test_packed_combine_reduces_coefficients():
-    p = 257
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@pytest.mark.parametrize("dim", [1, 5])
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_packed_combine_batches_match_naive_at_the_slot_bound(p, dim, k):
+    # K combinations in one call, each against its own naive sum: the first at
+    # the slot bound (every product and the extra at their largest), the rest
+    # random, so a slot that carried into its neighbour, or a combination read
+    # at another's offset, would show. The slots are 4 bytes at p = 5 and 257,
+    # 8 and 9 bytes at 2**31 - 1 (dim 1 and 5) and 16 bytes at 2**61 - 1: the
+    # native casts and the int.from_bytes branch.
+    rng = random.Random(f"batch:{p}:{dim}:{k}")
+    n = 7
+    rows = [[p - 1] * n] + [[rng.randrange(p) for _ in range(n)] for _ in range(dim - 1)]
+    extra_rows = [[p - 1] * n] + [[rng.randrange(p) for _ in range(n)] for _ in range(k - 1)]
+    packed = linalg.PackedRows.of(rows, p)
+    factors = [p - 1] + [rng.randrange(p) for _ in range(k - 1)]
+    extras = [f * packed.pack(row) for f, row in zip(factors, extra_rows)]
+    coeffs = [p - 1] * dim + [rng.randrange(p) for _ in range((k - 1) * dim)]
+    scales = [[rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(n)] for _ in range(k)]
+    parts = [coeffs[i * dim : (i + 1) * dim] for i in range(k)]
+    unscaled = tuple(
+        naive_combination(c, rows, p, f, row) for c, f, row in zip(parts, factors, extra_rows)
+    )
+    scaled = tuple(
+        naive_combination(c, rows, p, f, row, s)
+        for c, f, row, s in zip(parts, factors, extra_rows, scales)
+    )
+    assert packed.combine(coeffs, extras) == unscaled
+    assert packed.combine(coeffs, extras, scales) == scaled
+    if dim == 1:
+        # At the bound each slot holds 2 (p - 1)**2 before it is reduced.
+        assert unscaled[0] == ((2 * (p - 1) ** 2) % p,) * n
+
+
+@pytest.mark.parametrize("p", [5, 2**61 - 1])
+def test_packed_combine_refuses_coefficients_outside_the_field(p):
     packed = linalg.PackedRows.of([[1, 2, 3], [4, 5, 6]], p)
-    # Unreduced, these would carry across slots and make the packed sum negative.
-    assert packed.combine([1 + p**4, -1]) == packed.combine([1, p - 1]) == (p - 3,) * 3
+    # Unchecked, these would carry across slots or make the packed sum negative.
+    for coeffs in ([1 + p**4, 1], [1, -1], [p, 0], [0, 0, 0, -1], [0, 0, p, 0]):
+        with pytest.raises(ValueError, match="residues"):
+            packed.combine(coeffs, [0] * (len(coeffs) // 2))
+    assert packed.combine([0, p - 1], [0]) == ((-4 % p, -5 % p, -6 % p),)
+
+
+def test_packed_combine_refuses_bad_counts_and_scales():
+    packed = linalg.PackedRows.of([[1, 2, 3], [4, 5, 6]], 13)
+    for coeffs, extras in (([1], [0]), ([1, 2, 3], [0]), ([1, 2], [0, 0]), ([1, 2], [])):
+        with pytest.raises(ValueError, match="coefficients for"):
+            packed.combine(coeffs, extras)
+    for scales in ([], [[1, 1, 1]], [[1, 1, 1], [1, 1]], [[1, 1, 1], [1, 1, 1, 1]]):
+        with pytest.raises(ValueError, match="column scales"):
+            packed.combine([1, 2, 3, 4], [0, 0], scales)
+    assert packed.combine([], []) == ()
 
 
 def test_packed_rows_reject_bad_shapes():
     packed = linalg.PackedRows.of([[1, 2, 3], [4, 5, 6]], 13)
     with pytest.raises(ValueError):
-        packed.combine([1])
+        packed.combine([1], [0])
     with pytest.raises(ValueError):
         packed.pack([1, 2])
     with pytest.raises(ValueError):

@@ -72,6 +72,7 @@ from agpir.rates import max_rate_g1
 from conftest import (
     ZeroRng,
     decode_reference,
+    masked_reference,
     server_view_reference,
     solve_augmented,
     solve_decode_reference,
@@ -425,6 +426,45 @@ def test_store_and_queries_match_reference_formulas(name, request):
             for n in range(inst.n)
         ]
         assert decode(inst, responses) == db.files[theta - 1]
+
+
+@pytest.mark.parametrize("p", [2, 127, 2**31 - 1, 2**61 - 1])
+@pytest.mark.parametrize("big_l, m", [(1, 1), (1, 3), (3, 1), (3, 3)])
+def test_masked_rows_match_the_per_cell_loop(p, big_l, m):
+    # One `combine` call per fragment row, on its slice of the one draw, gives
+    # the cells of the per-cell loop and leaves the generator in the same state.
+    rng = random.Random(f"masked:{p}:{big_l}:{m}")
+    dim, n = 4, 6
+    code = linalg.PackedRows.of([[rng.randrange(p) for _ in range(n)] for _ in range(dim)], p)
+    bases = [code.pack([rng.randrange(p) for _ in range(n)]) for _ in range(big_l)]
+    # Extras as `store` and `make_queries` give them: a residue times a packed row, or 0.
+    extras = [[rng.choice((0, 1, p - 1, rng.randrange(p))) * b for _ in range(m)] for b in bases]
+    scales = [[rng.randrange(1, p) for _ in range(n)] for _ in range(big_l)]
+    for row_scales in (None, scales):
+        seed = rng.randrange(2**32)
+        got_rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = pir_scheme._masked(code, extras, p, got_rng, row_scales)
+        assert isinstance(got, Table)
+        assert got == masked_reference(code, extras, p, ref_rng, row_scales)
+        assert got_rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("name", ["g0_tiny", "g1_tiny", "g0_q43", "g1_q43", "g0_p61"])
+def test_decode_reads_responses_shifted_by_multiples_of_p(name, request):
+    # `decode` reduces its responses before the parity checks and the packed
+    # combination, so a response off by a multiple of p decodes the same.
+    inst = request.getfixturevalue(name)
+    p = inst.p
+    db = Database.random(p, 3, inst.l, random.Random(5))
+    *_, responses, decoded = run_round(inst, db, 2, 5)
+    assert decoded == db.files[1]
+    shifts = random.Random(6)
+    for shifted in (
+        [r + p for r in responses],
+        [r - p for r in responses],
+        [r + shifts.choice((-1, 1)) * shifts.randrange(1, p**2) * p for r in responses],
+    ):
+        assert decode(inst, shifted) == decoded
 
 
 def test_corrupted_response_detected_or_wrong(g1_tiny, g0_tiny):
